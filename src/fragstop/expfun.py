@@ -26,6 +26,10 @@ from . import levy, pathsim
 from .levy import DislocationModel, DomainError, ModelParams
 from .streams import substream
 
+# Draws per sampler batch.  It fixes how each substream is consumed, so
+# changing it changes every shared sample drawn from a given seed.
+SAMPLE_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class MomentEstimate:
@@ -88,21 +92,23 @@ def draw_shared_sample(
     seed: int,
     rel_tol: float = 1e-6,
     kappa: float | None = None,
-    chunk: int = 4096,
 ) -> SharedSample:
     """Draw n independent lifetime integrals under the kappa tilt.
 
-    Draws are produced chunk by chunk on counter-derived substreams, so the
-    result is independent of any worker scheduling.
+    Chunk k of SAMPLE_CHUNK draws is simulated in one batch on the
+    counter-derived substream ("shared-sample", k).  The last chunk is
+    simulated in full and truncated, so a sample is the exact prefix of any
+    larger sample with the same seed, and the result is independent of any
+    worker scheduling.
     """
     kap = params.kappa if kappa is None else kappa
     dyn = levy.tilt(model, params, kappa=kap)
     lam_eff = levy.psi(model, params.theta, kap)
     draws = np.empty(n_draws)
-    for start in range(0, n_draws, chunk):
-        rng = substream(seed, "shared-sample", start // chunk)
-        for i in range(start, min(start + chunk, n_draws)):
-            draws[i] = pathsim.simulate_I_infty(dyn, params, rng, rel_tol=rel_tol)
+    for start in range(0, n_draws, SAMPLE_CHUNK):
+        rng = substream(seed, "shared-sample", start // SAMPLE_CHUNK)
+        batch = pathsim.simulate_I_infty(dyn, params, rng, SAMPLE_CHUNK, rel_tol=rel_tol)
+        draws[start : start + SAMPLE_CHUNK] = batch[: n_draws - start]
     return SharedSample(
         draws=draws, gamma=params.gamma, theta=params.theta,
         kappa=kap, lam=lam_eff, rel_tol=rel_tol, seed=seed,

@@ -365,9 +365,6 @@ class TiltedDynamics:
     def drift(self) -> float:
         return -self.theta
 
-    def sample_jump(self, rng: np.random.Generator) -> float:
-        return sample_jump(self.model, self.kappa, rng)
-
 
 def tilt(
     model: DislocationModel,

@@ -270,37 +270,52 @@ def simulate_I_infty(
     tilted: TiltedDynamics,
     params: ModelParams,
     rng: np.random.Generator,
+    n: int,
+    *,
     rel_tol: float = 1e-6,
     max_steps: int = 1_000_000,
     tail_correction: bool = True,
-) -> float:
-    """One draw of the lifetime integral of exp(gamma * Y) under `tilted`.
+) -> np.ndarray:
+    """n independent draws of the lifetime integral of exp(gamma * Y) under `tilted`.
 
-    Simulates jump by jump until the running integrand weight drops below
-    rel_tol times the accrued integral, then adds the exact conditional mean
-    of the tail, exp(gamma*Y_T) * M1.  The draw is mean-exact; moments of
-    order > 1 carry a bias of order rel_tol times the tail variance.
+    All unfinished draws advance together, one jump per step: each step
+    draws the holding times of the m live draws, then their m jumps, adds
+    each segment integral in closed form, and retires the draws whose
+    integrand weight exp(gamma*Y) has dropped below rel_tol times their
+    accrued integral.  A retired draw gets the exact conditional mean of its
+    tail, exp(gamma*Y_T) * M1.  Draws are mean-exact; moments of order > 1
+    carry a bias of order rel_tol times the tail variance.
+
+    The output depends on n (it sets how many variates each step takes from
+    rng), so callers that need prefix-stable samples must fix n.  Raises
+    AssumptionError if any draw is still unfinished after max_steps steps.
     """
-    gamma, theta = params.gamma, params.theta
+    gamma, theta, gt = params.gamma, params.theta, params.gt
     m1 = _tilted_first_moment(tilted.model, params, tilted.kappa) if tail_correction else 0.0
     if tilted.jump_rate == 0.0:
         # Pure drift: the truncation time solves the stopping rule exactly and
         # the conditional tail mean restores 1/(gamma*theta) with no error.
-        gt = params.gt
         weight_at_stop = rel_tol / (gt + rel_tol)
-        acc = 1.0 / (gt + rel_tol)
-        return acc + weight_at_stop * m1
-    y, acc = 0.0, 0.0
+        return np.full(n, 1.0 / (gt + rel_tol) + weight_at_stop * m1)
+    out = np.empty(n)
+    live = np.arange(n)
+    y = np.zeros(n)
+    acc = np.zeros(n)
     scale = 1.0 / tilted.jump_rate
     for _ in range(max_steps):
-        w = rng.exponential(scale)
-        acc += segment_exp_integral(y, w, gamma, theta)
-        y -= theta * w
-        y += tilted.sample_jump(rng)
-        if math.exp(gamma * y) < rel_tol * acc:
-            return acc + math.exp(gamma * y) * m1
+        w = rng.exponential(scale, live.size)
+        acc -= np.exp(gamma * y) * np.expm1(-gt * w) / gt
+        y += levy.sample_jumps(tilted.model, tilted.kappa, live.size, rng) - theta * w
+        weight = np.exp(gamma * y)
+        done = weight < rel_tol * acc
+        if done.any():
+            out[live[done]] = acc[done] + weight[done] * m1
+            keep = ~done
+            live, y, acc = live[keep], y[keep], acc[keep]
+        if live.size == 0:
+            return out
     raise AssumptionError(
-        f"integral failed to converge within {max_steps} jumps; "
+        f"{live.size} of {n} integrals failed to converge within {max_steps} jumps; "
         "the tilted driver does not appear to drift downward"
     )
 

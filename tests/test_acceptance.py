@@ -65,7 +65,8 @@ def test_criterion_01_deterministic_oracle_suite():
 
         rng = substream(ACC_SEED, "det-oracle")
         dyn = levy.tilt(model, params)
-        assert pathsim.simulate_I_infty(dyn, params, rng) == pytest.approx(1.0, abs=1e-12)
+        draws = pathsim.simulate_I_infty(dyn, params, rng, 4)
+        assert draws == pytest.approx(np.ones(4), abs=1e-12)
 
         sample = expfun.degenerate_sample(params)
         for b in (0.25, 0.5, 1.0, 2.0, 5.0):

@@ -134,3 +134,12 @@ class TestSharedSample:
             ref_model, ref_params, 2048, seed=ref_sample.seed
         )
         assert np.array_equal(again.draws, ref_sample.draws[:2048])
+
+    def test_prefix_across_chunk_boundary(self, ref_model, ref_params, ref_sample):
+        # 5000 draws end inside the second chunk, which must still be
+        # simulated in full so its first draws match the larger sample's.
+        assert 5000 > expfun.SAMPLE_CHUNK
+        again = expfun.draw_shared_sample(
+            ref_model, ref_params, 5000, seed=ref_sample.seed
+        )
+        assert np.array_equal(again.draws, ref_sample.draws[:5000])

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fragstop import levy, pathsim
-from fragstop.levy import AssumptionError, BinaryPoint, BinaryUniform
+from fragstop import expfun, levy, pathsim
+from fragstop.levy import AssumptionError, BinaryBeta, BinaryPoint, BinaryUniform
 from fragstop.streams import substream
 
 
@@ -127,32 +127,80 @@ class TestXiDistribution:
             assert abs(vals.mean() - target) <= 3.0 * se
 
 
+def scalar_I_infty(tilted, params, m1, rng, rel_tol=1e-6, max_steps=1_000_000):
+    """One lifetime-integral draw by the per-jump loop (reference sampler).
+
+    Retires on the same rule as the batched sampler, so both target the
+    same law; m1 is the tail mean.
+    """
+    gamma, theta = params.gamma, params.theta
+    y, acc = 0.0, 0.0
+    scale = 1.0 / tilted.jump_rate
+    for _ in range(max_steps):
+        w = rng.exponential(scale)
+        acc += pathsim.segment_exp_integral(y, w, gamma, theta)
+        y -= theta * w
+        y += levy.sample_jump(tilted.model, tilted.kappa, rng)
+        if math.exp(gamma * y) < rel_tol * acc:
+            return acc + math.exp(gamma * y) * m1
+    raise AssertionError(f"reference draw did not converge within {max_steps} jumps")
+
+
 class TestLifetimeIntegral:
     def test_degenerate_exact(self, degen_model, degen_params, rng):
         dyn = levy.tilt(degen_model, degen_params)
-        assert pathsim.simulate_I_infty(dyn, degen_params, rng) == pytest.approx(1.0, abs=1e-14)
+        draws = pathsim.simulate_I_infty(dyn, degen_params, rng, 8)
+        assert draws.shape == (8,)
+        assert draws == pytest.approx(np.ones(8), abs=1e-14)
 
     def test_degenerate_other_scale(self, rng):
         model = BinaryUniform(0.0)
         params = levy.make_params(model, gamma=2.0, theta=0.25, q=1.0, c=1.0)
         dyn = levy.tilt(model, params)
-        assert pathsim.simulate_I_infty(dyn, params, rng) == pytest.approx(2.0, abs=1e-12)
+        draws = pathsim.simulate_I_infty(dyn, params, rng, 8)
+        assert draws == pytest.approx(np.full(8, 2.0), abs=1e-12)
 
     def test_tail_correction_is_nonnegative(self, ref_model, ref_params):
+        # The stopping rule ignores the tail mean, so both calls consume the
+        # substream identically and the draws pair up elementwise.
         dyn = levy.tilt(ref_model, ref_params)
-        for i in range(50):
-            with_tail = pathsim.simulate_I_infty(dyn, ref_params, substream(5, "tail", i))
-            without = pathsim.simulate_I_infty(
-                dyn, ref_params, substream(5, "tail", i), tail_correction=False
-            )
-            assert with_tail >= without
+        with_tail = pathsim.simulate_I_infty(dyn, ref_params, substream(5, "tail"), 50)
+        without = pathsim.simulate_I_infty(
+            dyn, ref_params, substream(5, "tail"), 50, tail_correction=False
+        )
+        assert np.all(with_tail >= without)
+        assert np.any(with_tail > without)
 
     def test_untilted_infinite_mean_rejected(self, ref_model, ref_params, rng):
         # At gamma = theta = rate = 1 the physical-measure mean diverges, so
         # the tail correction must refuse rather than return garbage.
         dyn = levy.tilt(ref_model, ref_params, kappa=0.0)
         with pytest.raises(AssumptionError):
-            pathsim.simulate_I_infty(dyn, ref_params, rng)
+            pathsim.simulate_I_infty(dyn, ref_params, rng, 16)
+
+    def test_step_budget_exhausted(self, ref_model, ref_params, rng):
+        dyn = levy.tilt(ref_model, ref_params)
+        with pytest.raises(AssumptionError, match="failed to converge within 1 jumps"):
+            pathsim.simulate_I_infty(dyn, ref_params, rng, 64, max_steps=1)
+
+    @pytest.mark.parametrize(
+        "model",
+        [BinaryUniform(1.0), BinaryPoint(1.0, 0.7), BinaryBeta(1.0, 0.5), BinaryBeta(1.0, 3.0)],
+        ids=["uniform", "point", "beta0.5", "beta3"],
+    )
+    def test_batched_matches_per_jump_reference(self, model):
+        params = levy.make_params(model, gamma=1.0, theta=1.0, q=1.0, c=0.25)
+        dyn = levy.tilt(model, params)
+        m1 = expfun.moment_recursion(model, params, 1)
+        n = 20_000
+        rng = substream(31, "per-jump-reference")
+        ref = np.array([scalar_I_infty(dyn, params, m1, rng) for _ in range(n)])
+        batched = pathsim.simulate_I_infty(dyn, params, substream(31, "batched"), n)
+        se_ref = ref.std(ddof=1) / math.sqrt(n)
+        se_batched = batched.std(ddof=1) / math.sqrt(n)
+        assert abs(batched.mean() - ref.mean()) <= 4.0 * math.hypot(se_ref, se_batched)
+        assert abs(ref.mean() - m1) <= 4.0 * se_ref
+        assert abs(batched.mean() - m1) <= 4.0 * se_batched
 
 
 class TestTaggedMassPassage:
