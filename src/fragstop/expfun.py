@@ -91,9 +91,8 @@ def draw_shared_sample(
     *,
     seed: int,
     rel_tol: float = 1e-6,
-    kappa: float | None = None,
 ) -> SharedSample:
-    """Draw n independent lifetime integrals under the kappa tilt.
+    """Draw n independent lifetime integrals under the params.kappa tilt.
 
     Chunk k of SAMPLE_CHUNK draws is simulated in one batch on the
     counter-derived substream ("shared-sample", k).  The last chunk is
@@ -101,9 +100,9 @@ def draw_shared_sample(
     larger sample with the same seed, and the result is independent of any
     worker scheduling.
     """
-    kap = params.kappa if kappa is None else kappa
-    dyn = levy.tilt(model, params, kappa=kap)
-    lam_eff = levy.psi(model, params.theta, kap)
+    dyn = levy.tilt(model, params)
+    # psi at the bisected root, which may differ from params.lam in the last digits.
+    lam_eff = levy.psi(model, params.theta, params.kappa)
     draws = np.empty(n_draws)
     for start in range(0, n_draws, SAMPLE_CHUNK):
         rng = substream(seed, "shared-sample", start // SAMPLE_CHUNK)
@@ -111,7 +110,7 @@ def draw_shared_sample(
         draws[start : start + SAMPLE_CHUNK] = batch[: n_draws - start]
     return SharedSample(
         draws=draws, gamma=params.gamma, theta=params.theta,
-        kappa=kap, lam=lam_eff, rel_tol=rel_tol, seed=seed,
+        kappa=params.kappa, lam=lam_eff, rel_tol=rel_tol, seed=seed,
     )
 
 

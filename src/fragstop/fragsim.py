@@ -26,6 +26,7 @@ numbers across strategies), and results do not depend on worker scheduling.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -98,6 +99,14 @@ class Block:
         m = 1.0 / params.gt
         return (self.zeta_birth + m) * math.exp(params.gt * (t - self.born_at)) - m
 
+    def contribution(self, params: ModelParams) -> float:
+        """Frozen payoff (accrued + c) * mass^(1+gamma) * e^{-q*l}; 0 if the line never fired."""
+        if self.frozen_at == math.inf:
+            return 0.0
+        return (self.accrued_final + params.c) * self.mass ** (1.0 + params.gamma) * math.exp(
+            -params.q * self.frozen_at
+        )
+
 
 @dataclass
 class FragmentationState:
@@ -138,25 +147,6 @@ def _split_block(state: FragmentationState, block: Block, t_split: float, s: flo
     )
     state.created += 2
     return kids
-
-
-def step(state: FragmentationState, model: DislocationModel,
-         rng: np.random.Generator) -> FragmentationState:
-    """Advance by one split: exponential holding at rate rate*|live|, uniform block.
-
-    Mutates and returns `state`.
-    """
-    if levy.is_degenerate(model):
-        raise InvalidModelError("the fragmentation simulator requires rate > 0")
-    n = len(state.live)
-    if n < 1:
-        raise InvalidModelError("no live blocks to split")
-    state.t += rng.exponential(1.0 / (model.rate * n))
-    k = int(rng.integers(n))
-    block = state.live.pop(k)
-    s = levy.sample_split(model, rng)
-    state.live.extend(_split_block(state, block, state.t, s))
-    return state
 
 
 def evolve_to_time(state: FragmentationState, model: DislocationModel, t: float,
@@ -294,20 +284,12 @@ def run_stopping_line(
 
 
 def payoff(state: FragmentationState, params: ModelParams) -> float:
-    """Discounted premium of a fully frozen ensemble.
-
-    Sum over frozen blocks of (accrued + c) * mass^(1+gamma) * e^{-q*l};
-    branches whose line never fired contribute zero.
-    """
+    """Discounted premium of a fully frozen ensemble: the sum of block contributions."""
     if state.live:
         raise InvalidModelError("payoff requires every block to be frozen")
     total = 0.0
     for b in state.frozen:
-        if b.frozen_at == math.inf:
-            continue
-        total += (b.accrued_final + params.c) * b.mass ** (1.0 + params.gamma) * math.exp(
-            -params.q * b.frozen_at
-        )
+        total += b.contribution(params)
     return total
 
 
@@ -332,12 +314,11 @@ def _simulate_runs(
     params: ModelParams,
     line: StoppingLine,
     master_seed: int,
-    label: str,
-    indices: range,
     dust_floor: float,
     horizon: float,
     block_cap: int,
     collect_blocks: bool,
+    indices: range,
 ):
     payoffs = np.empty(len(indices))
     dust = partial = 0
@@ -345,7 +326,7 @@ def _simulate_runs(
     for j, i in enumerate(indices):
         state = run_stopping_line(
             fresh_state(params), model, params, line,
-            key=run_key(master_seed, label, i),
+            key=run_key(master_seed, "simulate", i),
             dust_floor=dust_floor, horizon=horizon, block_cap=block_cap,
         )
         payoffs[j] = payoff(state, params)
@@ -353,13 +334,8 @@ def _simulate_runs(
         partial += state.partial
         if collect_blocks:
             for b in state.frozen:
-                if b.frozen_at == math.inf:
-                    rows.append((i, b.mass, float("nan"), float("inf"), 0.0))
-                else:
-                    contrib = (b.accrued_final + params.c) * b.mass ** (
-                        1.0 + params.gamma
-                    ) * math.exp(-params.q * b.frozen_at)
-                    rows.append((i, b.mass, b.accrued_final, b.frozen_at, contrib))
+                accrued = float("nan") if b.frozen_at == math.inf else b.accrued_final
+                rows.append((i, b.mass, accrued, b.frozen_at, b.contribution(params)))
     return payoffs, dust, partial, rows
 
 
@@ -370,37 +346,30 @@ def ensemble_payoffs(
     n_runs: int,
     master_seed: int,
     *,
-    label: str = "simulate",
     dust_floor: float = 1e-12,
     horizon: float = math.inf,
     block_cap: int = 1_000_000,
     collect_blocks: bool = False,
     workers: int = 1,
 ) -> EnsembleResult:
-    """Independent stopping-line runs; bit-identical for a fixed seed and label.
+    """Independent stopping-line runs; bit-identical for a fixed seed.
 
-    Run i draws only from streams keyed by (master_seed, label, i), so the
-    result does not depend on `workers`.  Reusing the same seed and label
-    with a different line pairs the runs by common random numbers.
+    Run i draws only from streams keyed by (master_seed, "simulate", i), so
+    the result does not depend on `workers`.  Reusing the same seed with a
+    different line pairs the runs by common random numbers.  Runs are dealt
+    round-robin into one chunk per worker; a single chunk runs in-process.
     """
-    if workers <= 1 or n_runs < 2 * workers:
-        payoffs, dust, partial, rows = _simulate_runs(
-            model, params, line, master_seed, label, range(n_runs),
-            dust_floor, horizon, block_cap, collect_blocks,
-        )
-        return EnsembleResult(payoffs, dust, partial, rows)
-    chunks = [range(k, n_runs, workers) for k in range(workers)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(
-            pool.map(
-                _simulate_runs_star,
-                [
-                    (model, params, line, master_seed, label, chunk,
-                     dust_floor, horizon, block_cap, collect_blocks)
-                    for chunk in chunks
-                ],
-            )
-        )
+    n_chunks = workers if workers > 1 and n_runs >= 2 * workers else 1
+    chunks = [range(k, n_runs, n_chunks) for k in range(n_chunks)]
+    run_chunk = functools.partial(
+        _simulate_runs, model, params, line, master_seed,
+        dust_floor, horizon, block_cap, collect_blocks,
+    )
+    if n_chunks == 1:
+        parts = [run_chunk(chunks[0])]
+    else:
+        with ProcessPoolExecutor(max_workers=n_chunks) as pool:
+            parts = list(pool.map(run_chunk, chunks))
     payoffs = np.empty(n_runs)
     dust = partial = 0
     rows = [] if collect_blocks else None
@@ -415,11 +384,10 @@ def ensemble_payoffs(
     return EnsembleResult(payoffs, dust, partial, rows)
 
 
-def _simulate_runs_star(args):
-    return _simulate_runs(*args)
-
-
 # --- statistical identities -------------------------------------------------------
+
+# Cap on the accrued premium in the stopping-line identity's test functional.
+LINE_CAP = 1e6
 
 _FIXED_TIME_FUNCTIONALS = {
     "const1": 0.0,
@@ -478,11 +446,10 @@ def many_to_one_stopping_line(
     a: float,
     n_runs: int,
     master_seed: int,
-    cap: float = 1e6,
 ) -> ManyToOneResult:
     """Block-average identity over the first-passage-of-mass stopping line.
 
-    The tested functional is f(accrued, l) = e^{-q l} * min(accrued, cap)
+    The tested functional is f(accrued, l) = e^{-q l} * min(accrued, LINE_CAP)
     (capped so it is bounded, as the identity requires).  lhs runs the full
     cascade with the line mass <= a; rhs follows a single size-biased
     lineage to the same passage.
@@ -496,7 +463,7 @@ def many_to_one_stopping_line(
             key=run_key(master_seed, "m21-line-frag", i),
         )
         lhs_vals[i] = sum(
-            b.mass * math.exp(-params.q * b.frozen_at) * min(b.accrued_final, cap)
+            b.mass * math.exp(-params.q * b.frozen_at) * min(b.accrued_final, LINE_CAP)
             for b in state.frozen
         )
     rhs_vals = np.empty(n_runs)
@@ -506,7 +473,7 @@ def many_to_one_stopping_line(
             ell, acc = 0.0, 0.0
         else:
             ell, acc = pathsim.simulate_tagged_mass_passage(model, params, a, rng)
-        rhs_vals[i] = math.exp(-params.q * ell) * min(acc, cap)
+        rhs_vals[i] = math.exp(-params.q * ell) * min(acc, LINE_CAP)
 
     def est(v):
         return MomentEstimate(

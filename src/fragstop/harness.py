@@ -1,8 +1,9 @@
 """Configuration, command implementations, and result export.
 
 The config file is a flat ``key = value`` text format ('#' starts a
-comment).  Unknown keys, missing required keys, and family-inapplicable
-keys are hard errors: silent typos in stochastic experiments are costly.
+comment).  Unknown keys, missing required keys, family-inapplicable keys
+and out-of-range counts or tolerances are hard errors, also when they
+arrive as overrides: silent typos in stochastic experiments are costly.
 
 Every output carries a schema string.  Outputs contain no timestamps or
 environment echoes, so a rerun with the same config and seed is
@@ -16,12 +17,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from . import expfun, fragsim, levy, pathsim, stopsolve
+from . import expfun, fragsim, levy, stopsolve
 from .levy import DislocationModel, ModelParams
-from .streams import RngStreamPlan
+from .streams import substream
 
 SCHEMA = "fragstop.v1"
 
@@ -124,6 +125,34 @@ class RunConfig:
         return out
 
 
+def _validated(raw: dict) -> RunConfig:
+    """RunConfig from a complete key -> value mapping, after every range and family check."""
+    family = raw["family"]
+    if family not in _FAMILIES:
+        raise ConfigError(f"family must be one of {_FAMILIES}, got {family!r}")
+    if family == "none":
+        if raw["rate"] not in (None, 0.0):
+            raise ConfigError("family = none admits no rate (or rate = 0)")
+        raw["rate"] = 0.0
+    elif raw["rate"] is None:
+        raise ConfigError(f"family = {family} requires a rate")
+    if family == "point" and raw["s0"] is None:
+        raise ConfigError("family = point requires s0")
+    if family == "beta" and raw["shape"] is None:
+        raise ConfigError("family = beta requires shape")
+    if family != "point" and raw["s0"] is not None:
+        raise ConfigError("s0 is only valid for family = point")
+    if family != "beta" and raw["shape"] is not None:
+        raise ConfigError("shape is only valid for family = beta")
+    for key in ("samples", "runs", "workers", "block_cap"):
+        if raw[key] < 1:
+            raise ConfigError(f"{key} must be >= 1, got {raw[key]}")
+    for key in ("rel_tol", "bisect_rel_tol"):
+        if not (raw[key] > 0.0 and math.isfinite(raw[key])):
+            raise ConfigError(f"{key} must be finite and > 0, got {raw[key]}")
+    return RunConfig(**raw)
+
+
 def parse_config_text(text: str) -> RunConfig:
     raw: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -152,24 +181,7 @@ def parse_config_text(text: str) -> RunConfig:
     for key, (_, default) in _CONFIG_KEYS.items():
         raw.setdefault(key, default)
 
-    family = raw["family"]
-    if family not in _FAMILIES:
-        raise ConfigError(f"family must be one of {_FAMILIES}, got {family!r}")
-    if family == "none":
-        if raw["rate"] not in (None, 0.0):
-            raise ConfigError("family = none admits no rate (or rate = 0)")
-        raw["rate"] = 0.0
-    elif raw["rate"] is None:
-        raise ConfigError(f"family = {family} requires a rate")
-    if family == "point" and raw["s0"] is None:
-        raise ConfigError("family = point requires s0")
-    if family == "beta" and raw["shape"] is None:
-        raise ConfigError("family = beta requires shape")
-    if family != "point" and raw["s0"] is not None:
-        raise ConfigError("s0 is only valid for family = point")
-    if family != "beta" and raw["shape"] is not None:
-        raise ConfigError("shape is only valid for family = beta")
-    return RunConfig(**raw)
+    return _validated(raw)
 
 
 def parse_config(path: str | Path) -> RunConfig:
@@ -182,7 +194,7 @@ def parse_config(path: str | Path) -> RunConfig:
 
 def with_overrides(cfg: RunConfig, **overrides) -> RunConfig:
     fields = {k: v for k, v in overrides.items() if v is not None}
-    return replace(cfg, **fields) if fields else cfg
+    return _validated({**asdict(cfg), **fields}) if fields else cfg
 
 
 # --- serialization ----------------------------------------------------------------
@@ -196,12 +208,6 @@ def format_csv(kind: str, header: list[str], rows: list[tuple]) -> str:
     for row in rows:
         lines.append(",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row))
     return "\n".join(lines) + "\n"
-
-
-def write_path_csv(states: list[pathsim.ZState]) -> str:
-    """CSV of one premium-process path at its event boundaries."""
-    rows = [(s.t, s.y, s.z, s.accrued) for s in states]
-    return format_csv("path", ["t", "Y", "Z", "accrued"], rows)
 
 
 # --- commands ----------------------------------------------------------------------
@@ -241,7 +247,6 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
     """
     model = cfg.model()
     params = cfg.params()
-    plan = RngStreamPlan(cfg.seed)
     sample = _shared_sample(cfg, model, params)
     solved = stopsolve.solve_b_star(model, params, sample,
                                     rel_tol_b=cfg.bisect_rel_tol, diagnostics=False)
@@ -252,7 +257,7 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
     for i, b_mult in enumerate((1.5, 2.0)):
         b = b_mult * params.c
         lap = stopsolve.first_passage_laplace_check(
-            model, params, b, cfg.runs, plan.stream("verify-laplace", i), sample,
+            model, params, b, cfg.runs, substream(cfg.seed, "verify-laplace", i), sample,
             horizon=cfg.fp_horizon,
         )
         checks.append(_check(
@@ -263,7 +268,7 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
 
     times = (0.5, 1.0, 2.0)
     mart = stopsolve.martingale_check(model, params, sample, b_star, times,
-                                      cfg.runs, plan.stream("verify-mart"))
+                                      cfg.runs, substream(cfg.seed, "verify-mart"))
     for t, est in zip(mart.times, mart.estimates):
         se = math.hypot(est.std_error, mart.reference_se)
         checks.append(_check(
@@ -271,7 +276,7 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
             target=mart.reference, std_error=se,
         ))
     sup = stopsolve.supermartingale_check(model, params, sample, b_star, times,
-                                          cfg.runs, plan.stream("verify-supermart"))
+                                          cfg.runs, substream(cfg.seed, "verify-supermart"))
     for t, est in zip(sup.times, sup.estimates):
         se = math.hypot(est.std_error, sup.reference_se)
         checks.append(_check(
@@ -308,7 +313,7 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
 
     sweep = stopsolve.threshold_payoff_sweep(
         model, params, [0.8 * b_star, b_star, 1.25 * b_star], cfg.runs,
-        plan.stream("verify-sweep"), horizon=cfg.fp_horizon, keep_matrix=True,
+        substream(cfg.seed, "verify-sweep"), horizon=cfg.fp_horizon,
     )
     center = sweep.discounts[:, 1] * sweep.thresholds[1]
     for j, tag in ((0, "low"), (2, "high")):
@@ -323,7 +328,7 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
     if not levy.is_degenerate(model):
         for f_id in ("identity", "square"):
             res = fragsim.many_to_one_fixed_time(
-                model, params, f_id, 1.0, cfg.runs, plan.stream(f"verify-m21-{f_id}")
+                model, params, f_id, 1.0, cfg.runs, substream(cfg.seed, f"verify-m21-{f_id}")
             )
             checks.append(_check(
                 f"many_to_one_fixed_{f_id}", res.lhs.value,

@@ -158,8 +158,12 @@ def psi(model: DislocationModel, theta: float, u: float) -> float:
     return theta * u - phi(model, u)
 
 
-def kappa_root(model: DislocationModel, theta: float, lam: float, tol: float = 1e-12) -> float:
-    """Unique positive root of psi(u) = lam, by bisection.
+# Absolute bisection tolerance of the root kappa.
+KAPPA_TOL = 1e-12
+
+
+def kappa_root(model: DislocationModel, theta: float, lam: float) -> float:
+    """Unique positive root of psi(u) = lam, by bisection to within KAPPA_TOL.
 
     The bracket [0, (lam + rate)/theta] is valid because phi <= rate for a
     finite conservative family.  Bisection (rather than Newton) because
@@ -171,12 +175,12 @@ def kappa_root(model: DislocationModel, theta: float, lam: float, tol: float = 1
         raise DomainError(f"lam must be >= 0, got {lam}")
     lo, hi = 0.0, (lam + model.rate) / theta
     f_hi = psi(model, theta, hi) - lam
-    if f_hi < -tol * theta:
+    if f_hi < -KAPPA_TOL * theta:
         raise AssumptionError(
             f"bisection bracket failed: psi({hi}) = {f_hi + lam} < lam = {lam}; "
             "the model violates the standing drift assumptions"
         )
-    while hi - lo > tol:
+    while hi - lo > KAPPA_TOL:
         mid = 0.5 * (lo + hi)
         if psi(model, theta, mid) - lam < 0.0:
             lo = mid
@@ -305,7 +309,6 @@ def make_params(
     q: float,
     c: float,
     allow_q_zero: bool = False,
-    kappa_tol: float = 1e-12,
 ) -> ModelParams:
     """Validate the configuration and derive (lam, kappa).
 
@@ -337,7 +340,7 @@ def make_params(
         raise AssumptionError("; ".join(violations))
 
     lam = q + theta * gamma
-    kappa = kappa_root(model, theta, lam, tol=kappa_tol)
+    kappa = kappa_root(model, theta, lam)
     if q > 0.0 and kappa <= gamma:
         raise AssumptionError(
             f"kappa = {kappa} <= gamma = {gamma} despite q > 0; numerical root failure"
@@ -369,16 +372,15 @@ class TiltedDynamics:
 def tilt(
     model: DislocationModel,
     params: ModelParams,
-    lam: float | None = None,
     *,
     kappa: float | None = None,
 ) -> TiltedDynamics:
-    """Build the tilted dynamics for the given discount (default params.lam).
+    """Build the tilted dynamics for the discount params.lam (tilt params.kappa).
 
     Pass kappa=0.0 for the physical (untilted) dynamics.
     """
     if kappa is None:
-        kappa = params.kappa if lam is None else kappa_root(model, params.theta, lam)
+        kappa = params.kappa
     if kappa < 0.0:
         raise DomainError(f"kappa must be >= 0, got {kappa}")
     rate = model.rate - (phi(model, kappa) if kappa > 0.0 else 0.0)

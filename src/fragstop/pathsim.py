@@ -26,16 +26,6 @@ from .levy import AssumptionError, DislocationModel, ModelParams, TiltedDynamics
 
 
 @dataclass(frozen=True)
-class PathSkeleton:
-    """A realization of the driver: jump times/sizes plus linear drift -theta."""
-
-    jump_times: np.ndarray
-    jump_sizes: np.ndarray
-    drift: float
-    horizon: float
-
-
-@dataclass(frozen=True)
 class ZState:
     """State at an event boundary; z == exp(-gamma*y) * (accrued + c) exactly."""
 
@@ -43,47 +33,6 @@ class ZState:
     y: float
     z: float
     accrued: float
-
-
-def sample_tagged_jump(model: DislocationModel, tilt_kappa: float, rng: np.random.Generator) -> float:
-    """One jump of the lineage log-mass under the (tilted) jump law."""
-    return levy.sample_jump(model, tilt_kappa, rng)
-
-
-def simulate_path_skeleton(
-    model: DislocationModel,
-    theta: float,
-    horizon: float,
-    rng: np.random.Generator,
-    tilt_kappa: float = 0.0,
-) -> PathSkeleton:
-    """Jump times/sizes of the driver on [0, horizon] under the given tilt."""
-    rate = model.rate - (levy.phi(model, tilt_kappa) if tilt_kappa > 0.0 else 0.0)
-    times, sizes = [], []
-    t = 0.0
-    while rate > 0.0:
-        t += rng.exponential(1.0 / rate)
-        if t > horizon:
-            break
-        times.append(t)
-        sizes.append(levy.sample_jump(model, tilt_kappa, rng))
-    return PathSkeleton(np.asarray(times), np.asarray(sizes), drift=-theta, horizon=horizon)
-
-
-def xi_samples(model: DislocationModel, t: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n independent draws of the lineage log-mass xi_t (vectorized)."""
-    if levy.is_degenerate(model):
-        return np.zeros(n)
-    counts = rng.poisson(model.rate * t, size=n)
-    total = int(counts.sum())
-    jumps = levy.sample_jumps(model, 0.0, total, rng)
-    out = np.zeros(n)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    nonzero = counts > 0
-    sums = np.add.reduceat(jumps, starts[nonzero]) if total else np.array([])
-    out[nonzero] = sums
-    return out
 
 
 # --- closed-form segment arithmetic ------------------------------------------

@@ -28,6 +28,15 @@ from .expfun import MomentEstimate, SharedSample
 from .levy import AssumptionError, DislocationModel, DomainError, ModelParams
 
 
+# Numerical settings shared by every solve and check.
+MAX_DOUBLINGS = 60          # bracket search steps from c in solve_b_star
+FD_STEP_REL = 1e-4          # central-difference step, relative to the point
+QUAD_TOL = 1e-9             # absolute tolerance of the generator's jump integral
+RESIDUAL_BATCHES = 20       # batch means behind a generator-residual error
+TILDE_GRID = 800            # interpolation nodes of TildeCurve
+POWER_MEAN_BUDGET = 8_000_000  # array elements per chunk in _power_mean_many
+
+
 class DivergenceError(RuntimeError):
     """Bracketing for the threshold equation failed to straddle the target."""
 
@@ -76,11 +85,11 @@ def value_star(params: ModelParams, sample: SharedSample, b_star: float, c_query
     return float(out[0]) if np.ndim(c_query) == 0 else out
 
 
-def _power_mean_many(draws: np.ndarray, z, p: float, budget: int = 8_000_000) -> np.ndarray:
+def _power_mean_many(draws: np.ndarray, z, p: float) -> np.ndarray:
     """mean((z_i + I)^p) for each z_i, chunked to bound peak memory."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     out = np.empty(z.shape)
-    step = max(1, budget // max(draws.size, 1))
+    step = max(1, POWER_MEAN_BUDGET // max(draws.size, 1))
     for start in range(0, z.size, step):
         block = z[start : start + step]
         out[start : start + step] = np.mean(
@@ -105,11 +114,10 @@ class TildeCurve:
         b_star: float,
         z_min: float,
         z_max: float,
-        n_grid: int = 800,
     ):
         lo = max(z_min, 1e-12) * 0.9
         hi = max(z_max, b_star, params.c) * 1.1
-        grid = np.geomspace(lo, hi, n_grid)
+        grid = np.geomspace(lo, hi, TILDE_GRID)
         vals = value_tilde(params, sample, b_star, grid)
         self.b_star = b_star
         self._lo, self._hi = lo, hi
@@ -131,13 +139,13 @@ def solve_b_star(
     sample: SharedSample,
     *,
     rel_tol_b: float = 1e-6,
-    max_doublings: int = 60,
     diagnostics: bool = True,
 ) -> SolverResult:
     """Solve f(b) = kappa/gamma by bisection on the samplewise-monotone f.
 
-    The bracket is found by doubling/halving from c.  Requires
-    kappa/gamma > 1, which holds whenever q > 0.
+    The bracket is found by doubling/halving from c.  Bisection stops at
+    relative width rel_tol_b, or earlier once the bracket is one ulp wide.
+    Requires kappa/gamma > 1, which holds whenever q > 0.
     """
     p = params.kappa / params.gamma
     if not p > 1.0:
@@ -153,22 +161,24 @@ def solve_b_star(
     g0 = g(params.c)
     if g0 > 0.0:
         hi = 2.0 * params.c
-        for _ in range(max_doublings):
+        for _ in range(MAX_DOUBLINGS):
             if g(hi) <= 0.0:
                 break
             lo, hi = hi, 2.0 * hi
         else:
-            raise DivergenceError(f"no upper bracket for f(b) = {p} within {max_doublings} doublings")
+            raise DivergenceError(f"no upper bracket for f(b) = {p} within {MAX_DOUBLINGS} doublings")
     elif g0 < 0.0:
         lo = 0.5 * params.c
-        for _ in range(max_doublings):
+        for _ in range(MAX_DOUBLINGS):
             if g(lo) >= 0.0:
                 break
             lo, hi = 0.5 * lo, lo
         else:
-            raise DivergenceError(f"no lower bracket for f(b) = {p} within {max_doublings} halvings")
+            raise DivergenceError(f"no lower bracket for f(b) = {p} within {MAX_DOUBLINGS} halvings")
     while hi - lo > rel_tol_b * hi:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if g(mid) > 0.0:
             lo = mid
         else:
@@ -204,11 +214,9 @@ class PastingGaps:
     slope_gap: float   # central-difference tilde'(b*) - 1
 
 
-def pasting_check(
-    params: ModelParams, sample: SharedSample, b_star: float, fd_step_rel: float = 1e-4
-) -> PastingGaps:
+def pasting_check(params: ModelParams, sample: SharedSample, b_star: float) -> PastingGaps:
     """Continuous and smooth pasting gaps of the candidate value at b*."""
-    h = fd_step_rel * b_star
+    h = FD_STEP_REL * b_star
     v = value_tilde(params, sample, b_star, np.array([b_star - h, b_star, b_star + h]))
     return PastingGaps(
         value_gap=float(v[1] - b_star),
@@ -218,8 +226,8 @@ def pasting_check(
 
 # --- generator ----------------------------------------------------------------
 
-def _jump_term(model: DislocationModel, params: ModelParams, value_fn, x: float, fx: float,
-               quad_tol: float = 1e-9) -> float:
+def _jump_term(model: DislocationModel, params: ModelParams, value_fn, x: float, fx: float
+               ) -> float:
     """integral of (f(e^{-gamma y} x) - f(x)) against the lineage jump measure.
 
     The jump measure is the push-forward of the split law through the two
@@ -243,7 +251,7 @@ def _jump_term(model: DislocationModel, params: ModelParams, value_fn, x: float,
 
     if isinstance(model, levy.BinaryUniform):
         val, _ = integrate.quad(lambda s: 2.0 * branches(s), 0.5, 1.0,
-                                epsabs=quad_tol, epsrel=1e-8, limit=100)
+                                epsabs=QUAD_TOL, epsrel=1e-8, limit=100)
         return model.rate * val
     # Beta family: pull the (1-s)^(shape-1) endpoint singularity into the
     # quadrature weight so adaptive refinement sees a smooth integrand.
@@ -252,7 +260,7 @@ def _jump_term(model: DislocationModel, params: ModelParams, value_fn, x: float,
     val, _ = integrate.quad(
         lambda s: math.exp(log_norm + (a - 1.0) * math.log(s)) * branches(s),
         0.5, 1.0, weight="alg", wvar=(0.0, a - 1.0),
-        epsabs=quad_tol, epsrel=1e-8, limit=100,
+        epsabs=QUAD_TOL, epsrel=1e-8, limit=100,
     )
     return model.rate * val
 
@@ -262,23 +270,20 @@ def generator_residual(
     params: ModelParams,
     value_fn,
     x: float,
-    *,
-    fd_step_rel: float = 1e-4,
-    quad_tol: float = 1e-9,
 ) -> float:
     """(L - lam) value_fn at x, with L the integro-differential generator.
 
     L f(x) = (1 + gamma*theta*x) f'(x) + jump term; the derivative uses a
-    central difference with step 1e-4 * x.  For the candidate value the
+    central difference with step FD_STEP_REL * x.  For the candidate value the
     residual is zero in expectation at every x > 0; for the optimal value it
     is nonpositive above b*.
     """
     if x <= 0.0:
         raise DomainError(f"x must be > 0, got {x}")
-    h = fd_step_rel * x
+    h = FD_STEP_REL * x
     fx = float(value_fn(x))
     deriv = (float(value_fn(x + h)) - float(value_fn(x - h))) / (2.0 * h)
-    jump = _jump_term(model, params, value_fn, x, fx, quad_tol=quad_tol)
+    jump = _jump_term(model, params, value_fn, x, fx)
     return (1.0 + params.gt * x) * deriv + jump - params.lam * fx
 
 
@@ -290,7 +295,6 @@ def generator_residual_estimate(
     x: float,
     *,
     kind: str = "tilde",
-    n_batches: int = 20,
 ) -> MomentEstimate:
     """Generator residual with a batch-means standard error.
 
@@ -300,9 +304,9 @@ def generator_residual_estimate(
     derivative, the quadrature and the normalization at once.
     """
     vals = []
-    for k in range(n_batches):
+    for k in range(RESIDUAL_BATCHES):
         sub = SharedSample(
-            draws=sample.draws[k::n_batches], gamma=sample.gamma, theta=sample.theta,
+            draws=sample.draws[k::RESIDUAL_BATCHES], gamma=sample.gamma, theta=sample.theta,
             kappa=sample.kappa, lam=sample.lam, rel_tol=sample.rel_tol, seed=sample.seed,
         )
         if kind == "tilde":
@@ -315,8 +319,8 @@ def generator_residual_estimate(
     arr = np.asarray(vals)
     return MomentEstimate(
         value=float(arr.mean()),
-        std_error=float(arr.std(ddof=1) / math.sqrt(n_batches)),
-        n_samples=n_batches,
+        std_error=float(arr.std(ddof=1) / math.sqrt(RESIDUAL_BATCHES)),
+        n_samples=RESIDUAL_BATCHES,
     )
 
 
@@ -480,7 +484,7 @@ class ThresholdSweep:
     thresholds: np.ndarray
     mean_payoffs: np.ndarray
     std_errors: np.ndarray
-    discounts: np.ndarray | None  # per-path discount matrix when retained
+    discounts: np.ndarray  # per-path discount factors, one column per threshold
 
     @property
     def argmax(self) -> float:
@@ -495,7 +499,6 @@ def threshold_payoff_sweep(
     rng: np.random.Generator,
     *,
     horizon: float = 1e4,
-    keep_matrix: bool = False,
 ) -> ThresholdSweep:
     """Monte Carlo value b * E[e^{-lam tau_b}] of every threshold strategy.
 
@@ -504,20 +507,9 @@ def threshold_payoff_sweep(
     peaks within sampling error at the optimal threshold.
     """
     bs = np.asarray(sorted(thresholds), dtype=float)
-    if keep_matrix:
-        disc = np.empty((n_paths, bs.size))
-        for i in range(n_paths):
-            disc[i] = pathsim.first_passage_payoff_sums(model, params, bs, params.lam, rng, horizon)
-        mean_d = disc.mean(axis=0)
-        se_d = disc.std(axis=0, ddof=1) / math.sqrt(n_paths) if n_paths > 1 else np.zeros(bs.size)
-        return ThresholdSweep(bs, bs * mean_d, bs * se_d, disc)
-    acc = np.zeros(bs.size)
-    acc2 = np.zeros(bs.size)
-    for _ in range(n_paths):
-        d = pathsim.first_passage_payoff_sums(model, params, bs, params.lam, rng, horizon)
-        acc += d
-        acc2 += d * d
-    mean_d = acc / n_paths
-    var_d = np.maximum(acc2 / n_paths - mean_d**2, 0.0) * n_paths / max(n_paths - 1, 1)
-    se_d = np.sqrt(var_d / n_paths)
-    return ThresholdSweep(bs, bs * mean_d, bs * se_d, None)
+    disc = np.empty((n_paths, bs.size))
+    for i in range(n_paths):
+        disc[i] = pathsim.first_passage_payoff_sums(model, params, bs, params.lam, rng, horizon)
+    mean_d = disc.mean(axis=0)
+    se_d = disc.std(axis=0, ddof=1) / math.sqrt(n_paths) if n_paths > 1 else np.zeros(bs.size)
+    return ThresholdSweep(bs, bs * mean_d, bs * se_d, disc)

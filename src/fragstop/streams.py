@@ -10,7 +10,6 @@ chunked across workers.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,19 +32,3 @@ def run_key(master_seed: int, label: str, index: int = 0) -> bytes:
     h.update(index.to_bytes(8, "little", signed=False))
     return h.digest()
 
-
-@dataclass(frozen=True)
-class RngStreamPlan:
-    """Named substreams derived from one master seed.
-
-    The plan is the only RNG authority a command uses; replicate i of a task
-    always draws from stream (label, i) no matter which worker runs it.
-    """
-
-    master_seed: int
-
-    def stream(self, label: str, index: int = 0) -> np.random.Generator:
-        return substream(self.master_seed, label, index)
-
-    def key(self, label: str, index: int = 0) -> bytes:
-        return run_key(self.master_seed, label, index)

@@ -19,20 +19,23 @@ def point_params(c=0.25):
 class TestStep:
     def test_point_split_halves(self, rng):
         model, params = point_params()
-        state = fragsim.step(fragsim.fresh_state(params), model, rng)
-        assert sorted(b.mass for b in state.live) == [0.5, 0.5]
-        assert state.t > 0.0
+        state = fragsim.evolve_to_time(fragsim.fresh_state(params), model, 3.0, rng)
+        assert state.t == 3.0
+        assert len(state.live) > 1
+        for b in state.live:
+            depth = -math.log2(b.mass)
+            assert depth == round(depth) >= 1
 
     def test_mass_conserved_over_many_steps(self, ref_model, ref_params, rng):
-        state = fragsim.fresh_state(ref_params)
-        for _ in range(1000):
-            fragsim.step(state, ref_model, rng)
+        state = fragsim.evolve_to_time(fragsim.fresh_state(ref_params), ref_model, 6.0, rng)
         assert state.total_mass == pytest.approx(1.0, abs=1e-12)
-        assert len(state.live) == 1001
+        # each split adds two blocks to `created` and one to the live set
+        assert len(state.live) == (state.created + 1) // 2
+        assert len(state.live) > 100
 
     def test_degenerate_rejected(self, degen_model, degen_params, rng):
         with pytest.raises(InvalidModelError):
-            fragsim.step(fragsim.fresh_state(degen_params), degen_model, rng)
+            fragsim.evolve_to_time(fragsim.fresh_state(degen_params), degen_model, 1.0, rng)
 
     def test_block_count_mean_is_yule(self, rng):
         # Binary splitting at unit rate per block doubles at rate 1: E|live| = e^t.

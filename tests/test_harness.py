@@ -1,9 +1,8 @@
 import json
 
-import numpy as np
 import pytest
 
-from fragstop import harness, levy, pathsim
+from fragstop import harness
 from fragstop.cli import main
 from fragstop.harness import ConfigError, parse_config_text
 
@@ -76,6 +75,48 @@ class TestConfigParsing:
     def test_bad_value(self):
         with pytest.raises(ConfigError, match="bad value"):
             parse_config_text(DEGEN_CFG.replace("q = 1.0", "q = one"))
+
+
+# Out-of-range values; each must be a config error (exit 2), never a NaN,
+# a traceback or a solve that does not return.  DEGEN_CFG is family = none,
+# so any positive rate is a family mismatch.
+BAD_VALUES = [
+    ("samples", 0), ("samples", -3), ("runs", 0), ("workers", 0), ("block_cap", 0),
+    ("rel_tol", 0.0), ("rel_tol", -1.0), ("rel_tol", float("nan")), ("rel_tol", float("inf")),
+    ("bisect_rel_tol", 0.0), ("bisect_rel_tol", -1.0), ("bisect_rel_tol", float("nan")),
+    ("bisect_rel_tol", float("inf")), ("rate", 0.5),
+]
+
+
+def with_key(text: str, key: str, value) -> str:
+    lines = [ln for ln in text.splitlines() if ln.partition("=")[0].strip() != key]
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+
+
+class TestConfigRanges:
+    @pytest.mark.parametrize("key,value", BAD_VALUES)
+    def test_rejected_in_config_file(self, key, value, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(with_key(DEGEN_CFG, key, value))
+        assert main(["solve", "--config", str(cfg)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and key in err["message"]
+
+    @pytest.mark.parametrize("key,value", BAD_VALUES)
+    def test_rejected_as_override(self, key, value):
+        cfg = parse_config_text(DEGEN_CFG)
+        with pytest.raises(ConfigError, match=key):
+            harness.with_overrides(cfg, **{key: value})
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--samples", "-1"), ("--samples", "0"), ("--runs", "0"), ("--workers", "0")]
+    )
+    def test_rejected_as_cli_override(self, flag, value, degen_cfg_path, capsys):
+        assert main(["solve", "--config", degen_cfg_path, flag, value]) == 2
+
+    def test_rate_sweep_on_family_none(self, degen_cfg_path, capsys):
+        assert main(["sweep", "--config", degen_cfg_path, "--axis", "rate",
+                     "--grid", "0.5,1,2"]) == 2
 
 
 class TestSolveCommand:
@@ -212,17 +253,3 @@ class TestSimulateCommand:
 
     def test_bad_line_spec(self, ref_cfg_path, capsys):
         assert main(["simulate", "--config", ref_cfg_path, "--line", "sometimes:1"]) == 2
-
-
-class TestPathExport:
-    def test_header_and_rows(self):
-        model = levy.BinaryUniform(1.0)
-        params = levy.make_params(model, gamma=1.0, theta=1.0, q=1.0, c=0.25)
-        states = pathsim.simulate_Z_path(model, params, 2.0, np.random.default_rng(0))
-        text = harness.write_path_csv(states)
-        lines = text.strip().splitlines()
-        assert lines[0] == "# schema: fragstop.v1.path"
-        assert lines[1] == "t,Y,Z,accrued"
-        assert len(lines) == 2 + len(states)
-        t0 = [float(x) for x in lines[2].split(",")]
-        assert t0 == [0.0, 0.0, 0.25, 0.0]

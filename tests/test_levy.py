@@ -13,6 +13,7 @@ from fragstop.levy import (
     DomainError,
     InvalidModelError,
 )
+from fragstop.streams import substream
 
 P_GRID = [0.1, 0.5, 1.0, 2.0, 3.0, 5.0]
 
@@ -185,6 +186,45 @@ class TestTilt:
         params = levy.make_params(model, gamma=1.0, theta=1.0, q=250.0, c=1.0)
         with pytest.warns(RuntimeWarning, match="below 1%"):
             levy.tilt(model, params)
+
+
+JUMP_MODELS = [
+    BinaryUniform(1.0), BinaryPoint(1.0, 0.7), BinaryBeta(1.0, 0.5), BinaryBeta(1.0, 3.0),
+]
+JUMP_IDS = ["uniform", "point", "beta0.5", "beta3"]
+
+
+class TestJumpLaws:
+    # Under the kappa tilt the jump x = -log(pick) has law proportional to
+    # pick^kappa times the size-biased pick law, so for u > 0
+    # E[exp(-u x)] = split_power_mean(kappa + u) / split_power_mean(kappa).
+    N = 20_000
+
+    @staticmethod
+    def _check(model, kappa, draws):
+        for u in (1.0, 2.0):
+            vals = np.exp(-u * draws)
+            target = levy.split_power_mean(model, kappa + u) / levy.split_power_mean(model, kappa)
+            se = vals.std(ddof=1) / math.sqrt(vals.size)
+            assert abs(vals.mean() - target) <= 4.0 * se, (u, vals.mean(), target, se)
+
+    @staticmethod
+    def _kappas(model):
+        ref = levy.make_params(model, gamma=1.0, theta=1.0, q=1.0, c=0.25)
+        return (0.0, ref.kappa)
+
+    @pytest.mark.parametrize("model", JUMP_MODELS, ids=JUMP_IDS)
+    def test_scalar_sampler_matches_phi(self, model):
+        for i, kappa in enumerate(self._kappas(model)):
+            rng = substream(41, "scalar-jump", i)
+            draws = np.array([levy.sample_jump(model, kappa, rng) for _ in range(self.N)])
+            self._check(model, kappa, draws)
+
+    @pytest.mark.parametrize("model", JUMP_MODELS, ids=JUMP_IDS)
+    def test_batched_sampler_matches_phi(self, model):
+        for i, kappa in enumerate(self._kappas(model)):
+            draws = levy.sample_jumps(model, kappa, self.N, substream(41, "batched-jump", i))
+            self._check(model, kappa, draws)
 
 
 class TestMakeParams:

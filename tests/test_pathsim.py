@@ -93,40 +93,6 @@ class TestZPath:
         assert means[0] > means[1] > means[2]
 
 
-class TestPathSkeleton:
-    def test_jump_structure(self, ref_model, rng):
-        skel = pathsim.simulate_path_skeleton(ref_model, 1.0, 10.0, rng)
-        assert skel.drift == -1.0 and skel.horizon == 10.0
-        assert np.all(np.diff(skel.jump_times) > 0.0)
-        assert skel.jump_times.size == 0 or skel.jump_times[-1] <= 10.0
-        assert np.all(skel.jump_sizes > 0.0)
-
-    def test_tilt_thins_jumps(self, ref_model, ref_params):
-        # The tilted jump rate is rate - phi(kappa) < rate.
-        n_plain = pathsim.simulate_path_skeleton(
-            ref_model, 1.0, 400.0, substream(15, "skel", 0)
-        ).jump_times.size
-        n_tilted = pathsim.simulate_path_skeleton(
-            ref_model, 1.0, 400.0, substream(15, "skel", 1), tilt_kappa=ref_params.kappa
-        ).jump_times.size
-        assert n_tilted < n_plain
-
-    def test_tagged_jump_wrapper(self, ref_model, rng):
-        x = pathsim.sample_tagged_jump(ref_model, 0.0, rng)
-        assert x > 0.0
-
-
-class TestXiDistribution:
-    def test_laplace_transform_of_xi(self, ref_model, rng):
-        n = 100_000
-        xs = pathsim.xi_samples(ref_model, 1.0, n, rng)
-        for u in (1.0, 2.0):
-            vals = np.exp(-u * xs)
-            target = math.exp(-levy.phi(ref_model, u))
-            se = vals.std(ddof=1) / math.sqrt(n)
-            assert abs(vals.mean() - target) <= 3.0 * se
-
-
 def scalar_I_infty(tilted, params, m1, rng, rel_tol=1e-6, max_steps=1_000_000):
     """One lifetime-integral draw by the per-jump loop (reference sampler).
 

@@ -27,6 +27,13 @@ class TestSolveDegenerate:
         res = stopsolve.solve_b_star(model, params, sample, rel_tol_b=1e-10, diagnostics=False)
         assert res.b_star == pytest.approx(0.5, rel=1e-9)
 
+    def test_zero_tolerance_stops_at_one_ulp(self):
+        # rel_tol_b = 0 is never met; the bisection must still end once the
+        # midpoint can no longer split the bracket.
+        model, params, sample = make_degen(q=1.0)
+        res = stopsolve.solve_b_star(model, params, sample, rel_tol_b=0.0, diagnostics=False)
+        assert res.b_star == pytest.approx(1.0, abs=1e-12)
+
     def test_value_closed_forms(self):
         model, params, sample = make_degen()
         b = 1.0
@@ -170,12 +177,14 @@ class TestLaplaceIdentity:
 
     def test_general_discount(self, ref_model, ref_params):
         # The identity holds for any discount once the sample carries the
-        # matching tilt.
+        # matching tilt: lam = 1 is the reference model's discount at q = 0.
         lam = 1.0
-        kap = levy.kappa_root(ref_model, ref_params.theta, lam)
-        sample = expfun.draw_shared_sample(
-            ref_model, ref_params, 20_000, seed=5, kappa=kap
+        params_lam = levy.make_params(
+            ref_model, gamma=1.0, theta=1.0, q=0.0, c=0.25, allow_q_zero=True
         )
+        assert params_lam.lam == lam
+        sample = expfun.draw_shared_sample(ref_model, params_lam, 20_000, seed=5)
+        assert sample.kappa == levy.kappa_root(ref_model, ref_params.theta, lam)
         chk = stopsolve.first_passage_laplace_check(
             ref_model, ref_params, 2.0 * ref_params.c, 10_000,
             substream(22, "laplace-gen"), sample, lam=lam,
@@ -259,7 +268,7 @@ class TestThresholdSweep:
         sweep = stopsolve.threshold_payoff_sweep(model, params, grid, 10, rng)
         expected = grid * ((params.c + 1.0) / (grid + 1.0)) ** 2
         assert np.allclose(sweep.mean_payoffs, expected, rtol=1e-12)
-        # running-sum variance leaves cancellation dust at the 1e-9 level
+        # every path is the same deterministic passage; only rounding remains
         assert np.allclose(sweep.std_errors, 0.0, atol=1e-8)
 
     def test_reference_peak_near_threshold(self, ref_model, ref_params, ref_solved):
