@@ -22,6 +22,9 @@ Randomness is counter-derived: every block draws from a stream keyed by the
 run key and its genealogy path, so two runs with different stopping lines
 but the same run key realize the same underlying cascade (common random
 numbers across strategies), and results do not depend on worker scheduling.
+The streams share one Philox generator per process, re-keyed for each
+block, and a block that freezes at birth opens none: its freeze precedes
+any split, so it needs no draw.
 """
 
 from __future__ import annotations
@@ -169,11 +172,33 @@ def evolve_to_time(state: FragmentationState, model: DislocationModel, t: float,
             raise BlockCapError(f"block budget {block_cap} exceeded at t = {state.t}")
 
 
+# One Philox per process, re-keyed for every block: building a fresh
+# Generator(Philox(key=...)) first seeds it from OS entropy, which costs
+# several times the re-key.  Worker processes each get their own.
+_BLOCK_BITGEN = np.random.Philox(0)
+_BLOCK_RNG = np.random.Generator(_BLOCK_BITGEN)
+
+
 def _block_stream(key: bytes, path: tuple) -> np.random.Generator:
+    """The stream of the block at genealogy `path` in the run keyed by `key`.
+
+    Draws equal those of a fresh Generator(Philox(key=k)) with k the 128-bit
+    blake2b digest of (key, path, len(path)): the shared Philox is reset to
+    that key with counter 0 and an empty buffer.  The returned generator is
+    therefore only valid until the next call; callers draw everything a
+    block needs before opening the next block's stream.  The state is per
+    process and not thread-safe; ensembles run in worker processes.
+    """
     h = hashlib.blake2b(key, digest_size=16)
     h.update(bytes(path))
     h.update(len(path).to_bytes(4, "little"))
-    return np.random.Generator(np.random.Philox(key=int.from_bytes(h.digest(), "little")))
+    k = int.from_bytes(h.digest(), "little")
+    _BLOCK_BITGEN.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (k & 0xFFFFFFFFFFFFFFFF, k >> 64)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return _BLOCK_RNG
 
 
 def _freeze_time(block: Block, line: StoppingLine, params: ModelParams) -> float:
@@ -217,7 +242,9 @@ def run_stopping_line(
 
     Depth-first over the genealogy; each block's split time and share come
     from its own counter-derived stream, so the realized cascade is a
-    function of `key` alone and is shared across different lines.
+    function of `key` alone and is shared across different lines.  A
+    block whose line time is at or before its birth freezes without
+    opening its stream.
 
     If tag_rng is given the root lineage is tagged: the tagged block draws
     (holding, share, size-biased pick) from tag_rng in that order, which is
@@ -246,10 +273,14 @@ def run_stopping_line(
             state.dust_frozen += 1
             state.frozen.append(block)
             continue
-        rng_b = tag_rng if block.tagged else _block_stream(key, block.path)
-        w = rng_b.exponential(1.0 / model.rate)
-        split_t = block.born_at + w
         freeze_t = _freeze_time(block, line, params)
+        if freeze_t <= block.born_at and not block.tagged:
+            # Frozen at birth, before any split: the block opens no stream.
+            # Other blocks' draws are unaffected, each having its own stream.
+            split_t = math.inf
+        else:
+            rng_b = tag_rng if block.tagged else _block_stream(key, block.path)
+            split_t = block.born_at + rng_b.exponential(1.0 / model.rate)
         if freeze_t == math.inf and isinstance(line, OptimalStatistic) and line.literal:
             block.frozen_at = math.inf  # branch can never fire; contributes zero
             state.frozen.append(block)

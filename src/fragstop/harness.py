@@ -150,6 +150,13 @@ def _validated(raw: dict) -> RunConfig:
     for key in ("rel_tol", "bisect_rel_tol"):
         if not (raw[key] > 0.0 and math.isfinite(raw[key])):
             raise ConfigError(f"{key} must be finite and > 0, got {raw[key]}")
+    if raw["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {raw['seed']}")
+    if not raw["dust_floor"] >= 0.0:
+        raise ConfigError(f"dust_floor must be >= 0, got {raw['dust_floor']}")
+    for key in ("horizon", "fp_horizon"):
+        if not raw[key] > 0.0:
+            raise ConfigError(f"{key} must be > 0 (inf allowed), got {raw[key]}")
     return RunConfig(**raw)
 
 

@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from fragstop import fragsim, levy, pathsim
+from fragstop import fragsim, harness, levy, pathsim
 from fragstop.fragsim import BlockCapError, FixedTime, MassBelow, OptimalStatistic
 from fragstop.levy import BinaryPoint, InvalidModelError
 from fragstop.streams import run_key, substream
@@ -261,3 +262,81 @@ class TestOptimalLineValue:
         )
         est = ens.estimate
         assert abs(est.value - ref_solved.value_at_c) <= 3.0 * est.std_error
+
+
+def reference_block_stream(key: bytes, path: tuple) -> np.random.Generator:
+    """A fresh generator per block, as the per-block streams were first built."""
+    h = hashlib.blake2b(key, digest_size=16)
+    h.update(bytes(path))
+    h.update(len(path).to_bytes(4, "little"))
+    return np.random.Generator(np.random.Philox(key=int.from_bytes(h.digest(), "little")))
+
+
+class TestBlockStream:
+    PATHS = [(), (0,), (1, 0, 1), tuple(i % 2 for i in range(60))]
+
+    @staticmethod
+    def draws(rng):
+        return [rng.exponential(), rng.random(), rng.beta(0.5, 0.5),
+                rng.random(dtype=np.float32), rng.exponential(2.0)]
+
+    def test_matches_fresh_generator_interleaved(self):
+        # Each call re-keys one shared generator; reopening a path, or opening
+        # one after a stream was left mid-buffer (a float32 draw caches half a
+        # word), must still give a fresh generator's draws.
+        for order in (self.PATHS, self.PATHS[::-1], self.PATHS[1::2] + self.PATHS[::2]):
+            for path in order:
+                rng = fragsim._block_stream(KEY, path)
+                assert self.draws(rng) == self.draws(reference_block_stream(KEY, path))
+                rng = fragsim._block_stream(KEY, path)
+                rng.exponential()
+                rng.random(dtype=np.float32)
+        other = run_key(1, "test", 0)
+        for path in self.PATHS:
+            assert self.draws(fragsim._block_stream(other, path)) == self.draws(
+                reference_block_stream(other, path))
+
+
+# sha256 of the `simulate` CSV plus its JSON summary on the README model,
+# recorded before the per-block streams were re-keyed instead of rebuilt
+# (numpy 2.4, x86_64 Linux).  Any change to the draws or the arithmetic of
+# the cascade shows up here.
+README_CFG = """
+family = uniform
+rate = 1.0
+gamma = 1.0
+theta = 1.0
+q = 1.0
+c = 0.25
+seed = 12345
+"""
+GOLDEN_SIMULATE = [
+    ("optimal:0.78", False, {"runs": 200},
+     "77d844e9f308b14faa3a3f52ce155153d1642ff568d94f0a49f60874606e6020"),
+    ("optimal:0.78", True, {"runs": 200},
+     "e643453752917730007362781949e4e77990d11b9ceb8dd9ad0d38318271782c"),
+    ("mass:0.01", False, {"runs": 20},
+     "77d3ebe1c31b553a9d46e59ff7ddf5410a871bce6913b4e3c402b8373df2d579"),
+    ("fixed:2.0", False, {"runs": 60},
+     "1c09492be67d649a42b684c603b8f952f980da97ab6292e5a9badb43bbc40d42"),
+    ("mass:0.01", False, {"runs": 20, "workers": 2},
+     "77d3ebe1c31b553a9d46e59ff7ddf5410a871bce6913b4e3c402b8373df2d579"),
+    # dust and horizon branches: 56 dust blocks, 111 partial
+    ("mass:0.001", False, {"runs": 40, "dust_floor": 0.05, "horizon": 1.5},
+     "c7fd5aca2adf43d3968ef9adc794784eeb6b0090fca712cc292d8780a3035194"),
+]
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("line,literal,overrides,digest", GOLDEN_SIMULATE)
+    def test_simulate_bytes(self, line, literal, overrides, digest):
+        cfg = harness.with_overrides(harness.parse_config_text(README_CFG), **overrides)
+        csv_text, summary = harness.cmd_simulate(cfg, line, literal)
+        text = csv_text + harness.dumps_json(summary)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_many_to_one_line_values(self):
+        cfg = harness.parse_config_text(README_CFG)
+        res = fragsim.many_to_one_stopping_line(cfg.model(), cfg.params(), 0.1, 500, 12345)
+        assert (res.lhs.value, res.lhs.std_error) == (0.0802789196730973, 0.0037305778663899013)
+        assert (res.rhs.value, res.rhs.std_error) == (0.07375808095154351, 0.006713741156243862)

@@ -85,6 +85,9 @@ BAD_VALUES = [
     ("rel_tol", 0.0), ("rel_tol", -1.0), ("rel_tol", float("nan")), ("rel_tol", float("inf")),
     ("bisect_rel_tol", 0.0), ("bisect_rel_tol", -1.0), ("bisect_rel_tol", float("nan")),
     ("bisect_rel_tol", float("inf")), ("rate", 0.5),
+    ("seed", -1), ("dust_floor", -1e-3), ("dust_floor", float("nan")),
+    ("horizon", 0.0), ("horizon", -1.0), ("horizon", float("nan")),
+    ("fp_horizon", 0.0), ("fp_horizon", -1.0), ("fp_horizon", float("nan")),
 ]
 
 
@@ -109,10 +112,20 @@ class TestConfigRanges:
             harness.with_overrides(cfg, **{key: value})
 
     @pytest.mark.parametrize(
-        "flag,value", [("--samples", "-1"), ("--samples", "0"), ("--runs", "0"), ("--workers", "0")]
+        "flag,value", [("--samples", "-1"), ("--samples", "0"), ("--runs", "0"), ("--workers", "0"),
+                       ("--seed", "-1")]
     )
     def test_rejected_as_cli_override(self, flag, value, degen_cfg_path, capsys):
         assert main(["solve", "--config", degen_cfg_path, flag, value]) == 2
+
+    def test_edge_values_accepted(self):
+        text = DEGEN_CFG
+        for key, value in (("seed", 0), ("dust_floor", 0.0), ("horizon", "inf"),
+                           ("fp_horizon", "inf")):
+            text = with_key(text, key, value)
+        cfg = parse_config_text(text)
+        assert (cfg.seed, cfg.dust_floor) == (0, 0.0)
+        assert cfg.horizon == cfg.fp_horizon == float("inf")
 
     def test_rate_sweep_on_family_none(self, degen_cfg_path, capsys):
         assert main(["sweep", "--config", degen_cfg_path, "--axis", "rate",
