@@ -25,6 +25,7 @@ from .harness import (
     ConfigError,
 )
 from .levy import AssumptionError, DomainError, InvalidModelError
+from .stopsolve import DivergenceError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -115,7 +116,7 @@ def main(argv=None) -> int:
     except (ConfigError, InvalidModelError) as exc:
         _fail("config", exc)
         return EXIT_CONFIG
-    except (AssumptionError, DomainError) as exc:
+    except (AssumptionError, DomainError, DivergenceError) as exc:
         _fail("assumption", exc)
         return EXIT_ASSUMPTION
     except BlockCapError as exc:

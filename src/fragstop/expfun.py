@@ -18,7 +18,7 @@ integral at the first jump and is valid while kappa - n*gamma >= 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,17 +35,21 @@ SAMPLE_CHUNK = 4096
 class MomentEstimate:
     """A Monte Carlo mean with its standard error.
 
-    order_s/shift_a identify tilted-moment estimates; generic path averages
-    leave them None.  unstable_variance flags a standard error that moved by
-    more than 25% between the half sample and the full sample.
+    unstable_variance flags a standard error that moved by more than 25%
+    between the half sample and the full sample.
     """
 
     value: float
     std_error: float
     n_samples: int
-    order_s: float | None = None
-    shift_a: float | None = None
     unstable_variance: bool = False
+
+    @classmethod
+    def of(cls, values: np.ndarray) -> MomentEstimate:
+        """Sample mean of `values` with its standard error (0 for one value)."""
+        n = values.size
+        se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        return cls(float(values.mean()), se, n)
 
 
 @dataclass(frozen=True)
@@ -114,15 +118,6 @@ def draw_shared_sample(
     )
 
 
-def degenerate_sample(params: ModelParams) -> SharedSample:
-    """The no-splitting oracle sample: every draw equals 1/(gamma*theta)."""
-    return SharedSample(
-        draws=np.full(2, 1.0 / params.gt),
-        gamma=params.gamma, theta=params.theta,
-        kappa=params.kappa, lam=params.lam, rel_tol=0.0, seed=0,
-    )
-
-
 def _check_order(sample: SharedSample, s: float) -> None:
     if s > sample.max_order + 1e-9:
         raise DomainError(
@@ -137,17 +132,14 @@ def estimate_moment(sample: SharedSample, a: float, s: float) -> MomentEstimate:
         raise DomainError(f"shift a must be >= 0, got {a}")
     _check_order(sample, s)
     vals = (a + sample.draws) ** s
-    n = vals.size
-    value = float(vals.mean())
-    if n < 2:
-        return MomentEstimate(value, 0.0, n, order_s=s, shift_a=a)
-    se = float(vals.std(ddof=1) / math.sqrt(n))
+    est = MomentEstimate.of(vals)
+    n, se = est.n_samples, est.std_error
     half = vals[: n // 2]
-    se_half = float(half.std(ddof=1) / math.sqrt(half.size)) if half.size > 1 else se
+    se_half = MomentEstimate.of(half).std_error if half.size > 1 else se
     # Scale the half-sample error to full size before comparing.
     se_half_scaled = se_half * math.sqrt(half.size / n)
     unstable = se > 0.0 and abs(se - se_half_scaled) > 0.25 * se
-    return MomentEstimate(value, se, n, order_s=s, shift_a=a, unstable_variance=unstable)
+    return replace(est, unstable_variance=unstable)
 
 
 def moment_recursion(model: DislocationModel, params: ModelParams, n: int) -> float:

@@ -33,7 +33,7 @@ import functools
 import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -86,7 +86,6 @@ class Block:
     accrued_birth: float
     zeta_birth: float
     path: tuple = ()
-    tagged: bool = False
     frozen_at: float | None = None
     accrued_final: float | None = None
 
@@ -120,11 +119,6 @@ class FragmentationState:
     dust_frozen: int = 0
     partial: int = 0
     created: int = 1
-    tagged_log: list = field(default_factory=list)
-
-    @property
-    def total_mass(self) -> float:
-        return sum(b.mass for b in self.live) + sum(b.mass for b in self.frozen)
 
 
 def fresh_state(params: ModelParams) -> FragmentationState:
@@ -235,8 +229,6 @@ def run_stopping_line(
     dust_floor: float = 1e-12,
     horizon: float = math.inf,
     block_cap: int = 1_000_000,
-    tag_rng: np.random.Generator | None = None,
-    record_tagged: bool = False,
 ) -> FragmentationState:
     """Freeze every block of the cascade at its line time, exactly.
 
@@ -245,10 +237,6 @@ def run_stopping_line(
     function of `key` alone and is shared across different lines.  A
     block whose line time is at or before its birth freezes without
     opening its stream.
-
-    If tag_rng is given the root lineage is tagged: the tagged block draws
-    (holding, share, size-biased pick) from tag_rng in that order, which is
-    the exact draw sequence of the single-lineage simulators.
 
     Blocks with mass below dust_floor are force-frozen and counted; blocks
     alive past `horizon` are frozen there and flagged as partial.  A literal
@@ -259,10 +247,6 @@ def run_stopping_line(
         raise InvalidModelError("the fragmentation simulator requires rate > 0")
     if isinstance(line, FixedTime) and line.t > horizon:
         raise InvalidModelError(f"line time {line.t} exceeds the horizon {horizon}")
-    if tag_rng is not None:
-        state.live[0].tagged = True
-        if record_tagged:
-            state.tagged_log.append((0.0, state.live[0].zeta_birth))
     stack = list(state.live)
     state.live = []
     while stack:
@@ -274,12 +258,12 @@ def run_stopping_line(
             state.frozen.append(block)
             continue
         freeze_t = _freeze_time(block, line, params)
-        if freeze_t <= block.born_at and not block.tagged:
+        if freeze_t <= block.born_at:
             # Frozen at birth, before any split: the block opens no stream.
             # Other blocks' draws are unaffected, each having its own stream.
             split_t = math.inf
         else:
-            rng_b = tag_rng if block.tagged else _block_stream(key, block.path)
+            rng_b = _block_stream(key, block.path)
             split_t = block.born_at + rng_b.exponential(1.0 / model.rate)
         if freeze_t == math.inf and isinstance(line, OptimalStatistic) and line.literal:
             block.frozen_at = math.inf  # branch can never fire; contributes zero
@@ -296,21 +280,12 @@ def run_stopping_line(
             block.frozen_at = freeze_t
             block.accrued_final = block.accrued_at(freeze_t, params)
             state.frozen.append(block)
-            if block.tagged and record_tagged:
-                state.tagged_log.append((freeze_t, block.zeta_at(freeze_t, params)))
             continue
         s = levy.sample_split(model, rng_b)
         kids = _split_block(state, block, split_t, s)
         if state.created > block_cap:
             raise BlockCapError(f"block budget {block_cap} exceeded at t = {split_t}")
-        if block.tagged:
-            kids[0 if rng_b.random() < s else 1].tagged = True
-            if record_tagged:
-                tagged_kid = kids[0] if kids[0].tagged else kids[1]
-                state.tagged_log.append((split_t, tagged_kid.zeta_birth))
         stack.extend(kids)
-        state.t = max(state.t, split_t)
-    state.t = max([state.t] + [b.frozen_at for b in state.frozen if b.frozen_at != math.inf])
     return state
 
 
@@ -335,9 +310,7 @@ class EnsembleResult:
 
     @property
     def estimate(self) -> MomentEstimate:
-        n = self.payoffs.size
-        se = float(self.payoffs.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        return MomentEstimate(float(self.payoffs.mean()), se, n)
+        return MomentEstimate.of(self.payoffs)
 
 
 def _simulate_runs(
@@ -462,13 +435,8 @@ def many_to_one_fixed_time(
     for i in range(n_runs):
         state = evolve_to_time(fresh_state(params), model, t, rng)
         vals[i] = sum(b.mass ** (1.0 + p) for b in state.live)
-    lhs = MomentEstimate(
-        float(vals.mean()),
-        float(vals.std(ddof=1) / math.sqrt(n_runs)) if n_runs > 1 else 0.0,
-        n_runs,
-    )
     rhs = MomentEstimate(math.exp(-t * levy.phi(model, p)), 0.0, 0)
-    return ManyToOneResult(lhs, rhs)
+    return ManyToOneResult(MomentEstimate.of(vals), rhs)
 
 
 def many_to_one_stopping_line(
@@ -505,12 +473,4 @@ def many_to_one_stopping_line(
         else:
             ell, acc = pathsim.simulate_tagged_mass_passage(model, params, a, rng)
         rhs_vals[i] = math.exp(-params.q * ell) * min(acc, LINE_CAP)
-
-    def est(v):
-        return MomentEstimate(
-            float(v.mean()),
-            float(v.std(ddof=1) / math.sqrt(v.size)) if v.size > 1 else 0.0,
-            v.size,
-        )
-
-    return ManyToOneResult(est(lhs_vals), est(rhs_vals))
+    return ManyToOneResult(MomentEstimate.of(lhs_vals), MomentEstimate.of(rhs_vals))

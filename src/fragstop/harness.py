@@ -393,23 +393,38 @@ def cmd_sweep(cfg: RunConfig, axis: str, grid: list[float]) -> tuple[str, dict]:
     return csv_text, summary
 
 
+# line kind -> (range check, the range it demands of the argument)
+_LINE_RANGES = {
+    "fixed": (lambda t: t >= 0.0, "a finite T >= 0"),
+    "mass": (lambda a: a > 0.0, "a finite A > 0"),
+    "optimal": (lambda b: True, "a finite B"),
+}
+
+
 def parse_line_spec(spec: str, literal: bool = False):
     """Parse 'fixed:T' | 'mass:A' | 'optimal[:B]' into a stopping line.
 
     'optimal' without an explicit threshold returns None for the threshold;
-    the caller solves for it first.
+    the caller solves for it first.  An argument out of range is a config
+    error: such a line would freeze blocks before time 0 or never fire.
     """
     kind, _, arg = spec.partition(":")
+    if kind not in _LINE_RANGES:
+        raise ConfigError(f"unknown line spec {spec!r} (use fixed:T, mass:A, optimal[:B])")
+    if kind == "optimal" and not arg:
+        return None
     try:
-        if kind == "fixed":
-            return fragsim.FixedTime(float(arg))
-        if kind == "mass":
-            return fragsim.MassBelow(float(arg))
-        if kind == "optimal":
-            return fragsim.OptimalStatistic(float(arg), literal=literal) if arg else None
+        value = float(arg)
     except ValueError as exc:
         raise ConfigError(f"bad line spec {spec!r}: {exc}") from exc
-    raise ConfigError(f"unknown line spec {spec!r} (use fixed:T, mass:A, optimal[:B])")
+    in_range, demand = _LINE_RANGES[kind]
+    if not (math.isfinite(value) and in_range(value)):
+        raise ConfigError(f"bad line spec {spec!r}: {kind} needs {demand}")
+    if kind == "fixed":
+        return fragsim.FixedTime(value)
+    if kind == "mass":
+        return fragsim.MassBelow(value)
+    return fragsim.OptimalStatistic(value, literal=literal)
 
 
 def cmd_simulate(cfg: RunConfig, line_spec: str, literal: bool = False) -> tuple[str, dict]:

@@ -211,17 +211,6 @@ def sample_splits(model: DislocationModel, n: int, rng: np.random.Generator) -> 
     return np.maximum(v, 1.0 - v)
 
 
-def split_density(model: DislocationModel, s: float) -> float:
-    """Density of the split law at s in [1/2, 1); continuous families only."""
-    if isinstance(model, BinaryUniform):
-        return 2.0
-    if isinstance(model, BinaryBeta):
-        a = model.shape
-        log_half_mass = special.betaln(a, a) - math.log(2.0)
-        return math.exp((a - 1.0) * (math.log(s) + math.log1p(-s)) - log_half_mass)
-    raise DomainError(f"{type(model).__name__} has no split density")
-
-
 def sample_jump(model: DislocationModel, kappa: float, rng: np.random.Generator) -> float:
     """One jump of the (tilted) lineage subordinator: x = -log(size-biased pick).
 
@@ -293,7 +282,6 @@ class ModelParams:
     lam: float
     kappa: float
     p_lower: float
-    phi_d0: float
 
     @property
     def gt(self) -> float:
@@ -347,13 +335,13 @@ def make_params(
         )
     return ModelParams(
         gamma=gamma, theta=theta, q=q, c=c, lam=lam, kappa=kappa,
-        p_lower=p_lower(model), phi_d0=d0,
+        p_lower=p_lower(model),
     )
 
 
 @dataclass(frozen=True)
 class TiltedDynamics:
-    """Jump rate/law and drift of the driver under an exponential tilt.
+    """Jump rate and law of the driver under an exponential tilt.
 
     kappa = 0 reproduces the physical dynamics.  The tilted jump rate is
     rate - phi(kappa); the drift -theta is unchanged by the tilt.
@@ -361,12 +349,7 @@ class TiltedDynamics:
 
     model: DislocationModel
     kappa: float
-    theta: float
     jump_rate: float
-
-    @property
-    def drift(self) -> float:
-        return -self.theta
 
 
 def tilt(
@@ -391,4 +374,4 @@ def tilt(
             RuntimeWarning,
             stacklevel=2,
         )
-    return TiltedDynamics(model=model, kappa=kappa, theta=params.theta, jump_rate=rate)
+    return TiltedDynamics(model=model, kappa=kappa, jump_rate=rate)

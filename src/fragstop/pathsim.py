@@ -17,22 +17,11 @@ All routines are pure given their generator argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import levy
 from .levy import AssumptionError, DislocationModel, ModelParams, TiltedDynamics
-
-
-@dataclass(frozen=True)
-class ZState:
-    """State at an event boundary; z == exp(-gamma*y) * (accrued + c) exactly."""
-
-    t: float
-    y: float
-    z: float
-    accrued: float
 
 
 # --- closed-form segment arithmetic ------------------------------------------
@@ -131,43 +120,6 @@ def first_passage_payoff_sums(
         x = levy.sample_jump(model, 0.0, rng)
         z *= math.exp(-params.gamma * x)
     return out
-
-
-def simulate_Z_path(
-    model: DislocationModel,
-    params: ModelParams,
-    horizon: float,
-    rng: np.random.Generator,
-) -> list[ZState]:
-    """States of (Y, Z, accrued) at t = 0, every jump time, and the horizon.
-
-    Jump entries carry post-jump values; the accrued integral is continuous
-    across jumps.
-    """
-    gamma, theta = params.gamma, params.theta
-    gt = params.gt
-    states = [ZState(0.0, 0.0, params.c, 0.0)]
-    t, y, z, acc = 0.0, 0.0, params.c, 0.0
-    rate = model.rate
-    while rate > 0.0:
-        w = rng.exponential(1.0 / rate)
-        if t + w >= horizon:
-            break
-        acc += segment_exp_integral(y, w, gamma, theta)
-        z = z_advance(z, w, gt)
-        t += w
-        y -= theta * w
-        x = levy.sample_jump(model, 0.0, rng)
-        y += x
-        z *= math.exp(-gamma * x)
-        states.append(ZState(t, y, z, acc))
-    if horizon > t:
-        dt = horizon - t
-        acc += segment_exp_integral(y, dt, gamma, theta)
-        z = z_advance(z, dt, gt)
-        y -= theta * dt
-        states.append(ZState(horizon, y, z, acc))
-    return states
 
 
 def simulate_Z_at_times(

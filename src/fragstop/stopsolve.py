@@ -18,7 +18,7 @@ boolean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import integrate, interpolate, special
@@ -158,7 +158,10 @@ def solve_b_star(
         return expfun.f_of_b(sample, params, b) - p
 
     lo = hi = params.c
-    g0 = g(params.c)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        g0 = g(params.c)
+    if not math.isfinite(g0):
+        raise DivergenceError(f"f(c) is not finite at c = {params.c}; no bracket can start there")
     if g0 > 0.0:
         hi = 2.0 * params.c
         for _ in range(MAX_DOUBLINGS):
@@ -305,10 +308,7 @@ def generator_residual_estimate(
     """
     vals = []
     for k in range(RESIDUAL_BATCHES):
-        sub = SharedSample(
-            draws=sample.draws[k::RESIDUAL_BATCHES], gamma=sample.gamma, theta=sample.theta,
-            kappa=sample.kappa, lam=sample.lam, rel_tol=sample.rel_tol, seed=sample.seed,
-        )
+        sub = replace(sample, draws=sample.draws[k::RESIDUAL_BATCHES])
         if kind == "tilde":
             fn = lambda z: value_tilde(params, sub, b_star, z)
         elif kind == "star":
@@ -316,12 +316,7 @@ def generator_residual_estimate(
         else:
             raise ValueError(f"unknown kind {kind!r}")
         vals.append(generator_residual(model, params, fn, x))
-    arr = np.asarray(vals)
-    return MomentEstimate(
-        value=float(arr.mean()),
-        std_error=float(arr.std(ddof=1) / math.sqrt(RESIDUAL_BATCHES)),
-        n_samples=RESIDUAL_BATCHES,
-    )
+    return MomentEstimate.of(np.asarray(vals))
 
 
 # --- first-passage Laplace identity --------------------------------------------
@@ -349,18 +344,16 @@ def first_passage_laplace_check(
     n_paths: int,
     rng: np.random.Generator,
     sample: SharedSample,
-    lam: float | None = None,
     horizon: float = 1e4,
 ) -> LaplaceCheck:
     """Compare path-simulated E[e^{-lam tau_b}] with the tilted moment ratio.
 
-    Any lam > 0 is accepted provided the sample was drawn under the matching
-    tilt kappa(lam) and kappa(lam) > gamma.
+    lam = params.lam; the sample must carry the matching tilt params.kappa,
+    and kappa > gamma.
     """
     if b < params.c:
         raise DomainError(f"b = {b} must be >= c = {params.c}")
-    lam_eff = params.lam if lam is None else lam
-    kap = params.kappa if lam is None else levy.kappa_root(model, params.theta, lam_eff)
+    kap = params.kappa
     if abs(sample.kappa - kap) > 1e-9 * max(1.0, kap):
         raise DomainError(
             f"sample tilt kappa = {sample.kappa} does not match kappa(lam) = {kap}"
@@ -372,16 +365,11 @@ def first_passage_laplace_check(
     misses = 0
     for i in range(n_paths):
         tau, hit = pathsim.simulate_Z_first_passage(model, params, b, rng, horizon=horizon)
-        vals[i] = math.exp(-lam_eff * tau)
+        vals[i] = math.exp(-params.lam * tau)
         misses += not hit
-    mc = MomentEstimate(
-        value=float(vals.mean()),
-        std_error=float(vals.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0,
-        n_samples=n_paths,
-    )
     p = kap / params.gamma
     analytic, analytic_se = expfun.ratio_of_power_means(sample, params.c, b, p)
-    return LaplaceCheck(b=b, lam=lam_eff, mc=mc, analytic=analytic,
+    return LaplaceCheck(b=b, lam=params.lam, mc=MomentEstimate.of(vals), analytic=analytic,
                         analytic_se=analytic_se, horizon_misses=misses)
 
 
@@ -412,20 +400,9 @@ def _discounted_value_matrix(
 
 
 def _check_from_matrix(times, vals) -> tuple:
-    ests = []
-    n = vals.shape[0]
-    for k in range(times.size):
-        col = vals[:, k]
-        ests.append(MomentEstimate(float(col.mean()),
-                                   float(col.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
-                                   n))
-    decs = []
-    for k in range(times.size - 1):
-        d = vals[:, k] - vals[:, k + 1]
-        decs.append(MomentEstimate(float(d.mean()),
-                                   float(d.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
-                                   n))
-    return tuple(ests), tuple(decs)
+    ests = tuple(MomentEstimate.of(vals[:, k]) for k in range(times.size))
+    decs = tuple(MomentEstimate.of(vals[:, k] - vals[:, k + 1]) for k in range(times.size - 1))
+    return ests, decs
 
 
 def martingale_check(

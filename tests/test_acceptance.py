@@ -21,6 +21,8 @@ from fragstop import expfun, fragsim, levy, pathsim, stopsolve
 from fragstop.cli import main
 from fragstop.streams import substream
 
+from conftest import degenerate_sample
+
 REF_MODEL = levy.BinaryUniform(1.0)
 REF_PARAMS = levy.make_params(REF_MODEL, gamma=1.0, theta=1.0, q=1.0, c=0.25)
 ACC_SEED = 911
@@ -68,7 +70,7 @@ def test_criterion_01_deterministic_oracle_suite():
         draws = pathsim.simulate_I_infty(dyn, params, rng, 4)
         assert draws == pytest.approx(np.ones(4), abs=1e-12)
 
-        sample = expfun.degenerate_sample(params)
+        sample = degenerate_sample(params)
         for b in (0.25, 0.5, 1.0, 2.0, 5.0):
             assert expfun.f_of_b(sample, params, b) == pytest.approx(1.0 + 1.0 / b, abs=1e-10)
 

@@ -161,6 +161,18 @@ class TestSolveCommand:
         cfg.write_text(DEGEN_CFG + "zzz = 1\n")
         assert main(["solve", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("c", ["1e-30", "5e-324", "1e20", "1e300", "1e308"])
+    def test_unbracketed_threshold_exit_code(self, c, tmp_path, capsys):
+        # c is valid, but the bracket search from c cannot reach b* (~0.78)
+        # or f(c) overflows: a clean assumption error, never a NaN or inf.
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(with_key(REF_CFG, "c", c))
+        assert main(["solve", "--config", str(cfg), "--samples", "2000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert (err["error"], err["type"]) == ("assumption", "DivergenceError")
+
     def test_resource_cap_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cap.cfg"
         cfg.write_text(REF_CFG + "block_cap = 16\n")
@@ -264,5 +276,26 @@ class TestSimulateCommand:
         summary = json.loads(capsys.readouterr().err)
         assert summary["line"]["literal"] is True
 
-    def test_bad_line_spec(self, ref_cfg_path, capsys):
-        assert main(["simulate", "--config", ref_cfg_path, "--line", "sometimes:1"]) == 2
+    @pytest.mark.parametrize("spec", [
+        "sometimes:1", "mass:0", "mass:-1", "mass:nan", "mass:inf", "fixed:-1", "fixed:nan",
+        "fixed:inf", "optimal:nan", "optimal:inf",
+    ])
+    def test_bad_line_spec(self, spec, ref_cfg_path, capsys):
+        # Out-of-range lines would freeze blocks before time 0 or never fire
+        # (each run growing to the block cap).
+        assert main(["simulate", "--config", ref_cfg_path, "--line", spec]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and spec in err["message"]
+
+    def test_negative_threshold_pays_start(self, ref_cfg_path, capsys):
+        # optimal:-1 is valid: every block freezes at birth and pays c.
+        assert main(["simulate", "--config", ref_cfg_path, "--runs", "20",
+                     "--line", "optimal:-1"]) == 0
+        summary = json.loads(capsys.readouterr().err)
+        assert summary["mean_payoff"] == 0.25 and summary["std_error"] == 0.0
+
+    def test_seed_beyond_128_bits(self, ref_cfg_path, capsys):
+        assert main(["simulate", "--config", ref_cfg_path, "--runs", "5",
+                     "--line", "mass:0.1", "--seed", str(2**128)]) == 0
+        summary = json.loads(capsys.readouterr().err)
+        assert summary["n_runs"] == 5 and summary["mean_payoff"] > 0.0

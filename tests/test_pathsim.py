@@ -7,6 +7,8 @@ from fragstop import expfun, levy, pathsim
 from fragstop.levy import AssumptionError, BinaryBeta, BinaryPoint, BinaryUniform
 from fragstop.streams import substream
 
+from conftest import ZState, simulate_Z_path
+
 
 class TestSegmentForms:
     def test_crossing_inverts_advance(self, rng):
@@ -53,17 +55,17 @@ class TestZPath:
     def test_degenerate_matches_ode(self, rng):
         model = BinaryUniform(0.0)
         params = levy.make_params(model, gamma=1.0, theta=1.0, q=1.0, c=1.0)
-        states = pathsim.simulate_Z_path(model, params, 2.5, rng)
+        states = simulate_Z_path(model, params, 2.5, rng)
         assert len(states) == 2
         assert states[-1].z == pytest.approx(2.0 * math.exp(2.5) - 1.0, rel=1e-12)
 
     def test_zero_horizon_single_state(self, ref_model, ref_params, rng):
-        states = pathsim.simulate_Z_path(ref_model, ref_params, 0.0, rng)
-        assert states == [pathsim.ZState(0.0, 0.0, ref_params.c, 0.0)]
+        states = simulate_Z_path(ref_model, ref_params, 0.0, rng)
+        assert states == [ZState(0.0, 0.0, ref_params.c, 0.0)]
 
     def test_state_invariant_and_downward_jumps(self, ref_model, ref_params, rng):
         for _ in range(50):
-            states = pathsim.simulate_Z_path(ref_model, ref_params, 4.0, rng)
+            states = simulate_Z_path(ref_model, ref_params, 4.0, rng)
             prev_end = None
             for s in states:
                 recon = math.exp(-ref_params.gamma * s.y) * (s.accrued + ref_params.c)

@@ -7,11 +7,13 @@ from fragstop import expfun, levy, stopsolve
 from fragstop.levy import AssumptionError, BinaryUniform, DomainError
 from fragstop.streams import substream
 
+from conftest import degenerate_sample
+
 
 def make_degen(q=1.0, c=0.25, gamma=1.0, theta=1.0):
     model = BinaryUniform(0.0)
     params = levy.make_params(model, gamma=gamma, theta=theta, q=q, c=c)
-    return model, params, expfun.degenerate_sample(params)
+    return model, params, degenerate_sample(params)
 
 
 class TestSolveDegenerate:
@@ -47,7 +49,7 @@ class TestSolveDegenerate:
         model = BinaryUniform(0.0)
         params = levy.make_params(model, gamma=1.0, theta=1.0, q=0.0, c=1.0, allow_q_zero=True)
         with pytest.raises(AssumptionError):
-            stopsolve.solve_b_star(model, params, expfun.degenerate_sample(params))
+            stopsolve.solve_b_star(model, params, degenerate_sample(params))
 
 
 class TestSolveReference:
@@ -186,15 +188,20 @@ class TestLaplaceIdentity:
         sample = expfun.draw_shared_sample(ref_model, params_lam, 20_000, seed=5)
         assert sample.kappa == levy.kappa_root(ref_model, ref_params.theta, lam)
         chk = stopsolve.first_passage_laplace_check(
-            ref_model, ref_params, 2.0 * ref_params.c, 10_000,
-            substream(22, "laplace-gen"), sample, lam=lam,
+            ref_model, params_lam, 2.0 * ref_params.c, 10_000,
+            substream(22, "laplace-gen"), sample,
         )
+        assert chk.lam == lam
         assert abs(chk.mc.value - chk.analytic) <= 3.0 * chk.combined_se
 
     def test_tilt_mismatch_rejected(self, ref_model, ref_params, ref_sample, rng):
+        # ref_sample carries the q = 1 tilt; params at q = 0 want another.
+        params_q0 = levy.make_params(
+            ref_model, gamma=1.0, theta=1.0, q=0.0, c=0.25, allow_q_zero=True
+        )
         with pytest.raises(DomainError):
             stopsolve.first_passage_laplace_check(
-                ref_model, ref_params, 2.0 * ref_params.c, 10, rng, ref_sample, lam=1.0
+                ref_model, params_q0, 2.0 * ref_params.c, 10, rng, ref_sample
             )
 
 
