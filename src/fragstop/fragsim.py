@@ -18,19 +18,22 @@ Stopping lines freeze blocks at per-block times measurable with respect to
 the block's own history; both children of a split inherit the parent's
 pre-split state, which is property (ii) of a stopping line by construction.
 
-Randomness is counter-derived: every block draws from a stream keyed by the
-run key and its genealogy path, so two runs with different stopping lines
-but the same run key realize the same underlying cascade (common random
-numbers across strategies), and results do not depend on worker scheduling.
-The streams share one Philox generator per process, re-keyed for each
-block, and a block that freezes at birth opens none: its freeze precedes
-any split, so it needs no draw.
+One engine, `run_stopping_line`, advances the live blocks of a chunk of runs
+together, one generation per step, in arrays: each block either freezes or
+splits into two children.  Randomness is counter-based (SplitMix64 style):
+draw k of the block with 64-bit hash h is mix(h + (k+1)*golden) for the
+SplitMix64 finaliser mix.  Draws 0 and 1 give the holding time (by
+inversion) and the split share, draws 2 and 3 are the hashes of the two
+children, and the root's hash is the run key.  The cascade is therefore a
+function of the run key and the genealogy alone: two runs with different
+stopping lines but the same run key realize the same underlying cascade
+(common random numbers across strategies), and results depend neither on
+how runs are chunked nor on how they are dealt to workers.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -79,224 +82,224 @@ class OptimalStatistic:
 StoppingLine = Union[FixedTime, MassBelow, OptimalStatistic]
 
 
-@dataclass
-class Block:
-    mass: float
-    born_at: float
-    accrued_birth: float
-    zeta_birth: float
-    path: tuple = ()
-    frozen_at: float | None = None
-    accrued_final: float | None = None
+# --- counter-based block streams -------------------------------------------------
 
-    def accrued_at(self, t: float, params: ModelParams) -> float:
-        """Premium integral at time t >= born_at (mass constant since birth)."""
-        gt = params.gt
-        inc = self.mass ** (-params.gamma) * (
-            math.exp(-gt * self.born_at) - math.exp(-gt * t)
-        ) / gt
-        return self.accrued_birth + inc
-
-    def zeta_at(self, t: float, params: ModelParams) -> float:
-        m = 1.0 / params.gt
-        return (self.zeta_birth + m) * math.exp(params.gt * (t - self.born_at)) - m
-
-    def contribution(self, params: ModelParams) -> float:
-        """Frozen payoff (accrued + c) * mass^(1+gamma) * e^{-q*l}; 0 if the line never fired."""
-        if self.frozen_at == math.inf:
-            return 0.0
-        return (self.accrued_final + params.c) * self.mass ** (1.0 + params.gamma) * math.exp(
-            -params.q * self.frozen_at
-        )
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+# Stream counters of a block: its two draws, then its two children's hashes.
+_DRAWS = np.arange(2, dtype=np.uint64)[:, None]
+_CHILDREN = np.arange(2, 4, dtype=np.uint64)[:, None]
 
 
-@dataclass
-class FragmentationState:
-    params: ModelParams
-    live: list
-    frozen: list
-    t: float = 0.0
-    dust_frozen: int = 0
-    partial: int = 0
-    created: int = 1
+def _block_words(hashes: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Each block's stream word at `counters`: mix(hash + (counter+1)*golden), wrapping."""
+    z = hashes + (counters + np.uint64(1)) * _GOLDEN
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
 
 
-def fresh_state(params: ModelParams) -> FragmentationState:
-    root = Block(mass=1.0, born_at=0.0, accrued_birth=0.0, zeta_birth=params.c)
-    return FragmentationState(params=params, live=[root], frozen=[])
+def _block_stream(hashes: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Uniforms on [0, 1): the top 53 bits of each block's stream word at `counters`.
 
-
-def _split_block(state: FragmentationState, block: Block, t_split: float, s: float
-                 ) -> tuple[Block, Block]:
-    """Split `block` at t_split into shares (s, 1-s); children inherit accrued."""
-    params = state.params
-    acc = block.accrued_at(t_split, params)
-    zeta = block.zeta_at(t_split, params)
-    kids = tuple(
-        Block(
-            mass=block.mass * share,
-            born_at=t_split,
-            accrued_birth=acc,
-            zeta_birth=zeta * share**params.gamma,
-            path=block.path + (idx,),
-        )
-        for idx, share in enumerate((s, 1.0 - s))
-    )
-    state.created += 2
-    return kids
-
-
-def evolve_to_time(state: FragmentationState, model: DislocationModel, t: float,
-                   rng: np.random.Generator, block_cap: int = 1_000_000) -> FragmentationState:
-    """Run the split dynamics up to calendar time t (no freezing)."""
-    if levy.is_degenerate(model):
-        raise InvalidModelError("the fragmentation simulator requires rate > 0")
-    while True:
-        n = len(state.live)
-        w = rng.exponential(1.0 / (model.rate * n))
-        if state.t + w > t:
-            state.t = t
-            return state
-        state.t += w
-        k = int(rng.integers(n))
-        block = state.live.pop(k)
-        s = levy.sample_split(model, rng)
-        state.live.extend(_split_block(state, block, state.t, s))
-        if state.created > block_cap:
-            raise BlockCapError(f"block budget {block_cap} exceeded at t = {state.t}")
-
-
-# One Philox per process, re-keyed for every block: building a fresh
-# Generator(Philox(key=...)) first seeds it from OS entropy, which costs
-# several times the re-key.  Worker processes each get their own.
-_BLOCK_BITGEN = np.random.Philox(0)
-_BLOCK_RNG = np.random.Generator(_BLOCK_BITGEN)
-
-
-def _block_stream(key: bytes, path: tuple) -> np.random.Generator:
-    """The stream of the block at genealogy `path` in the run keyed by `key`.
-
-    Draws equal those of a fresh Generator(Philox(key=k)) with k the 128-bit
-    blake2b digest of (key, path, len(path)): the shared Philox is reset to
-    that key with counter 0 and an empty buffer.  The returned generator is
-    therefore only valid until the next call; callers draw everything a
-    block needs before opening the next block's stream.  The state is per
-    process and not thread-safe; ensembles run in worker processes.
+    These are the outputs of a SplitMix64 generator seeded with the block's
+    hash; `counters` broadcasts against `hashes`.
     """
-    h = hashlib.blake2b(key, digest_size=16)
-    h.update(bytes(path))
-    h.update(len(path).to_bytes(4, "little"))
-    k = int.from_bytes(h.digest(), "little")
-    _BLOCK_BITGEN.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": (k & 0xFFFFFFFFFFFFFFFF, k >> 64)},
-        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
-    return _BLOCK_RNG
+    return (_block_words(hashes, counters) >> np.uint64(11)) * 2.0**-53
 
 
-def _freeze_time(block: Block, line: StoppingLine, params: ModelParams) -> float:
-    """The block's own line time; may be inf (literal statistic only)."""
+# --- per-block arithmetic, vectorised over blocks ---------------------------------
+
+def accrued_at(params: ModelParams, mass, born, accrued, t):
+    """Premium integral at times t >= born, the mass constant since birth."""
+    gt = params.gt
+    return accrued + mass ** (-params.gamma) * (np.exp(-gt * born) - np.exp(-gt * t)) / gt
+
+
+def zeta_at(params: ModelParams, born, zeta, t):
+    """Statistic at times t >= born: (zeta + 1/gt) e^{gt (t - born)} - 1/gt."""
+    m = 1.0 / params.gt
+    return (zeta + m) * np.exp(params.gt * (t - born)) - m
+
+
+def freeze_times(line: StoppingLine, params: ModelParams, mass, born, zeta) -> np.ndarray:
+    """Each block's own line time; may be inf (literal statistic only)."""
     if isinstance(line, FixedTime):
-        return line.t
+        return np.full(np.shape(mass), line.t)
     if isinstance(line, MassBelow):
-        return block.born_at if block.mass <= line.a else math.inf
+        return np.where(mass <= line.a, born, np.inf)
     gt = params.gt
     m = 1.0 / gt
-    if not line.literal:
-        if block.zeta_birth >= line.b:
-            return block.born_at
-        return block.born_at + pathsim.z_crossing_dt(block.zeta_birth, line.b, gt)
-    # Literal variant: eta(t) = e^{-gt t} zeta(t) increases toward the cap
-    # K = (zeta_birth + m) e^{-gt born}; caps only shrink at splits, so
-    # K <= b closes the whole subtree exactly.
-    cap = (block.zeta_birth + m) * math.exp(-gt * block.born_at)
-    eta0 = cap - m * math.exp(-gt * block.born_at)
-    if eta0 >= line.b:
-        return block.born_at
-    if cap <= line.b:
-        return math.inf
-    return -math.log((cap - line.b) / m) / gt
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if not line.literal:
+            return np.where(zeta >= line.b, born, born + np.log((line.b + m) / (zeta + m)) / gt)
+        # Literal variant: eta(t) = e^{-gt t} zeta(t) increases toward the cap
+        # K = (zeta_birth + m) e^{-gt born}; caps only shrink at splits, so
+        # K <= b closes the whole subtree exactly.
+        decay = np.exp(-gt * born)
+        cap = (zeta + m) * decay
+        return np.where(cap - m * decay >= line.b, born,
+                        np.where(cap <= line.b, np.inf, -np.log((cap - line.b) / m) / gt))
 
 
+def split_blocks(params: ModelParams, mass, born, accrued, zeta, t, share):
+    """Children of blocks split at times t into shares (share, 1 - share).
+
+    Returns the children's (mass, born, accrued, zeta), those of block j at
+    2j and 2j + 1.  Both inherit the parent's accrued premium; the statistic
+    is scaled by each child's share^gamma.
+    """
+    acc = accrued_at(params, mass, born, accrued, t)
+    z = zeta_at(params, born, zeta, t)
+    shares = np.column_stack([share, 1.0 - share]).ravel()
+    return (np.repeat(mass, 2) * shares, np.repeat(t, 2), np.repeat(acc, 2),
+            np.repeat(z, 2) * shares ** params.gamma)
+
+
+# --- the engine ---------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class FrozenBlocks:
+    """The frozen blocks of a set of runs, grouped by run, each run's in genealogy order.
+
+    `run` indexes the keys the runs started from.  A block that the literal
+    statistic can never freeze has frozen_at = inf and accrued = nan.
+    """
+
+    run: np.ndarray
+    mass: np.ndarray
+    accrued: np.ndarray
+    frozen_at: np.ndarray
+    dust_frozen: int
+    partial: int
+
+    def contributions(self, params: ModelParams) -> np.ndarray:
+        """Frozen payoffs (accrued + c) * mass^(1+gamma) * e^{-q*l}; 0 where the line never fired."""
+        fired = np.isfinite(self.frozen_at)
+        out = np.zeros(self.mass.size)
+        out[fired] = ((self.accrued[fired] + params.c) * self.mass[fired] ** (1.0 + params.gamma)
+                      * np.exp(-params.q * self.frozen_at[fired]))
+        return out
+
+    @staticmethod
+    def merged(parts: list, runs: list) -> FrozenBlocks:
+        """The blocks of `parts`, run j of part k renamed runs[k][j], stably grouped by run."""
+        run = np.concatenate([np.asarray(r)[p.run] for p, r in zip(parts, runs)])
+        order = np.argsort(run, kind="stable")
+
+        def cat(field):
+            return np.concatenate([getattr(p, field) for p in parts])[order]
+
+        return FrozenBlocks(run[order], cat("mass"), cat("accrued"), cat("frozen_at"),
+                            sum(p.dust_frozen for p in parts), sum(p.partial for p in parts))
+
+
+# Runs advanced together by one engine call, and the most blocks one call
+# over several runs may create before it is rerun on half as many runs.
+# Runs are pure functions of their keys, so neither changes any output.
+CHUNK_RUNS = 1024
+BLOCK_BUDGET = 1 << 18
+
+
+class _OverBudget(Exception):
+    """A call over several runs created more than BLOCK_BUDGET blocks."""
+
+
+# Overflow gives inf and 0 * inf gives nan silently, as with Python floats:
+# a statistic that overflows is beyond every threshold.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def run_stopping_line(
-    state: FragmentationState,
     model: DislocationModel,
     params: ModelParams,
     line: StoppingLine,
+    keys: list,
     *,
-    key: bytes,
     dust_floor: float = 1e-12,
     horizon: float = math.inf,
     block_cap: int = 1_000_000,
-) -> FragmentationState:
-    """Freeze every block of the cascade at its line time, exactly.
+) -> FrozenBlocks:
+    """Freeze every block of the runs rooted at `keys` at its line time, exactly.
 
-    Depth-first over the genealogy; each block's split time and share come
-    from its own counter-derived stream, so the realized cascade is a
-    function of `key` alone and is shared across different lines.  A
-    block whose line time is at or before its birth freezes without
-    opening its stream.
-
-    Blocks with mass below dust_floor are force-frozen and counted; blocks
-    alive past `horizon` are frozen there and flagged as partial.  A literal
-    statistic line may close a branch that can never fire; such a block is
-    stored with frozen_at = inf and contributes zero payoff.
+    The live blocks of all runs advance together, one generation per step:
+    each block draws its holding time and split share from its own stream,
+    then freezes at its line time or splits into two children.  Blocks with
+    mass below dust_floor, or whose mass rounded to 0, are force-frozen at
+    birth and counted as dust; blocks alive past `horizon` are frozen there
+    and counted as partial.  A literal statistic line may close a branch
+    that can never fire; such a block is stored with frozen_at = inf and
+    contributes zero payoff.  A run that creates more than block_cap blocks
+    raises BlockCapError.
     """
     if levy.is_degenerate(model):
         raise InvalidModelError("the fragmentation simulator requires rate > 0")
     if isinstance(line, FixedTime) and line.t > horizon:
         raise InvalidModelError(f"line time {line.t} exceeds the horizon {horizon}")
-    stack = list(state.live)
-    state.live = []
-    while stack:
-        block = stack.pop()
-        if block.mass < dust_floor:
-            block.frozen_at = block.born_at
-            block.accrued_final = block.accrued_birth
-            state.dust_frozen += 1
-            state.frozen.append(block)
-            continue
-        freeze_t = _freeze_time(block, line, params)
-        if freeze_t <= block.born_at:
-            # Frozen at birth, before any split: the block opens no stream.
-            # Other blocks' draws are unaffected, each having its own stream.
-            split_t = math.inf
-        else:
-            rng_b = _block_stream(key, block.path)
-            split_t = block.born_at + rng_b.exponential(1.0 / model.rate)
-        if freeze_t == math.inf and isinstance(line, OptimalStatistic) and line.literal:
-            block.frozen_at = math.inf  # branch can never fire; contributes zero
-            state.frozen.append(block)
-            continue
-        event_t = min(freeze_t, split_t)
-        if event_t > horizon:
-            block.frozen_at = horizon
-            block.accrued_final = block.accrued_at(horizon, params)
-            state.partial += 1
-            state.frozen.append(block)
-            continue
-        if freeze_t <= split_t:
-            block.frozen_at = freeze_t
-            block.accrued_final = block.accrued_at(freeze_t, params)
-            state.frozen.append(block)
-            continue
-        s = levy.sample_split(model, rng_b)
-        kids = _split_block(state, block, split_t, s)
-        if state.created > block_cap:
-            raise BlockCapError(f"block budget {block_cap} exceeded at t = {split_t}")
-        stack.extend(kids)
-    return state
+    literal = isinstance(line, OptimalStatistic) and line.literal
+    n_runs = len(keys)
+    run = np.arange(n_runs)
+    h = np.array(keys, dtype=np.uint64)
+    mass, born, acc = np.ones(n_runs), np.zeros(n_runs), np.zeros(n_runs)
+    zeta = np.full(n_runs, params.c)
+    created = np.ones(n_runs, dtype=np.int64)
+    parts = []
+    dust = partial = 0
+    while run.size:
+        u_hold, u_share = _block_stream(h, _DRAWS)
+        line_t = freeze_times(line, params, mass, born, zeta)
+        split_t = born - np.log1p(-u_hold) / model.rate
+        is_dust = (mass < dust_floor) | (mass == 0.0)
+        never = np.isinf(line_t) & literal & ~is_dust
+        is_partial = (np.minimum(line_t, split_t) > horizon) & ~is_dust & ~never
+        freeze = is_dust | never | is_partial | (line_t <= split_t)
+        t = np.where(is_dust, born, np.where(is_partial, horizon, line_t))[freeze]
+        a = accrued_at(params, mass[freeze], born[freeze], acc[freeze], t)
+        a = np.where(is_dust[freeze], acc[freeze], np.where(never[freeze], np.nan, a))
+        parts.append((run[freeze], mass[freeze], a, t))
+        dust += int(np.count_nonzero(is_dust))
+        partial += int(np.count_nonzero(is_partial))
+
+        split = ~freeze
+        run = np.repeat(run[split], 2)
+        created += np.bincount(run, minlength=n_runs)
+        if run.size and created.max() > block_cap:
+            raise BlockCapError(f"block budget {block_cap} exceeded at t = {split_t[split].max()}")
+        if n_runs > 1 and created.sum() > BLOCK_BUDGET:
+            raise _OverBudget
+        mass, born, acc, zeta = split_blocks(
+            params, mass[split], born[split], acc[split], zeta[split], split_t[split],
+            levy.split_quantile(model, u_share[split]),
+        )
+        h = _block_words(h[split], _CHILDREN).T.ravel()
+    run, mass, acc, t = (np.concatenate(x) for x in zip(*parts))
+    order = np.argsort(run, kind="stable")
+    return FrozenBlocks(run[order], mass[order], acc[order], t[order], dust, partial)
 
 
-def payoff(state: FragmentationState, params: ModelParams) -> float:
-    """Discounted premium of a fully frozen ensemble: the sum of block contributions."""
-    if state.live:
-        raise InvalidModelError("payoff requires every block to be frozen")
-    total = 0.0
-    for b in state.frozen:
-        total += b.contribution(params)
-    return total
+def evolve_to_time(model: DislocationModel, params: ModelParams, t: float,
+                   keys: list) -> FrozenBlocks:
+    """The blocks alive at calendar time t: the FixedTime(t) line, with no dust floor."""
+    return run_stopping_line(model, params, FixedTime(t), keys, dust_floor=0.0)
+
+
+def _in_chunks(engine, keys: list) -> FrozenBlocks:
+    """engine(keys) over chunks of at most CHUNK_RUNS runs.
+
+    A chunk over the block budget is rerun as its first half, and later
+    chunks keep the smaller size.
+    """
+    parts, runs = [], []
+    start, size = 0, CHUNK_RUNS
+    while start < len(keys):
+        chunk = keys[start:start + size]
+        try:
+            parts.append(engine(chunk))
+        except _OverBudget:
+            size = len(chunk) // 2
+            continue
+        runs.append(range(start, start + len(chunk)))
+        start += len(chunk)
+    return FrozenBlocks.merged(parts, runs)
 
 
 # --- ensembles ------------------------------------------------------------------
@@ -313,34 +316,9 @@ class EnsembleResult:
         return MomentEstimate.of(self.payoffs)
 
 
-def _simulate_runs(
-    model: DislocationModel,
-    params: ModelParams,
-    line: StoppingLine,
-    master_seed: int,
-    dust_floor: float,
-    horizon: float,
-    block_cap: int,
-    collect_blocks: bool,
-    indices: range,
-):
-    payoffs = np.empty(len(indices))
-    dust = partial = 0
-    rows = [] if collect_blocks else None
-    for j, i in enumerate(indices):
-        state = run_stopping_line(
-            fresh_state(params), model, params, line,
-            key=run_key(master_seed, "simulate", i),
-            dust_floor=dust_floor, horizon=horizon, block_cap=block_cap,
-        )
-        payoffs[j] = payoff(state, params)
-        dust += state.dust_frozen
-        partial += state.partial
-        if collect_blocks:
-            for b in state.frozen:
-                accrued = float("nan") if b.frozen_at == math.inf else b.accrued_final
-                rows.append((i, b.mass, accrued, b.frozen_at, b.contribution(params)))
-    return payoffs, dust, partial, rows
+def _simulate_runs(model, params, line, master_seed, options, indices: range) -> FrozenBlocks:
+    keys = [run_key(master_seed, "simulate", i) for i in indices]
+    return _in_chunks(functools.partial(run_stopping_line, model, params, line, **options), keys)
 
 
 def ensemble_payoffs(
@@ -358,34 +336,31 @@ def ensemble_payoffs(
 ) -> EnsembleResult:
     """Independent stopping-line runs; bit-identical for a fixed seed.
 
-    Run i draws only from streams keyed by (master_seed, "simulate", i), so
-    the result does not depend on `workers`.  Reusing the same seed with a
-    different line pairs the runs by common random numbers.  Runs are dealt
-    round-robin into one chunk per worker; a single chunk runs in-process.
+    Run i draws only from streams rooted at run_key(master_seed, "simulate",
+    i), so the result does not depend on `workers`.  Reusing the same seed
+    with a different line pairs the runs by common random numbers.  Runs are
+    dealt round-robin into one share per worker; a single share runs
+    in-process.
     """
-    n_chunks = workers if workers > 1 and n_runs >= 2 * workers else 1
-    chunks = [range(k, n_runs, n_chunks) for k in range(n_chunks)]
-    run_chunk = functools.partial(
+    n_shares = workers if workers > 1 and n_runs >= 2 * workers else 1
+    shares = [range(k, n_runs, n_shares) for k in range(n_shares)]
+    run_share = functools.partial(
         _simulate_runs, model, params, line, master_seed,
-        dust_floor, horizon, block_cap, collect_blocks,
+        {"dust_floor": dust_floor, "horizon": horizon, "block_cap": block_cap},
     )
-    if n_chunks == 1:
-        parts = [run_chunk(chunks[0])]
+    if n_shares == 1:
+        parts = [run_share(shares[0])]
     else:
-        with ProcessPoolExecutor(max_workers=n_chunks) as pool:
-            parts = list(pool.map(run_chunk, chunks))
-    payoffs = np.empty(n_runs)
-    dust = partial = 0
-    rows = [] if collect_blocks else None
-    for chunk, (p, d, q_, r) in zip(chunks, parts):
-        payoffs[list(chunk)] = p
-        dust += d
-        partial += q_
-        if collect_blocks:
-            rows.extend(r)
+        with ProcessPoolExecutor(max_workers=n_shares) as pool:
+            parts = list(pool.map(run_share, shares))
+    frozen = FrozenBlocks.merged(parts, shares)
+    contrib = frozen.contributions(params)
+    payoffs = np.bincount(frozen.run, weights=contrib, minlength=n_runs)
+    rows = None
     if collect_blocks:
-        rows.sort(key=lambda row: row[0])
-    return EnsembleResult(payoffs, dust, partial, rows)
+        rows = list(zip(frozen.run.tolist(), frozen.mass.tolist(), frozen.accrued.tolist(),
+                        frozen.frozen_at.tolist(), contrib.tolist()))
+    return EnsembleResult(payoffs, frozen.dust_frozen, frozen.partial, rows)
 
 
 # --- statistical identities -------------------------------------------------------
@@ -420,21 +395,21 @@ def many_to_one_fixed_time(
     f_id: str,
     t: float,
     n_runs: int,
-    rng: np.random.Generator,
+    master_seed: int,
 ) -> ManyToOneResult:
     """Block-average identity at a fixed time.
 
     lhs: Monte Carlo mean of sum_blocks mass^(1+p) with p the power named by
-    f_id (const1 / identity / square).  rhs: the closed-form lineage value
-    exp(-t * phi(p)).
+    f_id (const1 / identity / square), over the blocks alive at t in runs
+    rooted at run_key(master_seed, "m21-fixed-<f_id>", i).  rhs: the
+    closed-form lineage value exp(-t * phi(p)).
     """
     if f_id not in _FIXED_TIME_FUNCTIONALS:
         raise InvalidModelError(f"unknown test functional {f_id!r}")
     p = _FIXED_TIME_FUNCTIONALS[f_id]
-    vals = np.empty(n_runs)
-    for i in range(n_runs):
-        state = evolve_to_time(fresh_state(params), model, t, rng)
-        vals[i] = sum(b.mass ** (1.0 + p) for b in state.live)
+    keys = [run_key(master_seed, f"m21-fixed-{f_id}", i) for i in range(n_runs)]
+    alive = _in_chunks(functools.partial(evolve_to_time, model, params, t), keys)
+    vals = np.bincount(alive.run, weights=alive.mass ** (1.0 + p), minlength=n_runs)
     rhs = MomentEstimate(math.exp(-t * levy.phi(model, p)), 0.0, 0)
     return ManyToOneResult(MomentEstimate.of(vals), rhs)
 
@@ -455,16 +430,13 @@ def many_to_one_stopping_line(
     """
     if not 0.0 < a <= 1.0:
         raise InvalidModelError(f"mass threshold must be in (0, 1], got {a}")
-    lhs_vals = np.empty(n_runs)
-    for i in range(n_runs):
-        state = run_stopping_line(
-            fresh_state(params), model, params, MassBelow(a),
-            key=run_key(master_seed, "m21-line-frag", i),
-        )
-        lhs_vals[i] = sum(
-            b.mass * math.exp(-params.q * b.frozen_at) * min(b.accrued_final, LINE_CAP)
-            for b in state.frozen
-        )
+    keys = [run_key(master_seed, "m21-line-frag", i) for i in range(n_runs)]
+    frozen = _in_chunks(functools.partial(run_stopping_line, model, params, MassBelow(a)), keys)
+    lhs_vals = np.bincount(
+        frozen.run, minlength=n_runs,
+        weights=frozen.mass * np.exp(-params.q * frozen.frozen_at)
+        * np.minimum(frozen.accrued, LINE_CAP),
+    )
     rhs_vals = np.empty(n_runs)
     for i in range(n_runs):
         rng = substream(master_seed, "m21-line-tag", i)

@@ -334,9 +334,7 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
 
     if not levy.is_degenerate(model):
         for f_id in ("identity", "square"):
-            res = fragsim.many_to_one_fixed_time(
-                model, params, f_id, 1.0, cfg.runs, substream(cfg.seed, f"verify-m21-{f_id}")
-            )
+            res = fragsim.many_to_one_fixed_time(model, params, f_id, 1.0, cfg.runs, cfg.seed)
             checks.append(_check(
                 f"many_to_one_fixed_{f_id}", res.lhs.value,
                 3.0 * res.combined_se + floor, target=res.rhs.value,

@@ -211,6 +211,20 @@ def sample_splits(model: DislocationModel, n: int, rng: np.random.Generator) -> 
     return np.maximum(v, 1.0 - v)
 
 
+def split_quantile(model: DislocationModel, u: np.ndarray) -> np.ndarray:
+    """Larger-fragment shares s from uniforms u on [0, 1), by inversion of the split law.
+
+    s has the law of max(V, 1 - V) for the family's symmetric V, whose
+    distribution function on [1/2, 1) is 2 F_V(s) - 1.
+    """
+    if isinstance(model, BinaryPoint):
+        return np.full(np.shape(u), model.s0)
+    p = 0.5 * (1.0 + u)
+    if isinstance(model, BinaryBeta):
+        return special.betaincinv(model.shape, model.shape, p)
+    return p
+
+
 def sample_jump(model: DislocationModel, kappa: float, rng: np.random.Generator) -> float:
     """One jump of the (tilted) lineage subordinator: x = -log(size-biased pick).
 

@@ -29,7 +29,6 @@ from .levy import AssumptionError, DislocationModel, DomainError, ModelParams
 
 
 # Numerical settings shared by every solve and check.
-MAX_DOUBLINGS = 60          # bracket search steps from c in solve_b_star
 FD_STEP_REL = 1e-4          # central-difference step, relative to the point
 QUAD_TOL = 1e-9             # absolute tolerance of the generator's jump integral
 RESIDUAL_BATCHES = 20       # batch means behind a generator-residual error
@@ -143,8 +142,9 @@ def solve_b_star(
 ) -> SolverResult:
     """Solve f(b) = kappa/gamma by bisection on the samplewise-monotone f.
 
-    The bracket is found by doubling/halving from c.  Bisection stops at
-    relative width rel_tol_b, or earlier once the bracket is one ulp wide.
+    The bracket is found by doubling/halving from c; DivergenceError if b
+    overflows to inf or underflows to 0 first.  Bisection stops at relative
+    width rel_tol_b, or earlier once the bracket is one ulp wide.
     Requires kappa/gamma > 1, which holds whenever q > 0.
     """
     p = params.kappa / params.gamma
@@ -164,20 +164,16 @@ def solve_b_star(
         raise DivergenceError(f"f(c) is not finite at c = {params.c}; no bracket can start there")
     if g0 > 0.0:
         hi = 2.0 * params.c
-        for _ in range(MAX_DOUBLINGS):
-            if g(hi) <= 0.0:
-                break
+        while math.isfinite(hi) and not g(hi) <= 0.0:
             lo, hi = hi, 2.0 * hi
-        else:
-            raise DivergenceError(f"no upper bracket for f(b) = {p} within {MAX_DOUBLINGS} doublings")
+        if not math.isfinite(hi):
+            raise DivergenceError(f"no upper bracket for f(b) = {p}: doubling from c overflowed")
     elif g0 < 0.0:
         lo = 0.5 * params.c
-        for _ in range(MAX_DOUBLINGS):
-            if g(lo) >= 0.0:
-                break
+        while lo > 0.0 and not g(lo) >= 0.0:
             lo, hi = 0.5 * lo, lo
-        else:
-            raise DivergenceError(f"no lower bracket for f(b) = {p} within {MAX_DOUBLINGS} halvings")
+        if lo == 0.0:
+            raise DivergenceError(f"no lower bracket for f(b) = {p}: halving from c reached 0")
     while hi - lo > rel_tol_b * hi:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):

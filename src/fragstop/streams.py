@@ -24,16 +24,15 @@ def substream(master_seed: int, label: str, index: int = 0) -> np.random.Generat
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def run_key(master_seed: int, label: str, index: int = 0) -> bytes:
-    """16-byte key for counter-derived per-event streams (fragmentation runs).
+def run_key(master_seed: int, label: str, index: int = 0) -> int:
+    """64-bit root hash of the counter-based block streams of one fragmentation run.
 
     The seed is hashed as at least 16 little-endian bytes, more for seeds of
     2**128 and above.
     """
-    h = hashlib.blake2b(digest_size=16)
+    h = hashlib.blake2b(digest_size=8)
     n_bytes = max(16, (master_seed.bit_length() + 7) // 8)
     h.update(master_seed.to_bytes(n_bytes, "little", signed=False))
     h.update(label.encode())
     h.update(index.to_bytes(8, "little", signed=False))
-    return h.digest()
-
+    return int.from_bytes(h.digest(), "little")

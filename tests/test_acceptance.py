@@ -200,9 +200,7 @@ def test_criterion_07_pasting_and_generator():
 def test_criterion_08_many_to_one():
     with criterion(8, 120.0, "block-average identities, fixed time and stopping line"):
         for f_id, p in (("identity", 1.0), ("square", 2.0)):
-            res = fragsim.many_to_one_fixed_time(
-                REF_MODEL, REF_PARAMS, f_id, 1.0, 10_000, substream(ACC_SEED, f"m21-{f_id}")
-            )
+            res = fragsim.many_to_one_fixed_time(REF_MODEL, REF_PARAMS, f_id, 1.0, 10_000, ACC_SEED)
             assert res.rhs.value == pytest.approx(math.exp(-levy.phi(REF_MODEL, p)), rel=1e-12)
             assert abs(res.gap) <= 3.0 * res.combined_se, f_id
         res = fragsim.many_to_one_stopping_line(REF_MODEL, REF_PARAMS, 0.1, 10_000, ACC_SEED)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -161,10 +162,25 @@ class TestSolveCommand:
         cfg.write_text(DEGEN_CFG + "zzz = 1\n")
         assert main(["solve", "--config", str(cfg)]) == 2
 
-    @pytest.mark.parametrize("c", ["1e-30", "5e-324", "1e20", "1e300", "1e308"])
+    @pytest.mark.parametrize("c", ["1e-30", "1e20"])
+    def test_far_start_solves(self, c, tmp_path, capsys):
+        # The bracket search doubles or halves from c for as long as it takes:
+        # the shared sample does not depend on c, so neither does b* (~0.77).
+        ref = tmp_path / "ref.cfg"
+        ref.write_text(REF_CFG)
+        assert main(["solve", "--config", str(ref), "--samples", "2000"]) == 0
+        b_ref = json.loads(capsys.readouterr().out)["b_star"]
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(with_key(REF_CFG, "c", c))
+        assert main(["solve", "--config", str(cfg), "--samples", "2000"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["b_star"] == pytest.approx(b_ref, rel=2e-6)
+
+    @pytest.mark.parametrize("c", ["5e-324", "1e300", "1e308"])
     def test_unbracketed_threshold_exit_code(self, c, tmp_path, capsys):
-        # c is valid, but the bracket search from c cannot reach b* (~0.78)
-        # or f(c) overflows: a clean assumption error, never a NaN or inf.
+        # c is valid, but f(c) overflows: a clean assumption error, never a
+        # NaN or inf.
         cfg = tmp_path / "c.cfg"
         cfg.write_text(with_key(REF_CFG, "c", c))
         assert main(["solve", "--config", str(cfg), "--samples", "2000"]) == 3
@@ -293,6 +309,19 @@ class TestSimulateCommand:
                      "--line", "optimal:-1"]) == 0
         summary = json.loads(capsys.readouterr().err)
         assert summary["mean_payoff"] == 0.25 and summary["std_error"] == 0.0
+
+    def test_zero_mass_fragments_are_dust(self, tmp_path, capsys):
+        # Beta(0.01, 0.01) shares round to 1 on most splits, leaving fragments
+        # of mass 0.  With no dust floor they must still freeze as dust and
+        # pay nothing, not turn the payoff into NaN.
+        cfg = tmp_path / "beta.cfg"
+        cfg.write_text(REF_CFG.replace("family = uniform", "family = beta\nshape = 0.01")
+                       + "dust_floor = 0\n")
+        assert main(["simulate", "--config", str(cfg), "--runs", "5", "--line", "mass:0.1",
+                     "--out", str(tmp_path / "blocks.csv")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["dust_frozen"] > 0
+        assert math.isfinite(summary["mean_payoff"]) and math.isfinite(summary["std_error"])
 
     def test_seed_beyond_128_bits(self, ref_cfg_path, capsys):
         assert main(["simulate", "--config", ref_cfg_path, "--runs", "5",

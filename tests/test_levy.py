@@ -233,6 +233,16 @@ class TestJumpLaws:
             draws = levy.sample_jumps(model, kappa, self.N, substream(41, "batched-jump", i))
             self._check(model, kappa, draws)
 
+    @pytest.mark.parametrize("model", JUMP_MODELS, ids=JUMP_IDS)
+    def test_split_quantile_inverts_split_law(self, model):
+        # Midpoint rule over u in [0, 1): E[s^(1+p) + (1-s)^(1+p)] with
+        # s = split_quantile(u) must equal the closed-form power mean.
+        s = levy.split_quantile(model, (np.arange(100_000) + 0.5) / 100_000)
+        assert np.all((0.5 <= s) & (s < 1.0))
+        for p in (0.5, 1.0, 3.0):
+            got = np.mean(s ** (1.0 + p) + (1.0 - s) ** (1.0 + p))
+            assert got == pytest.approx(levy.split_power_mean(model, p), rel=1e-6)
+
 
 class TestMakeParams:
     def test_derived_quantities(self, ref_params):
