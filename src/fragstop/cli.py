@@ -40,7 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--samples", type=int, default=None, help="override shared-sample size")
         p.add_argument("--runs", type=int, default=None, help="override path/run counts")
-        p.add_argument("--workers", type=int, default=None, help="worker processes for ensembles")
+        p.add_argument("--workers", type=int, default=None,
+                       help="accepted for old configs and scripts; has no effect")
         p.add_argument("--out", default=None, help="write the primary output to this path")
 
     p_solve = sub.add_parser("solve", help="compute the optimal threshold and value")

@@ -27,15 +27,14 @@ inversion) and the split share, draws 2 and 3 are the hashes of the two
 children, and the root's hash is the run key.  The cascade is therefore a
 function of the run key and the genealogy alone: two runs with different
 stopping lines but the same run key realize the same underlying cascade
-(common random numbers across strategies), and results depend neither on
-how runs are chunked nor on how they are dealt to workers.
+(common random numbers across strategies), and results do not depend on
+how runs are chunked.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Union
 
@@ -183,15 +182,13 @@ class FrozenBlocks:
         return out
 
     @staticmethod
-    def merged(parts: list, runs: list) -> FrozenBlocks:
-        """The blocks of `parts`, run j of part k renamed runs[k][j], stably grouped by run."""
-        run = np.concatenate([np.asarray(r)[p.run] for p, r in zip(parts, runs)])
-        order = np.argsort(run, kind="stable")
-
+    def concatenated(parts: list, starts: list) -> FrozenBlocks:
+        """The blocks of consecutive run sets, run j of part k renamed starts[k] + j."""
         def cat(field):
-            return np.concatenate([getattr(p, field) for p in parts])[order]
+            return np.concatenate([getattr(p, field) for p in parts])
 
-        return FrozenBlocks(run[order], cat("mass"), cat("accrued"), cat("frozen_at"),
+        return FrozenBlocks(np.concatenate([p.run + s for p, s in zip(parts, starts)]),
+                            cat("mass"), cat("accrued"), cat("frozen_at"),
                             sum(p.dust_frozen for p in parts), sum(p.partial for p in parts))
 
 
@@ -288,7 +285,7 @@ def _in_chunks(engine, keys: list) -> FrozenBlocks:
     A chunk over the block budget is rerun as its first half, and later
     chunks keep the smaller size.
     """
-    parts, runs = [], []
+    parts, starts = [], []
     start, size = 0, CHUNK_RUNS
     while start < len(keys):
         chunk = keys[start:start + size]
@@ -297,9 +294,9 @@ def _in_chunks(engine, keys: list) -> FrozenBlocks:
         except _OverBudget:
             size = len(chunk) // 2
             continue
-        runs.append(range(start, start + len(chunk)))
+        starts.append(start)
         start += len(chunk)
-    return FrozenBlocks.merged(parts, runs)
+    return FrozenBlocks.concatenated(parts, starts)
 
 
 # --- ensembles ------------------------------------------------------------------
@@ -316,11 +313,6 @@ class EnsembleResult:
         return MomentEstimate.of(self.payoffs)
 
 
-def _simulate_runs(model, params, line, master_seed, options, indices: range) -> FrozenBlocks:
-    keys = [run_key(master_seed, "simulate", i) for i in indices]
-    return _in_chunks(functools.partial(run_stopping_line, model, params, line, **options), keys)
-
-
 def ensemble_payoffs(
     model: DislocationModel,
     params: ModelParams,
@@ -332,28 +324,18 @@ def ensemble_payoffs(
     horizon: float = math.inf,
     block_cap: int = 1_000_000,
     collect_blocks: bool = False,
-    workers: int = 1,
 ) -> EnsembleResult:
     """Independent stopping-line runs; bit-identical for a fixed seed.
 
     Run i draws only from streams rooted at run_key(master_seed, "simulate",
-    i), so the result does not depend on `workers`.  Reusing the same seed
-    with a different line pairs the runs by common random numbers.  Runs are
-    dealt round-robin into one share per worker; a single share runs
-    in-process.
+    i).  Reusing the same seed with a different line pairs the runs by
+    common random numbers.
     """
-    n_shares = workers if workers > 1 and n_runs >= 2 * workers else 1
-    shares = [range(k, n_runs, n_shares) for k in range(n_shares)]
-    run_share = functools.partial(
-        _simulate_runs, model, params, line, master_seed,
-        {"dust_floor": dust_floor, "horizon": horizon, "block_cap": block_cap},
-    )
-    if n_shares == 1:
-        parts = [run_share(shares[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=n_shares) as pool:
-            parts = list(pool.map(run_share, shares))
-    frozen = FrozenBlocks.merged(parts, shares)
+    keys = [run_key(master_seed, "simulate", i) for i in range(n_runs)]
+    frozen = _in_chunks(functools.partial(
+        run_stopping_line, model, params, line,
+        dust_floor=dust_floor, horizon=horizon, block_cap=block_cap,
+    ), keys)
     contrib = frozen.contributions(params)
     payoffs = np.bincount(frozen.run, weights=contrib, minlength=n_runs)
     rows = None
@@ -437,12 +419,7 @@ def many_to_one_stopping_line(
         weights=frozen.mass * np.exp(-params.q * frozen.frozen_at)
         * np.minimum(frozen.accrued, LINE_CAP),
     )
-    rhs_vals = np.empty(n_runs)
-    for i in range(n_runs):
-        rng = substream(master_seed, "m21-line-tag", i)
-        if a >= 1.0:
-            ell, acc = 0.0, 0.0
-        else:
-            ell, acc = pathsim.simulate_tagged_mass_passage(model, params, a, rng)
-        rhs_vals[i] = math.exp(-params.q * ell) * min(acc, LINE_CAP)
+    ell, acc = pathsim.simulate_tagged_mass_passage(
+        model, params, a, n_runs, substream(master_seed, "m21-line-tag"))
+    rhs_vals = np.exp(-params.q * ell) * np.minimum(acc, LINE_CAP)
     return ManyToOneResult(MomentEstimate.of(lhs_vals), MomentEstimate.of(rhs_vals))

@@ -7,7 +7,8 @@ arrive as overrides: silent typos in stochastic experiments are costly.
 
 Every output carries a schema string.  Outputs contain no timestamps or
 environment echoes, so a rerun with the same config and seed is
-byte-identical regardless of worker count.
+byte-identical.  The `workers` key is still parsed and range-checked, so
+existing configs keep working, but it has no effect.
 
 Exit-code taxonomy (used by the CLI): 0 ok, 2 config error, 3 assumption
 violation, 4 verification failure, 5 resource cap hit.
@@ -252,6 +253,9 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
     threshold-dependent checks run (a negative control: a wrong threshold
     must fail pasting and dominance).
     """
+    if cfg.runs < 2:
+        raise ConfigError(
+            f"verify needs runs >= 2 (a standard error takes two paths), got {cfg.runs}")
     model = cfg.model()
     params = cfg.params()
     sample = _shared_sample(cfg, model, params)
@@ -270,7 +274,7 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
         checks.append(_check(
             f"laplace_transform_b={b_mult}c", lap.mc.value,
             3.0 * lap.combined_se + floor, target=lap.analytic,
-            std_error=lap.combined_se,
+            std_error=lap.combined_se, horizon_misses=lap.horizon_misses,
         ))
 
     times = (0.5, 1.0, 2.0)
@@ -324,12 +328,11 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
     )
     center = sweep.discounts[:, 1] * sweep.thresholds[1]
     for j, tag in ((0, "low"), (2, "high")):
-        diff = center - sweep.discounts[:, j] * sweep.thresholds[j]
-        se = float(diff.std(ddof=1) / math.sqrt(diff.size))
+        diff = expfun.MomentEstimate.of(center - sweep.discounts[:, j] * sweep.thresholds[j])
         # pass requires the paired payoff margin to clear 3 standard errors
         checks.append(_check(
-            f"threshold_dominance_{tag}", -float(diff.mean()), -3.0 * se,
-            one_sided=True, std_error=se, margin=float(diff.mean()),
+            f"threshold_dominance_{tag}", -diff.value, -3.0 * diff.std_error,
+            one_sided=True, std_error=diff.std_error, margin=diff.value,
         ))
 
     if not levy.is_degenerate(model):
@@ -440,7 +443,7 @@ def cmd_simulate(cfg: RunConfig, line_spec: str, literal: bool = False) -> tuple
     result = fragsim.ensemble_payoffs(
         model, params, line, cfg.runs, cfg.seed,
         dust_floor=cfg.dust_floor, horizon=cfg.horizon, block_cap=cfg.block_cap,
-        collect_blocks=True, workers=cfg.workers,
+        collect_blocks=True,
     )
     est = result.estimate
     csv_text = format_csv(

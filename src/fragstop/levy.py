@@ -191,18 +191,8 @@ def kappa_root(model: DislocationModel, theta: float, lam: float) -> float:
 
 # --- split-law sampling -----------------------------------------------------
 
-def sample_split(model: DislocationModel, rng: np.random.Generator) -> float:
-    """Draw the larger-fragment mass s from the family's split law."""
-    if isinstance(model, BinaryUniform):
-        return 0.5 * (1.0 + rng.random())
-    if isinstance(model, BinaryPoint):
-        return model.s0
-    v = rng.beta(model.shape, model.shape)
-    return max(v, 1.0 - v)
-
-
 def sample_splits(model: DislocationModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized `sample_split`; uses the same per-family draw count."""
+    """n larger-fragment masses s drawn from the family's split law."""
     if isinstance(model, BinaryUniform):
         return 0.5 * (1.0 + rng.random(n))
     if isinstance(model, BinaryPoint):
@@ -225,35 +215,16 @@ def split_quantile(model: DislocationModel, u: np.ndarray) -> np.ndarray:
     return p
 
 
-def sample_jump(model: DislocationModel, kappa: float, rng: np.random.Generator) -> float:
-    """One jump of the (tilted) lineage subordinator: x = -log(size-biased pick).
+def sample_jump(model: DislocationModel, kappa: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n jumps of the (tilted) lineage subordinator: x = -log(size-biased pick).
 
     For kappa = 0 this is the physical jump law.  For kappa > 0 the law has
     density proportional to exp(-kappa*x) against the physical one; the two
     point-mass atoms are reweighted exactly, while continuous families use
     rejection with the physical law as envelope (acceptance weight
-    pick^kappa = exp(-kappa*x) <= 1).
+    pick^kappa = exp(-kappa*x) <= 1).  Each rejection round draws at least
+    1024 candidates.
     """
-    if is_degenerate(model):
-        raise DomainError("the degenerate model has no jumps")
-    if isinstance(model, BinaryPoint):
-        s, t = model.s0, 1.0 - model.s0
-        if kappa == 0.0:
-            w = s
-        else:
-            ws = s ** (1.0 + kappa)
-            w = ws / (ws + t ** (1.0 + kappa))
-        pick = s if rng.random() < w else t
-        return -math.log(pick)
-    while True:
-        s = sample_split(model, rng)
-        pick = s if rng.random() < s else 1.0 - s
-        if kappa == 0.0 or rng.random() < pick ** kappa:
-            return -math.log(pick)
-
-
-def sample_jumps(model: DislocationModel, kappa: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized `sample_jump` (draw order differs from the scalar version)."""
     if is_degenerate(model):
         raise DomainError("the degenerate model has no jumps")
     if isinstance(model, BinaryPoint):

@@ -11,7 +11,9 @@ accrued integral and upward level crossings all have closed forms; nothing
 here is time-discretized.  Z is skip-free upwards: a first passage over b
 happens exactly at level b.
 
-All routines are pure given their generator argument.
+Every simulator is batched over paths: it advances all unfinished paths
+together, one jump per step, and draws from the one generator it is
+given, so it is pure given that generator and the number of paths.
 """
 
 from __future__ import annotations
@@ -24,128 +26,117 @@ from . import levy
 from .levy import AssumptionError, DislocationModel, ModelParams, TiltedDynamics
 
 
-# --- closed-form segment arithmetic ------------------------------------------
+# --- closed-form segment arithmetic (elementwise over arrays) ------------------
 
-def z_advance(z0: float, dt: float, gt: float) -> float:
+def z_advance(z0, dt, gt: float):
     """Z after drifting dt with no jump: (z0 + 1/gt) e^{gt dt} - 1/gt."""
     m = 1.0 / gt
-    return (z0 + m) * math.exp(gt * dt) - m
+    return (z0 + m) * np.exp(gt * dt) - m
 
 
-def z_crossing_dt(z0: float, b: float, gt: float) -> float:
+def z_crossing_dt(z0, b, gt: float):
     """Time for Z to drift from z0 up to b (0 if already at/above b)."""
-    if z0 >= b:
-        return 0.0
     m = 1.0 / gt
-    return math.log((b + m) / (z0 + m)) / gt
+    return np.maximum(np.log((b + m) / (z0 + m)) / gt, 0.0)
 
 
-def segment_exp_integral(y0: float, dt: float, gamma: float, theta: float) -> float:
+def segment_exp_integral(y0, dt, gamma: float, theta: float):
     """integral of exp(gamma * (y0 - theta*s)) ds over s in [0, dt]."""
     gt = gamma * theta
-    return math.exp(gamma * y0) * -math.expm1(-gt * dt) / gt
+    return np.exp(gamma * y0) * -np.expm1(-gt * dt) / gt
+
+
+# --- batched lineage walks -------------------------------------------------------
+
+def _holding_times(model: DislocationModel, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Holding times of m live paths; inf for the degenerate model, which never jumps."""
+    if model.rate == 0.0:
+        return np.full(m, math.inf)
+    return rng.exponential(1.0 / model.rate, m)
+
+
+def _walk_Z(model, params, targets, n, rng, horizon, reached, value) -> np.ndarray:
+    """Record one value per path and sorted target as n physical Z paths first reach it.
+
+    All unfinished paths advance together, one jump per step: holding times
+    for the m live paths, then for every target the path reached within its
+    segment (reached(t, w, z_end) >= target) the closed-form value(t, z,
+    target), then the jumps of the paths still live.  A path retires once it
+    has reached its last target, or when its clock passes `horizon` at a
+    jump; targets it never reached keep inf.
+    """
+    targets = np.asarray(targets, dtype=float)
+    out = np.full((n, targets.size), math.inf)
+    live = np.arange(n)
+    t = np.zeros(n)
+    z = np.full(n, params.c)
+    while live.size:
+        w = _holding_times(model, live.size, rng)
+        z_end = z_advance(z, w, params.gt)
+        reach = reached(t, w, z_end)
+        rows, cols = np.nonzero(np.isinf(out[live]) & (targets <= reach[:, None]))
+        out[live[rows], cols] = value(t[rows], z[rows], targets[cols])
+        t = t + w
+        keep = (reach < targets[-1]) & (t <= horizon)
+        live, t, z_end = live[keep], t[keep], z_end[keep]
+        if live.size:
+            z = z_end * np.exp(-params.gamma * levy.sample_jump(model, 0.0, live.size, rng))
+    return out
 
 
 def simulate_Z_first_passage(
     model: DislocationModel,
     params: ModelParams,
-    b: float,
+    levels,
+    n: int,
     rng: np.random.Generator,
     horizon: float = 1e4,
-) -> tuple[float, bool]:
-    """Exact first-passage time of Z over level b under the physical dynamics.
+) -> np.ndarray:
+    """Exact first-passage times of n physical Z paths over each of the sorted levels.
 
-    Returns (tau, hit).  hit is False only when the safety horizon was
-    exceeded (reported distinctly from numeric failure, which raises).
-    Since Z is skip-free upwards the crossing value is exactly b.
+    Returns an (n, len(levels)) array; a level the path had not reached
+    when its clock passed `horizon` at a jump gets inf.  One path serves
+    every level (common random numbers).  Since Z is skip-free upwards, the
+    crossing value is exactly the level, and a level <= c is passed at 0.
     """
     gt = params.gt
-    if params.c >= b:
-        return 0.0, True
-    t, z = 0.0, params.c
-    rate = model.rate
-    while True:
-        t_cross = z_crossing_dt(z, b, gt)
-        if rate == 0.0:
-            return t + t_cross, True
-        w = rng.exponential(1.0 / rate)
-        if t_cross <= w:
-            return t + t_cross, True
-        t += w
-        if t > horizon:
-            return t, False
-        z = z_advance(z, w, gt)
-        x = levy.sample_jump(model, 0.0, rng)
-        z *= math.exp(-params.gamma * x)
+    return _walk_Z(model, params, levels, n, rng, horizon,
+                   reached=lambda t, w, z_end: z_end,
+                   value=lambda t, z, b: t + z_crossing_dt(z, b, gt))
 
 
 def first_passage_payoff_sums(
     model: DislocationModel,
     params: ModelParams,
-    thresholds: np.ndarray,
+    thresholds,
     lam: float,
+    n: int,
     rng: np.random.Generator,
     horizon: float = 1e4,
 ) -> np.ndarray:
-    """Discount factors exp(-lam * tau_b) for every threshold, on one path.
+    """Discount factors exp(-lam * tau_b) of n paths for every sorted threshold.
 
-    thresholds must be sorted ascending.  A single path realization serves
-    all thresholds (common random numbers); crossings are solved in closed
-    form per segment, never by stepping.
+    The discount view of `simulate_Z_first_passage`: a threshold missed
+    before the horizon gets 0.
     """
-    gt = params.gt
-    n = thresholds.size
-    out = np.zeros(n)
-    i = 0
-    while i < n and thresholds[i] <= params.c:
-        out[i] = 1.0
-        i += 1
-    t, z = 0.0, params.c
-    rate = model.rate
-    while i < n:
-        if rate > 0.0:
-            w = rng.exponential(1.0 / rate)
-        else:
-            w = math.inf
-        z_end = z_advance(z, w, gt) if w < math.inf else math.inf
-        while i < n and thresholds[i] < z_end:
-            out[i] = math.exp(-lam * (t + z_crossing_dt(z, thresholds[i], gt)))
-            i += 1
-        if i >= n:
-            break
-        t += w
-        if t > horizon:
-            break  # remaining thresholds keep discount 0 (flagged by caller if needed)
-        z = z_end
-        x = levy.sample_jump(model, 0.0, rng)
-        z *= math.exp(-params.gamma * x)
-    return out
+    return np.exp(-lam * simulate_Z_first_passage(model, params, thresholds, n, rng, horizon))
 
 
 def simulate_Z_at_times(
     model: DislocationModel,
     params: ModelParams,
-    times: np.ndarray,
+    times,
+    n: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Z values of one path at the given sorted times (exact within segments)."""
+    """Z values of n physical paths at the given sorted times, an (n, len(times)) array.
+
+    Exact within segments; a time that falls on a jump gets the pre-jump value.
+    """
     gt = params.gt
-    out = np.empty(len(times))
-    t, z = 0.0, params.c
-    i = 0
-    rate = model.rate
-    while i < len(times):
-        w = rng.exponential(1.0 / rate) if rate > 0.0 else math.inf
-        while i < len(times) and times[i] <= t + w:
-            out[i] = z_advance(z, times[i] - t, gt)
-            i += 1
-        if i >= len(times):
-            break
-        z = z_advance(z, w, gt)
-        t += w
-        x = levy.sample_jump(model, 0.0, rng)
-        z *= math.exp(-params.gamma * x)
-    return out
+    return _walk_Z(model, params, times, n, rng, math.inf,
+                   reached=lambda t, w, z_end: t + w,
+                   value=lambda t, z, s: z_advance(z, s - t, gt))
 
 
 def _tilted_first_moment(model: DislocationModel, params: ModelParams, kappa: float) -> float:
@@ -206,7 +197,7 @@ def simulate_I_infty(
     for _ in range(max_steps):
         w = rng.exponential(scale, live.size)
         acc -= np.exp(gamma * y) * np.expm1(-gt * w) / gt
-        y += levy.sample_jumps(tilted.model, tilted.kappa, live.size, rng) - theta * w
+        y += levy.sample_jump(tilted.model, tilted.kappa, live.size, rng) - theta * w
         weight = np.exp(gamma * y)
         done = weight < rel_tol * acc
         if done.any():
@@ -225,28 +216,36 @@ def simulate_tagged_mass_passage(
     model: DislocationModel,
     params: ModelParams,
     a: float,
+    n: int,
     rng: np.random.Generator,
     max_steps: int = 1_000_000,
-) -> tuple[float, float]:
-    """First time the lineage mass exp(-xi) drops to <= a, with its accrued premium.
+) -> tuple[np.ndarray, np.ndarray]:
+    """First times the lineage masses exp(-xi) of n paths drop to <= a, with the accrued premium.
 
-    Returns (ell, accrued) where accrued = integral_0^ell exp(gamma*Y_s) ds.
-    The passage happens at a jump (mass is piecewise constant), so both
-    values are exact.
+    Returns arrays (ell, accrued) where accrued = integral_0^ell exp(gamma*Y_s) ds.
+    The paths advance together, one jump per step, and a path retires at
+    the jump that takes its mass to <= a (mass is piecewise constant), so
+    both values are exact.  Raises AssumptionError if a path is still above
+    a after max_steps steps.
     """
+    ell, acc = np.zeros(n), np.zeros(n)
     if a >= 1.0:
-        return 0.0, 0.0
+        return ell, acc
     if levy.is_degenerate(model):
         raise AssumptionError("the degenerate model never reduces the lineage mass")
     gamma, theta = params.gamma, params.theta
     log_a = -math.log(a)
-    t, xi, acc = 0.0, 0.0, 0.0
-    scale = 1.0 / model.rate
+    live = np.arange(n)
+    t, xi, acc_live = np.zeros(n), np.zeros(n), np.zeros(n)
     for _ in range(max_steps):
-        w = rng.exponential(scale)
-        acc += segment_exp_integral(xi - theta * t, w, gamma, theta)
+        w = _holding_times(model, live.size, rng)
+        acc_live += segment_exp_integral(xi - theta * t, w, gamma, theta)
         t += w
-        xi += levy.sample_jump(model, 0.0, rng)
-        if xi >= log_a:
-            return t, acc
-    raise AssumptionError(f"mass never reached {a} within {max_steps} jumps")
+        xi += levy.sample_jump(model, 0.0, live.size, rng)
+        done = xi >= log_a
+        ell[live[done]], acc[live[done]] = t[done], acc_live[done]
+        keep = ~done
+        live, t, xi, acc_live = live[keep], t[keep], xi[keep], acc_live[keep]
+        if live.size == 0:
+            return ell, acc
+    raise AssumptionError(f"{live.size} of {n} masses never reached {a} within {max_steps} jumps")

@@ -345,7 +345,8 @@ def first_passage_laplace_check(
     """Compare path-simulated E[e^{-lam tau_b}] with the tilted moment ratio.
 
     lam = params.lam; the sample must carry the matching tilt params.kappa,
-    and kappa > gamma.
+    and kappa > gamma.  A path still below b when its clock passes `horizon`
+    is a horizon miss and contributes a discount of 0.
     """
     if b < params.c:
         raise DomainError(f"b = {b} must be >= c = {params.c}")
@@ -357,16 +358,12 @@ def first_passage_laplace_check(
     if not kap > params.gamma:
         raise AssumptionError(f"identity requires kappa(lam) = {kap} > gamma = {params.gamma}")
 
-    vals = np.empty(n_paths)
-    misses = 0
-    for i in range(n_paths):
-        tau, hit = pathsim.simulate_Z_first_passage(model, params, b, rng, horizon=horizon)
-        vals[i] = math.exp(-params.lam * tau)
-        misses += not hit
+    tau = pathsim.simulate_Z_first_passage(model, params, [b], n_paths, rng, horizon)[:, 0]
     p = kap / params.gamma
     analytic, analytic_se = expfun.ratio_of_power_means(sample, params.c, b, p)
-    return LaplaceCheck(b=b, lam=params.lam, mc=MomentEstimate.of(vals), analytic=analytic,
-                        analytic_se=analytic_se, horizon_misses=misses)
+    return LaplaceCheck(b=b, lam=params.lam, mc=MomentEstimate.of(np.exp(-params.lam * tau)),
+                        analytic=analytic, analytic_se=analytic_se,
+                        horizon_misses=int(np.count_nonzero(np.isinf(tau))))
 
 
 # --- path-average checks --------------------------------------------------------
@@ -380,19 +377,6 @@ class DiscountedValueCheck:
     reference: float          # the t = 0 value the means are compared against
     reference_se: float       # shared-sample error of the reference itself
     decrements: tuple         # MomentEstimate of X_{t_k} - X_{t_{k+1}}, paired
-
-
-def _discounted_value_matrix(
-    model: DislocationModel,
-    params: ModelParams,
-    times: np.ndarray,
-    n_paths: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    z = np.empty((n_paths, times.size))
-    for i in range(n_paths):
-        z[i] = pathsim.simulate_Z_at_times(model, params, times, rng)
-    return z
 
 
 def _check_from_matrix(times, vals) -> tuple:
@@ -412,7 +396,7 @@ def martingale_check(
 ) -> DiscountedValueCheck:
     """Means of e^{-lam t} tilde(Z_t); each should equal tilde(c)."""
     times = np.asarray(sorted(times), dtype=float)
-    z = _discounted_value_matrix(model, params, times, n_paths, rng)
+    z = pathsim.simulate_Z_at_times(model, params, times, n_paths, rng)
     curve = TildeCurve(params, sample, b_star, float(z.min()), float(z.max()))
     vals = np.exp(-params.lam * times)[None, :] * curve.tilde(z)
     ests, decs = _check_from_matrix(times, vals)
@@ -435,7 +419,7 @@ def supermartingale_check(
 ) -> DiscountedValueCheck:
     """Means of e^{-lam t} V*(Z_t); nonincreasing in t, each <= V*(c)."""
     times = np.asarray(sorted(times), dtype=float)
-    z = _discounted_value_matrix(model, params, times, n_paths, rng)
+    z = pathsim.simulate_Z_at_times(model, params, times, n_paths, rng)
     curve = TildeCurve(params, sample, b_star, float(z.min()), float(z.max()))
     vals = np.exp(-params.lam * times)[None, :] * curve.star(z)
     ests, decs = _check_from_matrix(times, vals)
@@ -480,9 +464,7 @@ def threshold_payoff_sweep(
     peaks within sampling error at the optimal threshold.
     """
     bs = np.asarray(sorted(thresholds), dtype=float)
-    disc = np.empty((n_paths, bs.size))
-    for i in range(n_paths):
-        disc[i] = pathsim.first_passage_payoff_sums(model, params, bs, params.lam, rng, horizon)
+    disc = pathsim.first_passage_payoff_sums(model, params, bs, params.lam, n_paths, rng, horizon)
     mean_d = disc.mean(axis=0)
     se_d = disc.std(axis=0, ddof=1) / math.sqrt(n_paths) if n_paths > 1 else np.zeros(bs.size)
     return ThresholdSweep(bs, bs * mean_d, bs * se_d, disc)

@@ -4,7 +4,7 @@ Every stochastic routine in the package takes an explicit generator or a
 derived key, never global state.  Streams are derived from a single master
 seed by hashing a purpose label plus a replicate index, so results are
 bit-reproducible for a fixed master seed regardless of how replicates are
-chunked across workers.
+chunked.
 """
 
 from __future__ import annotations

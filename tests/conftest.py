@@ -17,6 +17,94 @@ def degenerate_sample(params: levy.ModelParams) -> expfun.SharedSample:
     )
 
 
+# --- scalar reference walks: one path, one scalar jump at a time -------------------
+# The package's walks are batched over paths; these per-path loops are the
+# statistical reference they are checked against.
+
+def scalar_split(model, rng) -> float:
+    """One larger-fragment mass s from the family's split law."""
+    if isinstance(model, levy.BinaryUniform):
+        return 0.5 * (1.0 + rng.random())
+    if isinstance(model, levy.BinaryPoint):
+        return model.s0
+    v = rng.beta(model.shape, model.shape)
+    return max(v, 1.0 - v)
+
+
+def scalar_jump(model, kappa: float, rng) -> float:
+    """One jump of the kappa-tilted lineage subordinator, x = -log(size-biased pick).
+
+    Point families reweight their two atoms exactly; continuous families
+    draw the split, then the pick, then accept with probability pick^kappa.
+    """
+    if isinstance(model, levy.BinaryPoint):
+        s, t = model.s0, 1.0 - model.s0
+        if kappa == 0.0:
+            w = s
+        else:
+            ws = s ** (1.0 + kappa)
+            w = ws / (ws + t ** (1.0 + kappa))
+        return -math.log(s if rng.random() < w else t)
+    while True:
+        s = scalar_split(model, rng)
+        pick = s if rng.random() < s else 1.0 - s
+        if kappa == 0.0 or rng.random() < pick ** kappa:
+            return -math.log(pick)
+
+
+def scalar_first_passage(model, params, b: float, rng, horizon=1e4) -> tuple[float, bool]:
+    """First passage of one physical Z path over b: (tau, hit); hit is False past the horizon."""
+    gt = params.gt
+    if params.c >= b:
+        return 0.0, True
+    t, z = 0.0, params.c
+    while True:
+        t_cross = float(pathsim.z_crossing_dt(z, b, gt))
+        if model.rate == 0.0:
+            return t + t_cross, True
+        w = rng.exponential(1.0 / model.rate)
+        if t_cross <= w:
+            return t + t_cross, True
+        t += w
+        if t > horizon:
+            return t, False
+        z = float(pathsim.z_advance(z, w, gt))
+        z *= math.exp(-params.gamma * scalar_jump(model, 0.0, rng))
+
+
+def scalar_Z_at_times(model, params, times, rng) -> np.ndarray:
+    """Z of one physical path at the given sorted times."""
+    gt = params.gt
+    out = np.empty(len(times))
+    t, z, i = 0.0, params.c, 0
+    while i < len(times):
+        w = rng.exponential(1.0 / model.rate) if model.rate > 0.0 else math.inf
+        while i < len(times) and times[i] <= t + w:
+            out[i] = pathsim.z_advance(z, times[i] - t, gt)
+            i += 1
+        if i == len(times):
+            return out
+        z = float(pathsim.z_advance(z, w, gt))
+        z *= math.exp(-params.gamma * scalar_jump(model, 0.0, rng))
+        t += w
+    return out
+
+
+def scalar_tagged_mass_passage(model, params, a: float, rng) -> tuple[float, float]:
+    """(ell, accrued) of one lineage: the first time its mass drops to <= a."""
+    if a >= 1.0:
+        return 0.0, 0.0
+    log_a = -math.log(a)
+    t, xi, acc = 0.0, 0.0, 0.0
+    while xi < log_a:
+        w = rng.exponential(1.0 / model.rate)
+        acc += float(pathsim.segment_exp_integral(xi - params.theta * t, w, params.gamma,
+                                                  params.theta))
+        t += w
+        xi += scalar_jump(model, 0.0, rng)
+    return t, acc
+
+
 @dataclass(frozen=True)
 class ZState:
     """State at an event boundary; z == exp(-gamma*y) * (accrued + c) exactly."""
@@ -41,18 +129,18 @@ def simulate_Z_path(model, params, horizon, rng) -> list[ZState]:
         w = rng.exponential(1.0 / model.rate)
         if t + w >= horizon:
             break
-        acc += pathsim.segment_exp_integral(y, w, gamma, theta)
-        z = pathsim.z_advance(z, w, gt)
+        acc += float(pathsim.segment_exp_integral(y, w, gamma, theta))
+        z = float(pathsim.z_advance(z, w, gt))
         t += w
         y -= theta * w
-        x = levy.sample_jump(model, 0.0, rng)
+        x = scalar_jump(model, 0.0, rng)
         y += x
         z *= math.exp(-gamma * x)
         states.append(ZState(t, y, z, acc))
     if horizon > t:
         dt = horizon - t
-        acc += pathsim.segment_exp_integral(y, dt, gamma, theta)
-        z = pathsim.z_advance(z, dt, gt)
+        acc += float(pathsim.segment_exp_integral(y, dt, gamma, theta))
+        z = float(pathsim.z_advance(z, dt, gt))
         y -= theta * dt
         states.append(ZState(horizon, y, z, acc))
     return states

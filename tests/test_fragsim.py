@@ -15,7 +15,7 @@ from fragstop.fragsim import BlockCapError, FixedTime, FrozenBlocks, MassBelow, 
 from fragstop.levy import BinaryBeta, BinaryPoint, BinaryUniform, InvalidModelError
 from fragstop.streams import run_key
 
-from conftest import simulate_Z_path
+from conftest import scalar_first_passage, scalar_split, simulate_Z_path
 
 KEY = run_key(0, "test", 0)
 
@@ -142,7 +142,7 @@ def tagged_walk(model, params, line, rng) -> list[tuple[float, float]]:
         if freeze_t[0] <= split_t[0]:
             log.append((freeze_t[0], fragsim.zeta_at(params, born, zeta, freeze_t)[0]))
             return log
-        s = levy.sample_split(model, rng)
+        s = scalar_split(model, rng)
         kids = fragsim.split_blocks(params, mass, born, acc, zeta, split_t, np.array([s]))
         k = 0 if rng.random() < s else 1
         mass, born, acc, zeta = (x[k:k + 1] for x in kids)
@@ -169,9 +169,7 @@ class TestTaggedLineage:
         for seed in range(4, 44):
             log = tagged_walk(ref_model, ref_params, OptimalStatistic(b),
                               np.random.default_rng(seed))
-            tau, hit = pathsim.simulate_Z_first_passage(
-                ref_model, ref_params, b, np.random.default_rng(seed)
-            )
+            tau, hit = scalar_first_passage(ref_model, ref_params, b, np.random.default_rng(seed))
             assert hit
             frozen_at, zeta = log[-1]
             assert frozen_at == pytest.approx(tau, rel=1e-12)
@@ -208,10 +206,13 @@ class TestPayoff:
 
 class TestEnsembles:
     def test_reproducible_and_worker_independent(self, ref_model, ref_params):
+        # Ensembles run in-process; the `workers` key is accepted and changes nothing.
         line = OptimalStatistic(0.78)
-        a = fragsim.ensemble_payoffs(ref_model, ref_params, line, 300, 5, workers=1)
-        b = fragsim.ensemble_payoffs(ref_model, ref_params, line, 300, 5, workers=3)
+        a = fragsim.ensemble_payoffs(ref_model, ref_params, line, 300, 5)
+        b = fragsim.ensemble_payoffs(ref_model, ref_params, line, 300, 5)
         assert np.array_equal(a.payoffs, b.payoffs)
+        assert simulate_bytes("optimal:0.78", runs=50, workers=3) == simulate_bytes(
+            "optimal:0.78", runs=50)
 
     def test_common_cascade_across_lines(self, ref_model, ref_params):
         # Same seed, different thresholds: runs share the cascade, so the
@@ -520,7 +521,7 @@ def reference_run(model, params, line, key, dust_floor=1e-12, horizon=math.inf):
         if freeze_t <= split_t:
             total += pays(b.mass, accrued_at(b, freeze_t), freeze_t)
             continue
-        s = levy.sample_split(model, rng)
+        s = scalar_split(model, rng)
         acc = accrued_at(b, split_t)
         zeta = (b.zeta + 1.0 / gt) * math.exp(gt * (split_t - b.born)) - 1.0 / gt
         n_blocks -= 1
@@ -599,14 +600,14 @@ GOLDEN_SIMULATE = [
 # sha256 of the `solve` JSON, the `sweep --axis c` CSV plus its summary, and
 # the `verify` JSON on the README model at 3000 samples and 300 runs.  The
 # solve and sweep digests were recorded before the tagged-lineage hook left
-# the cascade engine, the verify digest with the batched engine.  At this
-# size `verify` fails `threshold_dominance_high` (exit 4); the digest pins
-# its bytes all the same.
+# the cascade engine, the verify digest when the lineage walks were batched
+# over paths.  At this size `verify` fails `threshold_dominance_high`
+# (exit 4); the digest pins its bytes all the same.
 GOLDEN_SIZES = {"samples": 3000, "runs": 300}
 SWEEP_C_GRID = [0.1, 0.25, 0.5, 1.0]
 GOLDEN_SOLVE = "c923cc7e87d5cc80c121165676f62e3633d1bd484f3508f586098728a532e43b"
 GOLDEN_SWEEP_C = "60766602801a8688f63e52951dbe7fabc79b681ea3b09b1335866ac245472d88"
-GOLDEN_VERIFY = "6ebcead88d802451eee83f053693c9c6da0022d5a409d2c5f7803e68d9b5148f"
+GOLDEN_VERIFY = "b80605910c7f1d83c7e5454818b979d69fe3514b00f40ecc7e0127c793f39ee4"
 
 
 def sha256(text: str) -> str:
@@ -637,4 +638,4 @@ class TestGoldenOutputs:
         cfg = harness.parse_config_text(README_CFG)
         res = fragsim.many_to_one_stopping_line(cfg.model(), cfg.params(), 0.1, 500, 12345)
         assert (res.lhs.value, res.lhs.std_error) == (0.08131145554938993, 0.0035972895403371835)
-        assert (res.rhs.value, res.rhs.std_error) == (0.07375808095154351, 0.006713741156243862)
+        assert (res.rhs.value, res.rhs.std_error) == (0.07344157910764244, 0.007546318079055327)

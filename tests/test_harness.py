@@ -119,6 +119,14 @@ class TestConfigRanges:
     def test_rejected_as_cli_override(self, flag, value, degen_cfg_path, capsys):
         assert main(["solve", "--config", degen_cfg_path, flag, value]) == 2
 
+    def test_verify_needs_two_runs(self, degen_cfg_path, capsys):
+        # A standard error takes two paths: verify at runs = 1 is a config
+        # error, not a report with NaN standard errors.  Other commands accept it.
+        assert main(["verify", "--config", degen_cfg_path, "--runs", "1"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "runs" in err["message"]
+        assert main(["solve", "--config", degen_cfg_path, "--runs", "1"]) == 0
+
     def test_edge_values_accepted(self):
         text = DEGEN_CFG
         for key, value in (("seed", 0), ("dust_floor", 0.0), ("horizon", "inf"),
@@ -225,6 +233,19 @@ class TestVerifyCommand:
         names = {c["name"] for c in payload["checks"]}
         assert any(n.startswith("many_to_one_fixed") for n in names)
         assert any(n.startswith("many_to_one_line") for n in names)
+        laplace = [c for c in payload["checks"] if c["name"].startswith("laplace")]
+        assert [c["horizon_misses"] for c in laplace] == [0, 0]
+
+    def test_horizon_misses_reported(self, tmp_path, capsys):
+        # Lineages still below the level when the first-passage horizon
+        # passes are counted in the Laplace entries.
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(with_key(REF_CFG, "fp_horizon", 0.05))
+        main(["verify", "--config", str(cfg), "--samples", "2000", "--runs", "300"])
+        payload = json.loads(capsys.readouterr().out)
+        laplace = [c for c in payload["checks"] if c["name"].startswith("laplace")]
+        assert len(laplace) == 2
+        assert all(0 < c["horizon_misses"] <= 300 for c in laplace)
 
 
 class TestSweepCommand:

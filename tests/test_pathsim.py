@@ -7,17 +7,20 @@ from fragstop import expfun, levy, pathsim
 from fragstop.levy import AssumptionError, BinaryBeta, BinaryPoint, BinaryUniform
 from fragstop.streams import substream
 
-from conftest import ZState, simulate_Z_path
+from conftest import (
+    ZState, scalar_first_passage, scalar_jump, scalar_tagged_mass_passage, scalar_Z_at_times,
+    simulate_Z_path,
+)
 
 
 class TestSegmentForms:
     def test_crossing_inverts_advance(self, rng):
         gt = 1.3
-        for _ in range(50):
-            z0 = rng.uniform(0.01, 5.0)
-            b = z0 + rng.uniform(0.01, 5.0)
-            dt = pathsim.z_crossing_dt(z0, b, gt)
-            assert pathsim.z_advance(z0, dt, gt) == pytest.approx(b, rel=1e-12)
+        z0 = rng.uniform(0.01, 5.0, 50)
+        b = z0 + rng.uniform(0.01, 5.0, 50)
+        dt = pathsim.z_crossing_dt(z0, b, gt)
+        np.testing.assert_allclose(pathsim.z_advance(z0, dt, gt), b, rtol=1e-12)
+        assert np.all(pathsim.z_crossing_dt(b, z0, gt) == 0.0)
 
     def test_segment_integral_matches_quadrature(self):
         from scipy import integrate
@@ -29,26 +32,46 @@ class TestSegmentForms:
 
 class TestFirstPassage:
     def test_start_above_threshold(self, degen_model, degen_params, rng):
-        tau, hit = pathsim.simulate_Z_first_passage(degen_model, degen_params, 0.1, rng)
-        assert tau == 0.0 and hit
+        tau = pathsim.simulate_Z_first_passage(degen_model, degen_params, [0.1], 5, rng)
+        assert tau.shape == (5, 1) and np.all(tau == 0.0)
 
     def test_degenerate_closed_form(self, rng):
         model = BinaryUniform(0.0)
         params = levy.make_params(model, gamma=1.0, theta=1.0, q=1.0, c=1.0)
-        tau, hit = pathsim.simulate_Z_first_passage(model, params, 2.0, rng)
-        assert hit
-        assert tau == pytest.approx(math.log(1.5), abs=1e-12)
+        tau = pathsim.simulate_Z_first_passage(model, params, [2.0], 5, rng)
+        np.testing.assert_allclose(tau, math.log(1.5), rtol=0.0, atol=1e-12)
 
     def test_start_at_threshold(self, ref_model, ref_params, rng):
-        tau, hit = pathsim.simulate_Z_first_passage(
-            ref_model, ref_params, ref_params.c, rng
-        )
-        assert tau == 0.0 and hit
+        tau = pathsim.simulate_Z_first_passage(ref_model, ref_params, [ref_params.c], 5, rng)
+        assert np.all(tau == 0.0)
 
     def test_passage_is_finite_under_drift_assumption(self, ref_model, ref_params, rng):
-        for _ in range(200):
-            tau, hit = pathsim.simulate_Z_first_passage(ref_model, ref_params, 2.0, rng)
-            assert hit and tau < 1e3
+        tau = pathsim.simulate_Z_first_passage(ref_model, ref_params, [2.0], 200, rng)
+        assert np.all(tau < 1e3)
+
+    def test_levels_share_paths(self, ref_model, ref_params):
+        # One walk serves every level: each level's column is the walk of that
+        # level alone, and passage times increase with the level.
+        levels = [0.3, 0.5, 1.0]
+        tau = pathsim.simulate_Z_first_passage(ref_model, ref_params, levels, 500,
+                                               substream(12, "levels"))
+        assert np.all(np.diff(tau, axis=1) > 0.0)
+        top = pathsim.simulate_Z_first_passage(ref_model, ref_params, levels[-1:], 500,
+                                               substream(12, "levels"))
+        np.testing.assert_array_equal(tau[:, -1], top[:, 0])
+
+    def test_horizon_misses_discount_to_zero(self, ref_model, ref_params):
+        # A path whose clock passes the horizon at a jump before it reaches a
+        # level misses it: inf passage time, discount exactly 0.
+        levels, lam = [0.5, 1.0], ref_params.lam
+        tau = pathsim.simulate_Z_first_passage(ref_model, ref_params, levels, 2000,
+                                               substream(13, "miss"), horizon=0.05)
+        disc = pathsim.first_passage_payoff_sums(ref_model, ref_params, levels, lam, 2000,
+                                                 substream(13, "miss"), horizon=0.05)
+        missed = np.isinf(tau)
+        assert missed[:, 0].sum() > 0 and missed[:, 1].sum() > missed[:, 0].sum()
+        assert np.all(disc[missed] == 0.0)
+        np.testing.assert_array_equal(disc[~missed], np.exp(-lam * tau[~missed]))
 
 
 class TestZPath:
@@ -58,6 +81,8 @@ class TestZPath:
         states = simulate_Z_path(model, params, 2.5, rng)
         assert len(states) == 2
         assert states[-1].z == pytest.approx(2.0 * math.exp(2.5) - 1.0, rel=1e-12)
+        zs = pathsim.simulate_Z_at_times(model, params, [2.5], 3, rng)
+        np.testing.assert_allclose(zs, 2.0 * math.exp(2.5) - 1.0, rtol=1e-12)
 
     def test_zero_horizon_single_state(self, ref_model, ref_params, rng):
         states = simulate_Z_path(ref_model, ref_params, 0.0, rng)
@@ -78,20 +103,16 @@ class TestZPath:
 
     def test_grid_sampling_matches_path(self, ref_model, ref_params):
         times = np.array([0.5, 1.0, 2.0])
-        zs = pathsim.simulate_Z_at_times(ref_model, ref_params, times, substream(3, "grid"))
-        assert zs.shape == (3,)
+        zs = pathsim.simulate_Z_at_times(ref_model, ref_params, times, 4, substream(3, "grid"))
+        assert zs.shape == (4, 3)
         assert np.all(zs > 0.0)
 
     def test_discounted_transience(self, ref_model, ref_params):
         # The discounted process dies out: its mean decreases along T = 5, 10, 20.
-        rng = substream(11, "transience")
         horizons = np.array([5.0, 10.0, 20.0])
-        n = 10_000
-        vals = np.empty((n, 3))
-        for i in range(n):
-            z = pathsim.simulate_Z_at_times(ref_model, ref_params, horizons, rng)
-            vals[i] = np.exp(-ref_params.lam * horizons) * z
-        means = vals.mean(axis=0)
+        z = pathsim.simulate_Z_at_times(ref_model, ref_params, horizons, 10_000,
+                                        substream(11, "transience"))
+        means = (np.exp(-ref_params.lam * horizons) * z).mean(axis=0)
         assert means[0] > means[1] > means[2]
 
 
@@ -108,7 +129,7 @@ def scalar_I_infty(tilted, params, m1, rng, rel_tol=1e-6, max_steps=1_000_000):
         w = rng.exponential(scale)
         acc += pathsim.segment_exp_integral(y, w, gamma, theta)
         y -= theta * w
-        y += levy.sample_jump(tilted.model, tilted.kappa, rng)
+        y += scalar_jump(tilted.model, tilted.kappa, rng)
         if math.exp(gamma * y) < rel_tol * acc:
             return acc + math.exp(gamma * y) * m1
     raise AssertionError(f"reference draw did not converge within {max_steps} jumps")
@@ -177,9 +198,67 @@ class TestTaggedMassPassage:
         # at the passage time ell is exactly (1 - e^{-gt*ell})/gt.
         model = BinaryPoint(1.0, 0.5)
         params = levy.make_params(model, gamma=1.0, theta=1.0, q=1.0, c=1.0)
-        for _ in range(50):
-            ell, acc = pathsim.simulate_tagged_mass_passage(model, params, 0.6, rng)
-            assert acc == pytest.approx(-math.expm1(-ell), rel=1e-12)
+        ell, acc = pathsim.simulate_tagged_mass_passage(model, params, 0.6, 50, rng)
+        np.testing.assert_allclose(acc, -np.expm1(-ell), rtol=1e-12)
 
     def test_threshold_one_fires_immediately(self, ref_model, ref_params, rng):
-        assert pathsim.simulate_tagged_mass_passage(ref_model, ref_params, 1.0, rng) == (0.0, 0.0)
+        ell, acc = pathsim.simulate_tagged_mass_passage(ref_model, ref_params, 1.0, 3, rng)
+        assert ell.tolist() == acc.tolist() == [0.0, 0.0, 0.0]
+
+    def test_step_budget_exhausted(self, ref_model, ref_params, rng):
+        with pytest.raises(AssumptionError, match="within 1 jumps"):
+            pathsim.simulate_tagged_mass_passage(ref_model, ref_params, 1e-6, 64, rng,
+                                                 max_steps=1)
+
+
+FAMILIES = [BinaryUniform(1.0), BinaryPoint(1.0, 0.7), BinaryBeta(1.0, 0.5)]
+FAMILY_IDS = ["uniform", "point0.7", "beta0.5"]
+
+
+class TestBatchedAgainstScalar:
+    """Means of the batched walks against the scalar reference walks, within 4 combined SE."""
+
+    N = 20_000
+
+    @staticmethod
+    def _agree(batched: np.ndarray, ref: np.ndarray, what) -> None:
+        se = math.hypot(batched.std(ddof=1) / math.sqrt(batched.size),
+                        ref.std(ddof=1) / math.sqrt(ref.size))
+        assert abs(batched.mean() - ref.mean()) <= 4.0 * se, (what, batched.mean(), ref.mean(), se)
+
+    @staticmethod
+    def _params(model):
+        return levy.make_params(model, gamma=1.0, theta=1.0, q=1.0, c=0.25)
+
+    @pytest.mark.parametrize("model", FAMILIES, ids=FAMILY_IDS)
+    def test_first_passage_discount(self, model):
+        params = self._params(model)
+        levels = [1.5 * params.c, 2.0 * params.c]
+        disc = pathsim.first_passage_payoff_sums(model, params, levels, params.lam, self.N,
+                                                 substream(51, "batched-fp"))
+        rng = substream(51, "scalar-fp")
+        for k, b in enumerate(levels):
+            ref = np.array([math.exp(-params.lam * scalar_first_passage(model, params, b, rng)[0])
+                            for _ in range(self.N)])
+            self._agree(disc[:, k], ref, b)
+
+    @pytest.mark.parametrize("model", FAMILIES, ids=FAMILY_IDS)
+    def test_Z_at_times(self, model):
+        params = self._params(model)
+        times = np.array([0.5, 1.0, 2.0])
+        z = pathsim.simulate_Z_at_times(model, params, times, self.N, substream(52, "batched-z"))
+        rng = substream(52, "scalar-z")
+        ref = np.array([scalar_Z_at_times(model, params, times, rng) for _ in range(self.N)])
+        for k, t in enumerate(times):
+            self._agree(z[:, k], ref[:, k], t)
+
+    @pytest.mark.parametrize("model", FAMILIES, ids=FAMILY_IDS)
+    def test_tagged_mass_passage(self, model):
+        params = self._params(model)
+        ell, acc = pathsim.simulate_tagged_mass_passage(model, params, 0.1, self.N,
+                                                        substream(53, "batched-tag"))
+        rng = substream(53, "scalar-tag")
+        ref = np.array([scalar_tagged_mass_passage(model, params, 0.1, rng)
+                        for _ in range(self.N)])
+        self._agree(ell, ref[:, 0], "ell")
+        self._agree(acc, ref[:, 1], "accrued")

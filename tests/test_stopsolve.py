@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fragstop import expfun, levy, stopsolve
+from fragstop import expfun, levy, pathsim, stopsolve
 from fragstop.levy import AssumptionError, BinaryUniform, DomainError
 from fragstop.streams import substream
 
@@ -176,6 +176,16 @@ class TestLaplaceIdentity:
             ref_model, ref_params, 2.0 * ref_params.c, 20_000, rng, ref_sample
         )
         assert abs(chk.mc.value - chk.analytic) <= 3.0 * chk.combined_se
+
+    def test_horizon_misses_count_as_zero(self, ref_model, ref_params, ref_sample):
+        b, n, horizon = 2.0 * ref_params.c, 2000, 0.05
+        chk = stopsolve.first_passage_laplace_check(
+            ref_model, ref_params, b, n, substream(27, "miss"), ref_sample, horizon=horizon
+        )
+        tau = pathsim.simulate_Z_first_passage(ref_model, ref_params, [b], n,
+                                               substream(27, "miss"), horizon)[:, 0]
+        assert chk.horizon_misses == np.count_nonzero(np.isinf(tau)) > 0
+        assert chk.mc.value == np.exp(-ref_params.lam * tau).mean()
 
     def test_general_discount(self, ref_model, ref_params):
         # The identity holds for any discount once the sample carries the
