@@ -21,7 +21,7 @@ import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from . import expfun, fragsim, levy, stopsolve
+from . import expfun, fragsim, levy, pathsim, stopsolve
 from .levy import DislocationModel, ModelParams
 from .streams import substream
 
@@ -256,6 +256,12 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
     if cfg.runs < 2:
         raise ConfigError(
             f"verify needs runs >= 2 (a standard error takes two paths), got {cfg.runs}")
+    if cfg.samples < stopsolve.RESIDUAL_BATCHES:
+        raise ConfigError(
+            f"verify needs samples >= {stopsolve.RESIDUAL_BATCHES} (one draw per "
+            f"generator-residual batch), got {cfg.samples}")
+    if not (math.isfinite(corrupt_bstar) and corrupt_bstar > 0.0):
+        raise ConfigError(f"--corrupt-bstar must be finite and > 0, got {corrupt_bstar}")
     model = cfg.model()
     params = cfg.params()
     sample = _shared_sample(cfg, model, params)
@@ -277,17 +283,23 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
             std_error=lap.combined_se, horizon_misses=lap.horizon_misses,
         ))
 
+    # Both path-average checks read one value curve spanning all their paths.
     times = (0.5, 1.0, 2.0)
-    mart = stopsolve.martingale_check(model, params, sample, b_star, times,
-                                      cfg.runs, substream(cfg.seed, "verify-mart"))
+    z_mart = pathsim.simulate_Z_at_times(model, params, times, cfg.runs,
+                                         substream(cfg.seed, "verify-mart"))
+    z_sup = pathsim.simulate_Z_at_times(model, params, times, cfg.runs,
+                                        substream(cfg.seed, "verify-supermart"))
+    curve = stopsolve.TildeCurve(params, sample, b_star,
+                                 float(min(z_mart.min(), z_sup.min())),
+                                 float(max(z_mart.max(), z_sup.max())))
+    mart = stopsolve.martingale_check(params, sample, curve, times, z_mart)
     for t, est in zip(mart.times, mart.estimates):
         se = math.hypot(est.std_error, mart.reference_se)
         checks.append(_check(
             f"martingale_t={t}", est.value, 3.0 * se + floor,
             target=mart.reference, std_error=se,
         ))
-    sup = stopsolve.supermartingale_check(model, params, sample, b_star, times,
-                                          cfg.runs, substream(cfg.seed, "verify-supermart"))
+    sup = stopsolve.supermartingale_check(params, sample, curve, times, z_sup)
     for t, est in zip(sup.times, sup.estimates):
         se = math.hypot(est.std_error, sup.reference_se)
         checks.append(_check(

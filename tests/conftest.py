@@ -146,6 +146,18 @@ def simulate_Z_path(model, params, horizon, rng) -> list[ZState]:
     return states
 
 
+def path_average_check(check, model, params, sample, b_star, times, n_paths, rng,
+                       curve_type=stopsolve.TildeCurve):
+    """Run a path-average check on n_paths Z paths, with a value curve spanning them.
+
+    `check` is `stopsolve.martingale_check` or `stopsolve.supermartingale_check`;
+    `curve_type` builds the curve from (params, sample, b_star, z_min, z_max).
+    """
+    z = pathsim.simulate_Z_at_times(model, params, times, n_paths, rng)
+    curve = curve_type(params, sample, b_star, float(z.min()), float(z.max()))
+    return check(params, sample, curve, times, z)
+
+
 # Reference configuration: uniform binary splits at unit rate, all problem
 # constants 1 except the start c, which sits inside the continuation region
 # (the solved threshold is ~0.78).

@@ -21,7 +21,7 @@ from fragstop import expfun, fragsim, levy, pathsim, stopsolve
 from fragstop.cli import main
 from fragstop.streams import substream
 
-from conftest import degenerate_sample
+from conftest import degenerate_sample, path_average_check
 
 REF_MODEL = levy.BinaryUniform(1.0)
 REF_PARAMS = levy.make_params(REF_MODEL, gamma=1.0, theta=1.0, q=1.0, c=0.25)
@@ -147,15 +147,13 @@ def test_criterion_06_martingale_and_supermartingale():
         sample = ref_sample()
         b = ref_solved().b_star
         times = (0.5, 1.0, 2.0)
-        mart = stopsolve.martingale_check(
-            REF_MODEL, REF_PARAMS, sample, b, times, 20_000, substream(ACC_SEED, "mart")
-        )
+        mart = path_average_check(stopsolve.martingale_check, REF_MODEL, REF_PARAMS, sample, b,
+                                  times, 20_000, substream(ACC_SEED, "mart"))
         for t, est in zip(mart.times, mart.estimates):
             se = math.hypot(est.std_error, mart.reference_se)
             assert abs(est.value - mart.reference) <= 3.0 * se, f"t = {t}"
-        sup = stopsolve.supermartingale_check(
-            REF_MODEL, REF_PARAMS, sample, b, times, 20_000, substream(ACC_SEED, "sup")
-        )
+        sup = path_average_check(stopsolve.supermartingale_check, REF_MODEL, REF_PARAMS, sample,
+                                 b, times, 20_000, substream(ACC_SEED, "sup"))
         for t, est in zip(sup.times, sup.estimates):
             se = math.hypot(est.std_error, sup.reference_se)
             assert est.value <= sup.reference + 3.0 * se, f"t = {t}"

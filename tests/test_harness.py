@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from fragstop import harness
+from fragstop import harness, stopsolve
 from fragstop.cli import main
 from fragstop.harness import ConfigError, parse_config_text
 
@@ -127,6 +127,23 @@ class TestConfigRanges:
         assert err["error"] == "config" and "runs" in err["message"]
         assert main(["solve", "--config", degen_cfg_path, "--runs", "1"]) == 0
 
+    def test_verify_needs_one_draw_per_residual_batch(self, degen_cfg_path, capsys):
+        # Fewer draws than generator-residual batches would leave batches
+        # empty and write NaN into the report.
+        assert main(["verify", "--config", degen_cfg_path, "--samples", "10"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "samples" in err["message"]
+
+    def test_verify_at_residual_batch_count_is_valid_json(self, ref_cfg_path, capsys):
+        def no_constant(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        code = main(["verify", "--config", ref_cfg_path, "--samples",
+                     str(stopsolve.RESIDUAL_BATCHES), "--runs", "50"])
+        assert code in (0, 4)
+        payload = json.loads(capsys.readouterr().out, parse_constant=no_constant)
+        assert len(payload["checks"]) > 0
+
     def test_edge_values_accepted(self):
         text = DEGEN_CFG
         for key, value in (("seed", 0), ("dust_floor", 0.0), ("horizon", "inf"),
@@ -223,6 +240,27 @@ class TestVerifyCommand:
         failed = {c["name"] for c in payload["checks"] if not c["pass"]}
         assert "pasting_slope_gap" in failed
         assert "threshold_dominance_low" in failed
+
+    @pytest.mark.parametrize("factor", ["nan", "inf", "0", "-1"])
+    def test_bad_corrupt_factor(self, factor, degen_cfg_path, capsys):
+        assert main(["verify", "--config", degen_cfg_path, "--corrupt-bstar", factor]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "config" and "corrupt-bstar" in err["message"]
+
+    def test_one_value_curve_per_verify(self, ref_cfg_path, monkeypatch, capsys):
+        builds = []
+
+        class CountedCurve(stopsolve.TildeCurve):
+            def __init__(self, *args):
+                builds.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(stopsolve, "TildeCurve", CountedCurve)
+        main(["verify", "--config", ref_cfg_path, "--samples", "2000", "--runs", "200"])
+        assert json.loads(capsys.readouterr().out)["command"] == "verify"
+        assert len(builds) == 1
 
     def test_reference_config_all_pass(self, ref_cfg_path, capsys):
         # The splitting family exercises every check, including the

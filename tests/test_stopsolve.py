@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import interpolate
 
-from fragstop import expfun, levy, pathsim, stopsolve
+from fragstop import expfun, harness, levy, pathsim, stopsolve
 from fragstop.levy import AssumptionError, BinaryUniform, DomainError
 from fragstop.streams import substream
 
-from conftest import degenerate_sample
+from conftest import degenerate_sample, path_average_check
 
 
 def make_degen(q=1.0, c=0.25, gamma=1.0, theta=1.0):
@@ -89,6 +90,70 @@ class TestSolveReference:
         pts = np.array([0.07, 0.3, 1.0, 2.5, 4.9])
         exact = stopsolve.value_tilde(ref_params, ref_sample, ref_solved.b_star, pts)
         assert np.allclose(curve.tilde(pts), exact, rtol=1e-7)
+
+
+class PchipTildeCurve:
+    """The value curve `TildeCurve` replaced: 800-node PCHIP on (log z, value).
+
+    Statistical reference for the path-average checks; same constructor and
+    methods as `stopsolve.TildeCurve`.
+    """
+
+    def __init__(self, params, sample, b_star, z_min, z_max):
+        lo = max(z_min, 1e-12) * 0.9
+        hi = max(z_max, b_star, params.c) * 1.1
+        grid = np.geomspace(lo, hi, 800)
+        vals = stopsolve.value_tilde(params, sample, b_star, grid)
+        self.b_star = b_star
+        self._lo, self._hi = lo, hi
+        self._interp = interpolate.PchipInterpolator(np.log(grid), vals)
+
+    def tilde(self, z):
+        return self._interp(np.log(np.clip(z, self._lo, self._hi)))
+
+    def star(self, z):
+        z = np.asarray(z, dtype=float)
+        return np.where(z > self.b_star, z, self.tilde(z))
+
+
+# The README reference config (100,000 draws, 10,000 runs, seed 12345).
+README_CFG = "rate = 1.0\ngamma = 1.0\ntheta = 1.0\nq = 1.0\nc = 0.25\nseed = 12345\n"
+FAMILIES = {"uniform": "family = uniform\n", "point": "family = point\ns0 = 0.7\n",
+            "beta": "family = beta\nshape = 0.5\n"}
+
+
+def readme_solved(family: str):
+    cfg = harness.parse_config_text(FAMILIES[family] + README_CFG)
+    model, params = cfg.model(), cfg.params()
+    sample = expfun.draw_shared_sample(model, params, cfg.samples, seed=cfg.seed)
+    b_star = stopsolve.solve_b_star(model, params, sample, diagnostics=False).b_star
+    return cfg, model, params, sample, b_star
+
+
+class TestTildeCurve:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_spline_accuracy(self, family):
+        assert stopsolve.TILDE_GRID == 100
+        _, _, params, sample, b_star = readme_solved(family)
+        curve = stopsolve.TildeCurve(params, sample, b_star, 0.2, 60.0)
+        pts = np.geomspace(0.2, 60.0, 1000)
+        exact = stopsolve.value_tilde(params, sample, b_star, pts)
+        assert np.allclose(curve.tilde(pts), exact, rtol=1e-7, atol=0.0)
+
+    def test_agrees_with_pchip_reference(self):
+        # Same paths, same sample: the path averages read through either
+        # curve may differ only by interpolation error, far below their SE.
+        cfg, model, params, sample, b_star = readme_solved("uniform")
+        times = (0.5, 1.0, 2.0)
+        for check, label in ((stopsolve.martingale_check, "verify-mart"),
+                             (stopsolve.supermartingale_check, "verify-supermart")):
+            new, old = (path_average_check(check, model, params, sample, b_star, times,
+                                           cfg.runs, substream(cfg.seed, label), curve_type)
+                        for curve_type in (stopsolve.TildeCurve, PchipTildeCurve))
+            assert (new.reference, new.reference_se) == (old.reference, old.reference_se)
+            for a, b in zip(new.estimates + new.decrements, old.estimates + old.decrements):
+                assert abs(a.value - b.value) <= 1e-3 * b.std_error
+                assert a.std_error == pytest.approx(b.std_error, rel=1e-3)
 
 
 class TestPasting:
@@ -218,30 +283,32 @@ class TestLaplaceIdentity:
 class TestPathAverages:
     def test_degenerate_martingale_exact(self, rng):
         model, params, sample = make_degen(c=1.0)
-        chk = stopsolve.martingale_check(model, params, sample, 1.0, (0.0, 0.5, 1.0), 5, rng)
+        chk = path_average_check(stopsolve.martingale_check, model, params, sample, 1.0,
+                                 (0.0, 0.5, 1.0), 5, rng)
         for est in chk.estimates:
             assert est.value == pytest.approx(chk.reference, rel=1e-9)
             assert est.std_error == pytest.approx(0.0, abs=1e-12)
 
     def test_time_zero_is_reference(self, ref_model, ref_params, ref_sample, ref_solved, rng):
-        chk = stopsolve.martingale_check(
-            ref_model, ref_params, ref_sample, ref_solved.b_star, (0.0,), 50, rng
+        chk = path_average_check(
+            stopsolve.martingale_check, ref_model, ref_params, ref_sample, ref_solved.b_star,
+            (0.0,), 50, rng,
         )
         assert chk.estimates[0].value == pytest.approx(chk.reference, rel=1e-7)
 
     def test_reference_constancy(self, ref_model, ref_params, ref_sample, ref_solved):
-        chk = stopsolve.martingale_check(
-            ref_model, ref_params, ref_sample, ref_solved.b_star, (0.5, 1.0, 2.0),
-            20_000, substream(23, "mart"),
+        chk = path_average_check(
+            stopsolve.martingale_check, ref_model, ref_params, ref_sample, ref_solved.b_star,
+            (0.5, 1.0, 2.0), 20_000, substream(23, "mart"),
         )
         for est in chk.estimates:
             tol = 3.0 * math.hypot(est.std_error, chk.reference_se)
             assert abs(est.value - chk.reference) <= tol
 
     def test_supermartingale_decreasing(self, ref_model, ref_params, ref_sample, ref_solved):
-        chk = stopsolve.supermartingale_check(
-            ref_model, ref_params, ref_sample, ref_solved.b_star, (0.0, 0.5, 1.0, 2.0),
-            10_000, substream(24, "sup"),
+        chk = path_average_check(
+            stopsolve.supermartingale_check, ref_model, ref_params, ref_sample,
+            ref_solved.b_star, (0.0, 0.5, 1.0, 2.0), 10_000, substream(24, "sup"),
         )
         assert chk.estimates[0].value == pytest.approx(chk.reference, rel=1e-7)
         for est in chk.estimates:
@@ -256,9 +323,9 @@ class TestPathAverages:
         # the discounted optimal value drops below its start almost at once.
         model = ref_model
         params = levy.make_params(model, gamma=1.0, theta=1.0, q=1.0, c=2.0 * ref_solved.b_star)
-        chk = stopsolve.supermartingale_check(
-            model, params, ref_sample, ref_solved.b_star, (0.25,),
-            4_000, substream(25, "sup-stop"),
+        chk = path_average_check(
+            stopsolve.supermartingale_check, model, params, ref_sample, ref_solved.b_star,
+            (0.25,), 4_000, substream(25, "sup-stop"),
         )
         est = chk.estimates[0]
         assert est.value < chk.reference - 3.0 * est.std_error
@@ -267,9 +334,9 @@ class TestPathAverages:
         # Constant until the deterministic passage at ln(2/1.25) ~ 0.47, then
         # strictly decreasing.
         model, params, sample = make_degen(c=0.25)
-        chk = stopsolve.supermartingale_check(
-            model, params, sample, 1.0, (0.1, 0.3, 1.0, 2.0), 3,
-            np.random.default_rng(0),
+        chk = path_average_check(
+            stopsolve.supermartingale_check, model, params, sample, 1.0, (0.1, 0.3, 1.0, 2.0),
+            3, np.random.default_rng(0),
         )
         vals = [e.value for e in chk.estimates]
         assert vals[0] == pytest.approx(chk.reference, rel=1e-9)
