@@ -303,10 +303,11 @@ def _in_chunks(engine, keys: list) -> FrozenBlocks:
 
 @dataclass(frozen=True)
 class EnsembleResult:
+    """Per-run payoffs, and the frozen blocks with each block's payoff contribution."""
+
     payoffs: np.ndarray
-    dust_frozen: int
-    partial: int
-    block_rows: list | None  # (run, mass, accrued, freeze_time, contribution)
+    blocks: FrozenBlocks
+    contributions: np.ndarray
 
     @property
     def estimate(self) -> MomentEstimate:
@@ -323,7 +324,6 @@ def ensemble_payoffs(
     dust_floor: float = 1e-12,
     horizon: float = math.inf,
     block_cap: int = 1_000_000,
-    collect_blocks: bool = False,
 ) -> EnsembleResult:
     """Independent stopping-line runs; bit-identical for a fixed seed.
 
@@ -337,12 +337,8 @@ def ensemble_payoffs(
         dust_floor=dust_floor, horizon=horizon, block_cap=block_cap,
     ), keys)
     contrib = frozen.contributions(params)
-    payoffs = np.bincount(frozen.run, weights=contrib, minlength=n_runs)
-    rows = None
-    if collect_blocks:
-        rows = list(zip(frozen.run.tolist(), frozen.mass.tolist(), frozen.accrued.tolist(),
-                        frozen.frozen_at.tolist(), contrib.tolist()))
-    return EnsembleResult(payoffs, frozen.dust_frozen, frozen.partial, rows)
+    return EnsembleResult(np.bincount(frozen.run, weights=contrib, minlength=n_runs),
+                          frozen, contrib)
 
 
 # --- statistical identities -------------------------------------------------------

@@ -21,6 +21,8 @@ import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import expfun, fragsim, levy, pathsim, stopsolve
 from .levy import DislocationModel, ModelParams
 from .streams import substream
@@ -211,10 +213,10 @@ def dumps_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def format_csv(kind: str, header: list[str], rows: list[tuple]) -> str:
-    lines = [f"# schema: {SCHEMA}.{kind}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row))
+def format_csv(kind: str, header: list[str], columns: list) -> str:
+    """CSV text of equal-length columns; each cell is the repr of its Python int or float."""
+    cells = (map(repr, np.asarray(col).tolist()) for col in columns)
+    lines = [f"# schema: {SCHEMA}.{kind}", ",".join(header), *map(",".join, zip(*cells))]
     return "\n".join(lines) + "\n"
 
 
@@ -378,7 +380,9 @@ def cmd_sweep(cfg: RunConfig, axis: str, grid: list[float]) -> tuple[str, dict]:
     """Solve across a parameter grid; returns (csv_text, summary)."""
     if axis not in _SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {_SWEEP_AXES}, got {axis!r}")
-    rows = []
+    if not grid:
+        raise ConfigError("bad --grid: it names no grid point")
+    bs, values = [], []
     shared = None
     for value in grid:
         point = with_overrides(cfg, **{axis: value})
@@ -393,10 +397,10 @@ def cmd_sweep(cfg: RunConfig, axis: str, grid: list[float]) -> tuple[str, dict]:
             shared = sample
         res = stopsolve.solve_b_star(model, params, sample,
                                      rel_tol_b=point.bisect_rel_tol, diagnostics=False)
-        rows.append((value, res.b_star, res.value_at_c))
-    csv_text = format_csv("sweep", ["grid_point", "b_star", "value_at_c"], rows)
-    bs = [r[1] for r in rows]
-    tol = cfg.bisect_rel_tol * (max(bs) if bs else 1.0)
+        bs.append(res.b_star)
+        values.append(res.value_at_c)
+    csv_text = format_csv("sweep", ["grid_point", "b_star", "value_at_c"], [grid, bs, values])
+    tol = cfg.bisect_rel_tol * max(bs)
     summary = {
         "schema": SCHEMA, "command": "sweep", "axis": axis, "grid": list(grid),
         "b_star": bs,
@@ -419,11 +423,14 @@ def parse_line_spec(spec: str, literal: bool = False):
 
     'optimal' without an explicit threshold returns None for the threshold;
     the caller solves for it first.  An argument out of range is a config
-    error: such a line would freeze blocks before time 0 or never fire.
+    error: such a line would freeze blocks before time 0 or never fire, and
+    so is `literal` on a line with no statistic.
     """
     kind, _, arg = spec.partition(":")
     if kind not in _LINE_RANGES:
         raise ConfigError(f"unknown line spec {spec!r} (use fixed:T, mass:A, optimal[:B])")
+    if literal and kind != "optimal":
+        raise ConfigError(f"--literal-theorem-statistic needs an optimal line, not {spec!r}")
     if kind == "optimal" and not arg:
         return None
     try:
@@ -455,13 +462,13 @@ def cmd_simulate(cfg: RunConfig, line_spec: str, literal: bool = False) -> tuple
     result = fragsim.ensemble_payoffs(
         model, params, line, cfg.runs, cfg.seed,
         dust_floor=cfg.dust_floor, horizon=cfg.horizon, block_cap=cfg.block_cap,
-        collect_blocks=True,
     )
     est = result.estimate
+    blocks = result.blocks
     csv_text = format_csv(
         "blocks",
         ["run", "mass", "accrued", "freeze_time", "payoff_contribution"],
-        result.block_rows,
+        [blocks.run, blocks.mass, blocks.accrued, blocks.frozen_at, result.contributions],
     )
     line_desc = {"kind": type(line).__name__}
     if isinstance(line, fragsim.FixedTime):
@@ -474,7 +481,7 @@ def cmd_simulate(cfg: RunConfig, line_spec: str, literal: bool = False) -> tuple
         "schema": SCHEMA, "command": "simulate", "config": cfg.echo(),
         "line": line_desc, "n_runs": cfg.runs,
         "mean_payoff": est.value, "std_error": est.std_error,
-        "dust_frozen": result.dust_frozen, "partial": result.partial,
+        "dust_frozen": blocks.dust_frozen, "partial": blocks.partial,
     }
     if solved_b is not None:
         summary["b_star"] = solved_b

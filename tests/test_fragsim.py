@@ -29,6 +29,13 @@ def keys(seed, label, n):
     return [run_key(seed, label, i) for i in range(n)]
 
 
+def block_rows(res) -> list[tuple]:
+    """(run, mass, accrued, freeze_time, contribution) of each frozen block of an ensemble."""
+    b = res.blocks
+    return list(zip(b.run.tolist(), b.mass.tolist(), b.accrued.tolist(), b.frozen_at.tolist(),
+                    res.contributions.tolist()))
+
+
 class TestStep:
     def test_point_split_halves(self):
         model, params = point_params()
@@ -225,12 +232,10 @@ class TestEnsembles:
         # A block of mass <= 0.1 frozen by MassBelow(0.5) descends from blocks
         # above 0.5, which split identically under MassBelow(0.1): the same
         # split times and shares give the same block, bit for bit.
-        coarse = fragsim.ensemble_payoffs(ref_model, ref_params, MassBelow(0.5), 200, 15,
-                                          collect_blocks=True)
-        fine = fragsim.ensemble_payoffs(ref_model, ref_params, MassBelow(0.1), 200, 15,
-                                        collect_blocks=True)
-        fine_rows = set(fine.block_rows)
-        shared = [row for row in coarse.block_rows if row[1] <= 0.1]
+        coarse = fragsim.ensemble_payoffs(ref_model, ref_params, MassBelow(0.5), 200, 15)
+        fine = fragsim.ensemble_payoffs(ref_model, ref_params, MassBelow(0.1), 200, 15)
+        fine_rows = set(block_rows(fine))
+        shared = [row for row in block_rows(coarse) if row[1] <= 0.1]
         assert len(shared) >= 50
         assert all(row in fine_rows for row in shared)
 
@@ -252,20 +257,19 @@ class TestEnsembles:
     def test_literal_never_fired_rows(self, ref_model, ref_params, ref_solved):
         res = fragsim.ensemble_payoffs(ref_model, ref_params,
                                        OptimalStatistic(ref_solved.b_star, literal=True),
-                                       200, 8, collect_blocks=True)
-        never = [row for row in res.block_rows if row[3] == math.inf]
+                                       200, 8)
+        never = [row for row in block_rows(res) if row[3] == math.inf]
         assert len(never) >= 10
         assert all(math.isnan(row[2]) and row[4] == 0.0 for row in never)
-        assert all(math.isfinite(row[2]) for row in res.block_rows if row[3] < math.inf)
+        assert all(math.isfinite(row[2]) for row in block_rows(res) if row[3] < math.inf)
 
     def test_block_rows_collected(self, ref_model, ref_params):
-        res = fragsim.ensemble_payoffs(
-            ref_model, ref_params, FixedTime(0.5), 10, 9, collect_blocks=True
-        )
-        assert res.block_rows
-        run_ids = {row[0] for row in res.block_rows}
+        res = fragsim.ensemble_payoffs(ref_model, ref_params, FixedTime(0.5), 10, 9)
+        rows = block_rows(res)
+        assert rows
+        run_ids = {row[0] for row in rows}
         assert run_ids == set(range(10))
-        for _, mass, accrued, freeze_time, contrib in res.block_rows:
+        for _, mass, accrued, freeze_time, contrib in rows:
             assert 0.0 < mass <= 1.0
             assert freeze_time == 0.5
 
@@ -549,8 +553,8 @@ class TestReferenceEngine:
         params = levy.make_params(model, gamma=1.0, theta=1.0, q=1.0, c=0.25)
         ref = np.array([reference_run(model, params, line, run_key(20, "reference", i))[:2]
                         for i in range(self.N)])
-        res = fragsim.ensemble_payoffs(model, params, line, self.N, 21, collect_blocks=True)
-        counts = np.bincount([row[0] for row in res.block_rows], minlength=self.N)
+        res = fragsim.ensemble_payoffs(model, params, line, self.N, 21)
+        counts = np.bincount(res.blocks.run, minlength=self.N)
         self._agree(res.payoffs, ref[:, 0], "payoff")
         self._agree(counts, ref[:, 1], "blocks")
 
@@ -558,14 +562,10 @@ class TestReferenceEngine:
         line, opts = MassBelow(0.001), {"dust_floor": 0.05, "horizon": 1.5}
         ref = np.array([reference_run(ref_model, ref_params, line, run_key(22, "reference", i),
                                       **opts)[2:] for i in range(self.N)])
-        res = fragsim.ensemble_payoffs(ref_model, ref_params, line, self.N, 23,
-                                       collect_blocks=True, **opts)
-        run = np.array([row[0] for row in res.block_rows])
-        mass = np.array([row[1] for row in res.block_rows])
-        t = np.array([row[3] for row in res.block_rows])
-        dust = np.bincount(run[mass < 0.05], minlength=self.N)
-        partial = np.bincount(run[t == 1.5], minlength=self.N)
-        assert (dust.sum(), partial.sum()) == (res.dust_frozen, res.partial)
+        blocks = fragsim.ensemble_payoffs(ref_model, ref_params, line, self.N, 23, **opts).blocks
+        dust = np.bincount(blocks.run[blocks.mass < 0.05], minlength=self.N)
+        partial = np.bincount(blocks.run[blocks.frozen_at == 1.5], minlength=self.N)
+        assert (dust.sum(), partial.sum()) == (blocks.dust_frozen, blocks.partial)
         self._agree(dust, ref[:, 0], "dust")
         self._agree(partial, ref[:, 1], "partial")
 

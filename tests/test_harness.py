@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from fragstop import harness, stopsolve
+from fragstop import fragsim, harness, stopsolve
 from fragstop.cli import main
 from fragstop.harness import ConfigError, parse_config_text
 
@@ -307,9 +308,12 @@ class TestSweepCommand:
         assert max(bs) - min(bs) <= 2e-6 * max(bs)
 
     def test_empty_grid(self, degen_cfg_path, capsys):
-        assert main(["sweep", "--config", degen_cfg_path, "--axis", "q", "--grid", ""]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 2  # schema comment + header only
+        for grid in ("", ","):
+            assert main(["sweep", "--config", degen_cfg_path, "--axis", "q", "--grid", grid]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            err = json.loads(captured.err)
+            assert err["error"] == "config" and "bad --grid" in err["message"]
 
     def test_unknown_axis(self, degen_cfg_path, capsys):
         assert main(["sweep", "--config", degen_cfg_path, "--axis", "zeta", "--grid", "1"]) == 2
@@ -351,6 +355,13 @@ class TestSimulateCommand:
         summary = json.loads(capsys.readouterr().err)
         assert summary["line"]["literal"] is True
 
+    @pytest.mark.parametrize("spec", ["fixed:1.0", "mass:0.1"])
+    def test_literal_flag_needs_optimal_line(self, spec, ref_cfg_path, capsys):
+        assert main(["simulate", "--config", ref_cfg_path, "--runs", "20",
+                     "--line", spec, "--literal-theorem-statistic"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and spec in err["message"]
+
     @pytest.mark.parametrize("spec", [
         "sometimes:1", "mass:0", "mass:-1", "mass:nan", "mass:inf", "fixed:-1", "fixed:nan",
         "fixed:inf", "optimal:nan", "optimal:inf",
@@ -387,3 +398,48 @@ class TestSimulateCommand:
                      "--line", "mass:0.1", "--seed", str(2**128)]) == 0
         summary = json.loads(capsys.readouterr().err)
         assert summary["n_runs"] == 5 and summary["mean_payoff"] > 0.0
+
+
+def per_row_csv(kind, header, rows) -> str:
+    """The per-row formatter `format_csv` replaced: one tuple per row, each cell type-tested."""
+    lines = [f"# schema: {harness.SCHEMA}.{kind}", ",".join(header)]
+    for row in rows:
+        lines.append(",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestFormatCsv:
+    HEADER = ["run", "mass", "accrued", "freeze_time", "payoff_contribution"]
+
+    def test_columns_match_per_row_formatter(self):
+        # The engine's column types: int64 runs, float64 values, among them a
+        # never-fired block (accrued nan, freeze time inf, contribution 0).
+        columns = [
+            np.array([0, 0, 1, 7, 2**40], dtype=np.int64),
+            np.array([0.5, 0.5, 1.0, 1e-300, 5e-324]),
+            np.array([0.1, np.nan, 0.0, -0.0, 1.0 / 3.0]),
+            np.array([1.0, np.inf, 0.0, 2.5e10, 1e-7]),
+            np.array([0.3125, 0.0, 0.25, 1e-310, 2.0 / 3.0]),
+        ]
+        rows = list(zip(*(c.tolist() for c in columns)))
+        text = harness.format_csv("blocks", self.HEADER, columns)
+        assert text == per_row_csv("blocks", self.HEADER, rows)
+        assert text.splitlines()[3] == "0,0.5,nan,inf,0.0"
+
+    def test_sweep_lists_match_per_row_formatter(self):
+        # The sweep's columns are lists of Python and numpy floats.
+        grid, bs, values = [0.1, 0.25], [np.float64(0.78), 0.5], [np.float64(0.3), 1e20]
+        text = harness.format_csv("sweep", ["grid_point", "b_star", "value_at_c"],
+                                  [grid, bs, values])
+        assert text == per_row_csv("sweep", ["grid_point", "b_star", "value_at_c"],
+                                   list(zip(grid, bs, values)))
+
+    def test_simulate_matches_per_row_formatter(self):
+        cfg = parse_config_text(REF_CFG)
+        res = fragsim.ensemble_payoffs(cfg.model(), cfg.params(),
+                                       fragsim.OptimalStatistic(0.78, literal=True), 50, 4)
+        b = res.blocks
+        columns = [b.run, b.mass, b.accrued, b.frozen_at, res.contributions]
+        assert np.isinf(b.frozen_at).any()
+        assert harness.format_csv("blocks", self.HEADER, columns) == per_row_csv(
+            "blocks", self.HEADER, list(zip(*(c.tolist() for c in columns))))
