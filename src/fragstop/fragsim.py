@@ -24,11 +24,11 @@ splits into two children.  Randomness is counter-based (SplitMix64 style):
 draw k of the block with 64-bit hash h is mix(h + (k+1)*golden) for the
 SplitMix64 finaliser mix.  Draws 0 and 1 give the holding time (by
 inversion) and the split share, draws 2 and 3 are the hashes of the two
-children, and the root's hash is the run key.  The cascade is therefore a
-function of the run key and the genealogy alone: two runs with different
-stopping lines but the same run key realize the same underlying cascade
-(common random numbers across strategies), and results do not depend on
-how runs are chunked.
+children, and the root's hash is the run key (`streams.run_key`, one raw
+word of a PCG64 substream per run).  The cascade is therefore a function of
+the run key and the genealogy alone: two runs with different stopping lines
+but the same run key realize the same underlying cascade (common random
+numbers across strategies), and results do not depend on chunking.
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ def run_stopping_line(
     model: DislocationModel,
     params: ModelParams,
     line: StoppingLine,
-    keys: list,
+    keys: np.ndarray,
     *,
     dust_floor: float = 1e-12,
     horizon: float = math.inf,
@@ -235,7 +235,7 @@ def run_stopping_line(
     literal = isinstance(line, OptimalStatistic) and line.literal
     n_runs = len(keys)
     run = np.arange(n_runs)
-    h = np.array(keys, dtype=np.uint64)
+    h = np.asarray(keys, dtype=np.uint64)
     mass, born, acc = np.ones(n_runs), np.zeros(n_runs), np.zeros(n_runs)
     zeta = np.full(n_runs, params.c)
     created = np.ones(n_runs, dtype=np.int64)
@@ -274,12 +274,12 @@ def run_stopping_line(
 
 
 def evolve_to_time(model: DislocationModel, params: ModelParams, t: float,
-                   keys: list) -> FrozenBlocks:
+                   keys: np.ndarray) -> FrozenBlocks:
     """The blocks alive at calendar time t: the FixedTime(t) line, with no dust floor."""
     return run_stopping_line(model, params, FixedTime(t), keys, dust_floor=0.0)
 
 
-def _in_chunks(engine, keys: list) -> FrozenBlocks:
+def _in_chunks(engine, keys: np.ndarray) -> FrozenBlocks:
     """engine(keys) over chunks of at most CHUNK_RUNS runs.
 
     A chunk over the block budget is rerun as its first half, and later
@@ -327,15 +327,15 @@ def ensemble_payoffs(
 ) -> EnsembleResult:
     """Independent stopping-line runs; bit-identical for a fixed seed.
 
-    Run i draws only from streams rooted at run_key(master_seed, "simulate",
-    i).  Reusing the same seed with a different line pairs the runs by
-    common random numbers.
+    Run i draws only from block streams rooted at its key, word i of
+    run_key(master_seed, "simulate", n_runs), so the first runs of a larger
+    ensemble repeat a smaller one.  Reusing the same seed with a different
+    line pairs the runs by common random numbers.
     """
-    keys = [run_key(master_seed, "simulate", i) for i in range(n_runs)]
     frozen = _in_chunks(functools.partial(
         run_stopping_line, model, params, line,
         dust_floor=dust_floor, horizon=horizon, block_cap=block_cap,
-    ), keys)
+    ), run_key(master_seed, "simulate", n_runs))
     contrib = frozen.contributions(params)
     return EnsembleResult(np.bincount(frozen.run, weights=contrib, minlength=n_runs),
                           frozen, contrib)
@@ -379,14 +379,14 @@ def many_to_one_fixed_time(
 
     lhs: Monte Carlo mean of sum_blocks mass^(1+p) with p the power named by
     f_id (const1 / identity / square), over the blocks alive at t in runs
-    rooted at run_key(master_seed, "m21-fixed-<f_id>", i).  rhs: the
+    keyed by run_key(master_seed, "m21-fixed-<f_id>", n_runs).  rhs: the
     closed-form lineage value exp(-t * phi(p)).
     """
     if f_id not in _FIXED_TIME_FUNCTIONALS:
         raise InvalidModelError(f"unknown test functional {f_id!r}")
     p = _FIXED_TIME_FUNCTIONALS[f_id]
-    keys = [run_key(master_seed, f"m21-fixed-{f_id}", i) for i in range(n_runs)]
-    alive = _in_chunks(functools.partial(evolve_to_time, model, params, t), keys)
+    alive = _in_chunks(functools.partial(evolve_to_time, model, params, t),
+                       run_key(master_seed, f"m21-fixed-{f_id}", n_runs))
     vals = np.bincount(alive.run, weights=alive.mass ** (1.0 + p), minlength=n_runs)
     rhs = MomentEstimate(math.exp(-t * levy.phi(model, p)), 0.0, 0)
     return ManyToOneResult(MomentEstimate.of(vals), rhs)
@@ -408,8 +408,8 @@ def many_to_one_stopping_line(
     """
     if not 0.0 < a <= 1.0:
         raise InvalidModelError(f"mass threshold must be in (0, 1], got {a}")
-    keys = [run_key(master_seed, "m21-line-frag", i) for i in range(n_runs)]
-    frozen = _in_chunks(functools.partial(run_stopping_line, model, params, MassBelow(a)), keys)
+    frozen = _in_chunks(functools.partial(run_stopping_line, model, params, MassBelow(a)),
+                        run_key(master_seed, "m21-line-frag", n_runs))
     lhs_vals = np.bincount(
         frozen.run, minlength=n_runs,
         weights=frozen.mass * np.exp(-params.q * frozen.frozen_at)

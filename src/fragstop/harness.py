@@ -322,9 +322,9 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
     for x, kind, one_sided in ((0.5 * b_star, "tilde", False), (2.0 * b_star, "star", True)):
         res = stopsolve.generator_residual_estimate(model, params, sample, b_star, x, kind=kind)
         checks.append(_check(
-            f"generator_residual_{kind}_x={x:.6g}", res.value,
+            f"generator_residual_{kind}", res.value,
             3.0 * res.std_error + 1e-6 * (1.0 + x), one_sided=one_sided,
-            std_error=res.std_error,
+            std_error=res.std_error, x=x,
         ))
 
     n_mom = 1 if params.kappa / params.gamma < 2.0 else 2

@@ -1,10 +1,11 @@
 """Reproducible random-number streams.
 
 Every stochastic routine in the package takes an explicit generator or a
-derived key, never global state.  Streams are derived from a single master
-seed by hashing a purpose label plus a replicate index, so results are
-bit-reproducible for a fixed master seed regardless of how replicates are
-chunked.
+derived key, never global state.  All streams come from one derivation: the
+SeedSequence of the master seed spawned at (hash of a purpose label, index).
+Routines draw from its PCG64 generator; the run keys of an ensemble are the
+raw words of its (label, 0) stream, one per run, so they do not depend on
+chunking and a smaller ensemble's keys are a prefix of a larger one's.
 """
 
 from __future__ import annotations
@@ -24,15 +25,9 @@ def substream(master_seed: int, label: str, index: int = 0) -> np.random.Generat
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def run_key(master_seed: int, label: str, index: int = 0) -> int:
-    """64-bit root hash of the counter-based block streams of one fragmentation run.
+def run_key(master_seed: int, label: str, n: int) -> np.ndarray:
+    """Root hashes of the counter-based block streams of runs 0..n-1, as uint64.
 
-    The seed is hashed as at least 16 little-endian bytes, more for seeds of
-    2**128 and above.
+    They are the first n raw words of the (label, 0) substream.
     """
-    h = hashlib.blake2b(digest_size=8)
-    n_bytes = max(16, (master_seed.bit_length() + 7) // 8)
-    h.update(master_seed.to_bytes(n_bytes, "little", signed=False))
-    h.update(label.encode())
-    h.update(index.to_bytes(8, "little", signed=False))
-    return int.from_bytes(h.digest(), "little")
+    return substream(master_seed, label).bit_generator.random_raw(n)

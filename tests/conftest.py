@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -15,6 +16,20 @@ def degenerate_sample(params: levy.ModelParams) -> expfun.SharedSample:
         gamma=params.gamma, theta=params.theta,
         kappa=params.kappa, lam=params.lam, rel_tol=0.0, seed=0,
     )
+
+
+def reference_run_key(master_seed: int, label: str, index: int) -> int:
+    """Run key of run `index` as blake2b hashed it before run keys came from a substream.
+
+    The seed is hashed as at least 16 little-endian bytes, more for seeds of
+    2**128 and above; one hash per run.
+    """
+    h = hashlib.blake2b(digest_size=8)
+    n_bytes = max(16, (master_seed.bit_length() + 7) // 8)
+    h.update(master_seed.to_bytes(n_bytes, "little", signed=False))
+    h.update(label.encode())
+    h.update(index.to_bytes(8, "little", signed=False))
+    return int.from_bytes(h.digest(), "little")
 
 
 # --- scalar reference walks: one path, one scalar jump at a time -------------------

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -11,22 +12,19 @@ import numpy as np
 import pytest
 
 from fragstop import fragsim, harness, levy, pathsim
+from fragstop.cli import main
 from fragstop.fragsim import BlockCapError, FixedTime, FrozenBlocks, MassBelow, OptimalStatistic
 from fragstop.levy import BinaryBeta, BinaryPoint, BinaryUniform, InvalidModelError
 from fragstop.streams import run_key
 
-from conftest import scalar_first_passage, scalar_split, simulate_Z_path
+from conftest import reference_run_key, scalar_first_passage, scalar_split, simulate_Z_path
 
-KEY = run_key(0, "test", 0)
+KEY = int(run_key(0, "test", 1)[0])
 
 
 def point_params(c=0.25):
     model = BinaryPoint(1.0, 0.5)
     return model, levy.make_params(model, gamma=1.0, theta=1.0, q=1.0, c=c)
-
-
-def keys(seed, label, n):
-    return [run_key(seed, label, i) for i in range(n)]
 
 
 def block_rows(res) -> list[tuple]:
@@ -49,7 +47,7 @@ class TestStep:
     def test_mass_conserved_over_many_steps(self, ref_model, ref_params):
         # A run's block count at t = 6 is geometric with mean e^6 ~ 403, so
         # one run may well stay small; 20 runs hold about 8000 blocks.
-        alive = fragsim.evolve_to_time(ref_model, ref_params, 6.0, keys(0, "test", 20))
+        alive = fragsim.evolve_to_time(ref_model, ref_params, 6.0, run_key(0, "test", 20))
         mass = np.bincount(alive.run, weights=alive.mass)
         np.testing.assert_allclose(mass, 1.0, rtol=0.0, atol=1e-12)
         assert alive.mass.size > 2000
@@ -62,7 +60,7 @@ class TestStep:
         # Binary splitting at unit rate per block doubles at rate 1: E|live| = e^t.
         model, params = point_params()
         t, n_runs = 1.0, 4000
-        alive = fragsim.evolve_to_time(model, params, t, keys(7, "yule", n_runs))
+        alive = fragsim.evolve_to_time(model, params, t, run_key(7, "yule", n_runs))
         counts = np.bincount(alive.run, minlength=n_runs)
         se = counts.std(ddof=1) / math.sqrt(n_runs)
         assert abs(counts.mean() - math.exp(t)) <= 3.0 * se
@@ -86,7 +84,7 @@ class TestStoppingLines:
     def test_optimal_statistic_skip_free(self, ref_model, ref_params, ref_solved):
         b = ref_solved.b_star
         frozen = fragsim.run_stopping_line(
-            ref_model, ref_params, OptimalStatistic(b), keys(1, "skipfree", 30)
+            ref_model, ref_params, OptimalStatistic(b), run_key(1, "skipfree", 30)
         )
         assert frozen.dust_frozen == 0 and frozen.partial == 0
         stat = np.exp(ref_params.gt * frozen.frozen_at) * frozen.mass**ref_params.gamma * (
@@ -335,7 +333,7 @@ def splitmix64(seed: int):
 
 
 class TestBlockStream:
-    HASHES = [0, 1, KEY, MASK64, run_key(1, "test", 0)]
+    HASHES = [0, 1, KEY, MASK64, int(run_key(1, "test", 1)[0])]
 
     def test_matches_fresh_generator_interleaved(self):
         # Counter-based draws are stateless: any interleaving of (hash,
@@ -551,7 +549,8 @@ class TestReferenceEngine:
     @pytest.mark.parametrize("line", REF_LINES, ids=["fixed", "mass", "optimal", "literal"])
     def test_means_agree(self, model, line):
         params = levy.make_params(model, gamma=1.0, theta=1.0, q=1.0, c=0.25)
-        ref = np.array([reference_run(model, params, line, run_key(20, "reference", i))[:2]
+        ref = np.array([reference_run(model, params, line,
+                                      reference_run_key(20, "reference", i))[:2]
                         for i in range(self.N)])
         res = fragsim.ensemble_payoffs(model, params, line, self.N, 21)
         counts = np.bincount(res.blocks.run, minlength=self.N)
@@ -560,7 +559,8 @@ class TestReferenceEngine:
 
     def test_dust_and_partial_agree(self, ref_model, ref_params):
         line, opts = MassBelow(0.001), {"dust_floor": 0.05, "horizon": 1.5}
-        ref = np.array([reference_run(ref_model, ref_params, line, run_key(22, "reference", i),
+        ref = np.array([reference_run(ref_model, ref_params, line,
+                                      reference_run_key(22, "reference", i),
                                       **opts)[2:] for i in range(self.N)])
         blocks = fragsim.ensemble_payoffs(ref_model, ref_params, line, self.N, 23, **opts).blocks
         dust = np.bincount(blocks.run[blocks.mass < 0.05], minlength=self.N)
@@ -570,29 +570,66 @@ class TestReferenceEngine:
         self._agree(partial, ref[:, 1], "partial")
 
 
+class TestRunKeys:
+    N = 1500
+
+    @pytest.mark.parametrize("line", REF_LINES[:3], ids=["fixed", "mass", "optimal"])
+    def test_payoffs_agree_with_blake2b_keys(self, ref_model, ref_params, line):
+        # Run keys are words of one substream, where they were one blake2b
+        # hash per run: the payoff law must not notice.
+        old = fragsim._in_chunks(
+            functools.partial(fragsim.run_stopping_line, ref_model, ref_params, line),
+            [reference_run_key(24, "simulate", i) for i in range(self.N)])
+        old_payoffs = np.bincount(old.run, weights=old.contributions(ref_params),
+                                  minlength=self.N)
+        new = fragsim.ensemble_payoffs(ref_model, ref_params, line, self.N, 24)
+        TestReferenceEngine._agree(new.payoffs, old_payoffs, "payoff")
+
+    def test_smaller_ensemble_is_prefix(self):
+        small = simulate_bytes("mass:0.1", runs=40).split("{")[0]
+        large = simulate_bytes("mass:0.1", runs=100).split("{")[0]
+        assert small.count("\n") > 42 and large.startswith(small)
+
+    def test_keys_are_prefix_stable(self):
+        np.testing.assert_array_equal(run_key(5, "simulate", 40), run_key(5, "simulate", 100)[:40])
+        assert run_key(5, "simulate", 3).dtype == np.uint64
+
+    def test_large_seeds(self, tmp_path, capsys):
+        seeds = (0, 2**64, 2**200)
+        firsts = {int(run_key(seed, "simulate", 1)[0]) for seed in seeds}
+        assert len(firsts) == len(seeds)
+        cfg = tmp_path / "readme.cfg"
+        cfg.write_text(README_CFG)
+        for seed in seeds:
+            assert main(["simulate", "--config", str(cfg), "--runs", "5", "--line", "mass:0.1",
+                         "--seed", str(seed)]) == 0
+            summary = json.loads(capsys.readouterr().err)
+            assert summary["config"]["seed"] == seed and summary["mean_payoff"] > 0.0
+
+
 # sha256 of the `simulate` CSV plus its JSON summary on the README model,
-# recorded when the batched engine and its counter-based block streams
-# replaced the per-block engine (numpy 2.4, x86_64 Linux).  Any change to
-# the draws or the arithmetic of the cascade shows up here.
+# recorded when run keys became the raw words of one substream per ensemble
+# (numpy 2.4, x86_64 Linux).  Any change to the draws or the arithmetic of
+# the cascade shows up here.
 GOLDEN_SIMULATE = [
     pytest.param("optimal:0.78", False, {"runs": 200},
-                 "9d84548b32f49f443ac1d73913ce81ac18bcdd2744cd0eb28908ae4befd8b499",
+                 "4ff9600afebb2291429fa9431713939b19df18ccd97a0b2bd6ebd5c86ad89a51",
                  id="optimal"),
     pytest.param("optimal:0.78", True, {"runs": 200},
-                 "9b7551ebc027e7bcebe649139e9d43b5bc2078376209c7c4a6fe040d81bdf9af",
+                 "5cb972a90a5935d72c4469339a4fa13552b23736b8fde0388df4e3b192728acd",
                  id="optimal-literal"),
     pytest.param("mass:0.01", False, {"runs": 20},
-                 "44810ad87b5babc2c54bf3fb27fa2c963f4beea5f3626e3d22313c725564ff20",
+                 "87c1a0e3f91d844e7bf62435f73ad5fb8d1c64fe8752eb2196e78a37840220e8",
                  id="mass"),
     pytest.param("fixed:2.0", False, {"runs": 60},
-                 "66c29947f1f8dcaaa9cba9d5bc8566c428ac464794765187e6c1fd659c06aaf5",
+                 "abfe28ec0b3c3410035195209b13b8d496ddcc5e566ab8f739b4b2058902a5d8",
                  id="fixed"),
     pytest.param("mass:0.01", False, {"runs": 20, "workers": 2},
-                 "44810ad87b5babc2c54bf3fb27fa2c963f4beea5f3626e3d22313c725564ff20",
+                 "87c1a0e3f91d844e7bf62435f73ad5fb8d1c64fe8752eb2196e78a37840220e8",
                  id="mass-workers2"),
-    # dust and horizon branches: 38 dust blocks, 97 partial
+    # dust and horizon branches: 26 dust blocks, 106 partial
     pytest.param("mass:0.001", False, {"runs": 40, "dust_floor": 0.05, "horizon": 1.5},
-                 "3a8664c92f014f238d13a10ab993dd84da6161b524fcab60af9be66175f304bf",
+                 "0d38327f5a60fafc912533a82cd0acb1fffb5a948eb4795824d5d08211e810d0",
                  id="dust-horizon"),
 ]
 
@@ -600,15 +637,15 @@ GOLDEN_SIMULATE = [
 # sha256 of the `solve` JSON, the `sweep --axis c` CSV plus its summary, and
 # the `verify` JSON on the README model at 3000 samples and 300 runs.  The
 # solve and sweep digests were recorded before the tagged-lineage hook left
-# the cascade engine, the verify digest when one log-log spline value curve
-# replaced the two per-check PCHIP curves (it moves only the path-average
-# entries).  At this size `verify` fails `threshold_dominance_high`
+# the cascade engine, the verify digest when run keys became substream words
+# (it moves the many-to-one lhs entries) and the generator-residual checks
+# took fixed names.  At this size `verify` fails `threshold_dominance_high`
 # (exit 4); the digest pins its bytes all the same.
 GOLDEN_SIZES = {"samples": 3000, "runs": 300}
 SWEEP_C_GRID = [0.1, 0.25, 0.5, 1.0]
 GOLDEN_SOLVE = "c923cc7e87d5cc80c121165676f62e3633d1bd484f3508f586098728a532e43b"
 GOLDEN_SWEEP_C = "60766602801a8688f63e52951dbe7fabc79b681ea3b09b1335866ac245472d88"
-GOLDEN_VERIFY = "ef1208fc611a50b1db31385fe47d6f97c4ea4fafa01292f987fb4abb09c71fb5"
+GOLDEN_VERIFY = "f7232934b14f3de10beac5b329afbf7bdae451799879048206098cb1113c9dbb"
 
 
 def sha256(text: str) -> str:
@@ -638,5 +675,5 @@ class TestGoldenOutputs:
     def test_many_to_one_line_values(self):
         cfg = harness.parse_config_text(README_CFG)
         res = fragsim.many_to_one_stopping_line(cfg.model(), cfg.params(), 0.1, 500, 12345)
-        assert (res.lhs.value, res.lhs.std_error) == (0.08131145554938993, 0.0035972895403371835)
+        assert (res.lhs.value, res.lhs.std_error) == (0.0772817506905252, 0.0035716595527077004)
         assert (res.rhs.value, res.rhs.std_error) == (0.07344157910764244, 0.007546318079055327)

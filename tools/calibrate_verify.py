@@ -36,9 +36,9 @@ CORRUPT = 1.5
 
 
 def failed_checks(cfg, corrupt_bstar: float = 1.0) -> list[str]:
-    """Names of the failed checks; a generator-residual name drops its seed-dependent x."""
+    """Names of the failed checks."""
     payload, _ = harness.cmd_verify(cfg, corrupt_bstar=corrupt_bstar)
-    return [c["name"].split("_x=")[0] for c in payload["checks"] if not c["pass"]]
+    return [c["name"] for c in payload["checks"] if not c["pass"]]
 
 
 def main(argv=None) -> int:
