@@ -96,23 +96,12 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 raise ConfigError(f"bad --grid: {exc}") from exc
             csv_text, summary = harness.cmd_sweep(cfg, args.axis, grid)
-            if args.out is None:
-                sys.stdout.write(csv_text)
-                sys.stderr.write(harness.dumps_json(summary))
-            else:
-                Path(args.out).write_text(csv_text)
-                sys.stdout.write(harness.dumps_json(summary))
-            return EXIT_OK
-        # simulate
-        csv_text, summary = harness.cmd_simulate(
-            cfg, args.line, literal=args.literal_theorem_statistic
-        )
-        if args.out is None:
-            sys.stdout.write(csv_text)
-            sys.stderr.write(harness.dumps_json(summary))
         else:
-            Path(args.out).write_text(csv_text)
-            sys.stdout.write(harness.dumps_json(summary))
+            csv_text, summary = harness.cmd_simulate(
+                cfg, args.line, literal=args.literal_theorem_statistic
+            )
+        _emit(csv_text, args.out)
+        (sys.stderr if args.out is None else sys.stdout).write(harness.dumps_json(summary))
         return EXIT_OK
     except (ConfigError, InvalidModelError) as exc:
         _fail("config", exc)

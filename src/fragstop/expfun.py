@@ -18,6 +18,7 @@ integral at the first jump and is valid while kappa - n*gamma >= 0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,6 +30,9 @@ from .streams import substream
 # Draws per sampler batch.  It fixes how each substream is consumed, so
 # changing it changes every shared sample drawn from a given seed.
 SAMPLE_CHUNK = 4096
+
+# x^s overflows once s * log(x) passes the log of the largest float.
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,9 @@ Alongside its mass every block carries two path functionals, both exact:
 
 which between splits obeys the same linear ODE as the single-lineage premium
 process Z (d zeta/dt = 1 + gamma*theta*zeta) and at a split is multiplied by
-fragment_share^gamma.  Threshold crossings of zeta therefore have closed
-forms and the statistic along a size-biased lineage reproduces Z exactly.
+fragment_share^gamma.  Its advances and threshold crossings therefore are
+Z's closed forms, `pathsim.z_advance` and `pathsim.z_crossing_dt`, and the
+statistic along a size-biased lineage reproduces Z exactly.
 
 Stopping lines freeze blocks at per-block times measurable with respect to
 the block's own history; both children of a split inherit the parent's
@@ -116,12 +117,6 @@ def accrued_at(params: ModelParams, mass, born, accrued, t):
     return accrued + mass ** (-params.gamma) * (np.exp(-gt * born) - np.exp(-gt * t)) / gt
 
 
-def zeta_at(params: ModelParams, born, zeta, t):
-    """Statistic at times t >= born: (zeta + 1/gt) e^{gt (t - born)} - 1/gt."""
-    m = 1.0 / params.gt
-    return (zeta + m) * np.exp(params.gt * (t - born)) - m
-
-
 def freeze_times(line: StoppingLine, params: ModelParams, mass, born, zeta) -> np.ndarray:
     """Each block's own line time; may be inf (literal statistic only)."""
     if isinstance(line, FixedTime):
@@ -129,13 +124,13 @@ def freeze_times(line: StoppingLine, params: ModelParams, mass, born, zeta) -> n
     if isinstance(line, MassBelow):
         return np.where(mass <= line.a, born, np.inf)
     gt = params.gt
-    m = 1.0 / gt
     with np.errstate(divide="ignore", invalid="ignore"):
         if not line.literal:
-            return np.where(zeta >= line.b, born, born + np.log((line.b + m) / (zeta + m)) / gt)
+            return born + pathsim.z_crossing_dt(zeta, line.b, gt)
         # Literal variant: eta(t) = e^{-gt t} zeta(t) increases toward the cap
-        # K = (zeta_birth + m) e^{-gt born}; caps only shrink at splits, so
-        # K <= b closes the whole subtree exactly.
+        # K = (zeta_birth + m) e^{-gt born}, m = 1/gt; caps only shrink at
+        # splits, so K <= b closes the whole subtree exactly.
+        m = 1.0 / gt
         decay = np.exp(-gt * born)
         cap = (zeta + m) * decay
         return np.where(cap - m * decay >= line.b, born,
@@ -150,7 +145,7 @@ def split_blocks(params: ModelParams, mass, born, accrued, zeta, t, share):
     is scaled by each child's share^gamma.
     """
     acc = accrued_at(params, mass, born, accrued, t)
-    z = zeta_at(params, born, zeta, t)
+    z = pathsim.z_advance(zeta, t - born, params.gt)
     shares = np.column_stack([share, 1.0 - share]).ravel()
     return (np.repeat(mass, 2) * shares, np.repeat(t, 2), np.repeat(acc, 2),
             np.repeat(z, 2) * shares ** params.gamma)
@@ -347,7 +342,6 @@ def ensemble_payoffs(
 LINE_CAP = 1e6
 
 _FIXED_TIME_FUNCTIONALS = {
-    "const1": 0.0,
     "identity": 1.0,
     "square": 2.0,
 }
@@ -357,10 +351,6 @@ _FIXED_TIME_FUNCTIONALS = {
 class ManyToOneResult:
     lhs: MomentEstimate
     rhs: MomentEstimate
-
-    @property
-    def gap(self) -> float:
-        return self.lhs.value - self.rhs.value
 
     @property
     def combined_se(self) -> float:
@@ -378,7 +368,7 @@ def many_to_one_fixed_time(
     """Block-average identity at a fixed time.
 
     lhs: Monte Carlo mean of sum_blocks mass^(1+p) with p the power named by
-    f_id (const1 / identity / square), over the blocks alive at t in runs
+    f_id (identity / square), over the blocks alive at t in runs
     keyed by run_key(master_seed, "m21-fixed-<f_id>", n_runs).  rhs: the
     closed-form lineage value exp(-t * phi(p)).
     """

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,63 +49,39 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-# key -> (parser, default); REQUIRED means no default.
-_REQUIRED = object()
-_CONFIG_KEYS = {
-    "family": (str, _REQUIRED),
-    "rate": (float, None),
-    "s0": (float, None),
-    "shape": (float, None),
-    "gamma": (float, _REQUIRED),
-    "theta": (float, _REQUIRED),
-    "q": (float, _REQUIRED),
-    "c": (float, _REQUIRED),
-    "allow_q_zero": (_parse_bool, False),
-    "samples": (int, 100_000),
-    "runs": (int, 10_000),
-    "seed": (int, 0),
-    "workers": (int, 1),
-    "rel_tol": (float, 1e-6),
-    "bisect_rel_tol": (float, 1e-6),
-    "block_cap": (int, 1_000_000),
-    "dust_floor": (float, 1e-12),
-    "horizon": (float, 1000.0),
-    "fp_horizon": (float, 1e4),
-}
-
 _FAMILIES = ("uniform", "point", "beta", "none")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
+    """The config keys; a key without a default is required."""
+
     family: str
-    rate: float | None
-    s0: float | None
-    shape: float | None
+    rate: float | None = None
+    s0: float | None = None
+    shape: float | None = None
     gamma: float
     theta: float
     q: float
     c: float
-    allow_q_zero: bool
-    samples: int
-    runs: int
-    seed: int
-    workers: int
-    rel_tol: float
-    bisect_rel_tol: float
-    block_cap: int
-    dust_floor: float
-    horizon: float
-    fp_horizon: float
+    allow_q_zero: bool = False
+    samples: int = 100_000
+    runs: int = 10_000
+    seed: int = 0
+    workers: int = 1
+    rel_tol: float = 1e-6
+    bisect_rel_tol: float = 1e-6
+    block_cap: int = 1_000_000
+    dust_floor: float = 1e-12
+    horizon: float = 1000.0
+    fp_horizon: float = 1e4
 
     def model(self) -> DislocationModel:
-        if self.family == "none":
-            return levy.BinaryUniform(0.0)
-        if self.family == "uniform":
-            return levy.BinaryUniform(self.rate)
         if self.family == "point":
             return levy.BinaryPoint(self.rate, self.s0)
-        return levy.BinaryBeta(self.rate, self.shape)
+        if self.family == "beta":
+            return levy.BinaryBeta(self.rate, self.shape)
+        return levy.BinaryUniform(self.rate)  # family none has rate 0
 
     def params(self) -> ModelParams:
         return levy.make_params(
@@ -163,6 +139,11 @@ def _validated(raw: dict) -> RunConfig:
     return RunConfig(**raw)
 
 
+# key -> (parser of its annotation, default); MISSING marks a required key.
+_PARSERS = {"str": str, "float": float, "float | None": float, "int": int, "bool": _parse_bool}
+_CONFIG_KEYS = {f.name: (_PARSERS[f.type], f.default) for f in fields(RunConfig)}
+
+
 def parse_config_text(text: str) -> RunConfig:
     raw: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -185,7 +166,7 @@ def parse_config_text(text: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
 
-    missing = [k for k, (_, d) in _CONFIG_KEYS.items() if d is _REQUIRED and k not in raw]
+    missing = [k for k, (_, d) in _CONFIG_KEYS.items() if d is MISSING and k not in raw]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
     for key, (_, default) in _CONFIG_KEYS.items():
@@ -203,8 +184,8 @@ def parse_config(path: str | Path) -> RunConfig:
 
 
 def with_overrides(cfg: RunConfig, **overrides) -> RunConfig:
-    fields = {k: v for k, v in overrides.items() if v is not None}
-    return _validated({**asdict(cfg), **fields}) if fields else cfg
+    given = {k: v for k, v in overrides.items() if v is not None}
+    return _validated({**asdict(cfg), **given}) if given else cfg
 
 
 # --- serialization ----------------------------------------------------------------
@@ -223,6 +204,8 @@ def format_csv(kind: str, header: list[str], columns: list) -> str:
 # --- commands ----------------------------------------------------------------------
 
 def _shared_sample(cfg: RunConfig, model, params) -> expfun.SharedSample:
+    """The shared sample a solve needs, drawn only if its threshold equation can start."""
+    stopsolve.threshold_exponent(params)
     return expfun.draw_shared_sample(
         model, params, cfg.samples, seed=cfg.seed, rel_tol=cfg.rel_tol
     )
@@ -235,7 +218,7 @@ def cmd_solve(cfg: RunConfig) -> dict:
     result = stopsolve.solve_b_star(
         model, params, sample, rel_tol_b=cfg.bisect_rel_tol
     )
-    return {"schema": SCHEMA, "command": "solve", "config": cfg.echo(), **result.to_dict()}
+    return {"schema": SCHEMA, "command": "solve", "config": cfg.echo(), **asdict(result)}
 
 
 def _check(name: str, value: float, tolerance: float, *, target: float = 0.0,
@@ -270,6 +253,12 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
     solved = stopsolve.solve_b_star(model, params, sample,
                                     rel_tol_b=cfg.bisect_rel_tol, diagnostics=False)
     b_star = solved.b_star * corrupt_bstar
+    p = params.kappa / params.gamma
+    with np.errstate(over="ignore", divide="ignore"):  # the value's errors divide by E[(b+I)^p]^4
+        if not 4.0 * np.log(np.mean((b_star + sample.draws) ** p)) < expfun.LOG_FLOAT_MAX:
+            raise ConfigError(f"verify needs E[(b + I)^p]^4 finite for its standard errors, but "
+                              f"it overflows at b = {b_star} (b* times --corrupt-bstar "
+                              f"{corrupt_bstar})")
     floor = 1e-9
     checks = []
 
@@ -327,7 +316,7 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
             std_error=res.std_error, x=x,
         ))
 
-    n_mom = 1 if params.kappa / params.gamma < 2.0 else 2
+    n_mom = 1 if p < 2.0 else 2
     for n in range(1, n_mom + 1):
         mc = expfun.estimate_moment(sample, 0.0, float(n))
         checks.append(_check(
@@ -470,16 +459,9 @@ def cmd_simulate(cfg: RunConfig, line_spec: str, literal: bool = False) -> tuple
         ["run", "mass", "accrued", "freeze_time", "payoff_contribution"],
         [blocks.run, blocks.mass, blocks.accrued, blocks.frozen_at, result.contributions],
     )
-    line_desc = {"kind": type(line).__name__}
-    if isinstance(line, fragsim.FixedTime):
-        line_desc["t"] = line.t
-    elif isinstance(line, fragsim.MassBelow):
-        line_desc["a"] = line.a
-    else:
-        line_desc.update({"b": line.b, "literal": line.literal})
     summary = {
         "schema": SCHEMA, "command": "simulate", "config": cfg.echo(),
-        "line": line_desc, "n_runs": cfg.runs,
+        "line": {"kind": type(line).__name__, **asdict(line)}, "n_runs": cfg.runs,
         "mean_payoff": est.value, "std_error": est.std_error,
         "dust_frozen": blocks.dust_frozen, "partial": blocks.partial,
     }

@@ -182,6 +182,8 @@ def kappa_root(model: DislocationModel, theta: float, lam: float) -> float:
         )
     while hi - lo > KAPPA_TOL:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if psi(model, theta, mid) - lam < 0.0:
             lo = mid
         else:
@@ -190,16 +192,6 @@ def kappa_root(model: DislocationModel, theta: float, lam: float) -> float:
 
 
 # --- split-law sampling -----------------------------------------------------
-
-def sample_splits(model: DislocationModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n larger-fragment masses s drawn from the family's split law."""
-    if isinstance(model, BinaryUniform):
-        return 0.5 * (1.0 + rng.random(n))
-    if isinstance(model, BinaryPoint):
-        return np.full(n, model.s0)
-    v = rng.beta(model.shape, model.shape, size=n)
-    return np.maximum(v, 1.0 - v)
-
 
 def split_quantile(model: DislocationModel, u: np.ndarray) -> np.ndarray:
     """Larger-fragment shares s from uniforms u on [0, 1), by inversion of the split law.
@@ -229,18 +221,19 @@ def sample_jump(model: DislocationModel, kappa: float, n: int, rng: np.random.Ge
         raise DomainError("the degenerate model has no jumps")
     if isinstance(model, BinaryPoint):
         s, t = model.s0, 1.0 - model.s0
-        if kappa == 0.0:
-            w = s
-        else:
-            ws = s ** (1.0 + kappa)
-            w = ws / (ws + t ** (1.0 + kappa))
+        ws = s ** (1.0 + kappa)  # at kappa = 0, w = s exactly: 1 - s is exact for s >= 1/2
+        w = ws / (ws + t ** (1.0 + kappa))
         picks = np.where(rng.random(n) < w, s, t)
         return -np.log(picks)
     out = np.empty(n)
     filled = 0
     while filled < n:
         m = max(n - filled, 1024)
-        s = sample_splits(model, m, rng)
+        if isinstance(model, BinaryBeta):
+            v = rng.beta(model.shape, model.shape, size=m)
+            s = np.maximum(v, 1.0 - v)
+        else:
+            s = split_quantile(model, rng.random(m))
         picks = np.where(rng.random(m) < s, s, 1.0 - s)
         if kappa > 0.0:
             picks = picks[rng.random(m) < picks**kappa]
@@ -337,18 +330,12 @@ class TiltedDynamics:
     jump_rate: float
 
 
-def tilt(
-    model: DislocationModel,
-    params: ModelParams,
-    *,
-    kappa: float | None = None,
-) -> TiltedDynamics:
+def tilt(model: DislocationModel, params: ModelParams) -> TiltedDynamics:
     """Build the tilted dynamics for the discount params.lam (tilt params.kappa).
 
-    Pass kappa=0.0 for the physical (untilted) dynamics.
+    Params with kappa = 0 give the physical (untilted) dynamics.
     """
-    if kappa is None:
-        kappa = params.kappa
+    kappa = params.kappa
     if kappa < 0.0:
         raise DomainError(f"kappa must be >= 0, got {kappa}")
     rate = model.rate - (phi(model, kappa) if kappa > 0.0 else 0.0)

@@ -25,6 +25,9 @@ import numpy as np
 from . import levy
 from .levy import AssumptionError, DislocationModel, ModelParams, TiltedDynamics
 
+# Steps after which a batched walk that still has unfinished paths gives up.
+MAX_STEPS = 1_000_000
+
 
 # --- closed-form segment arithmetic (elementwise over arrays) ------------------
 
@@ -165,8 +168,6 @@ def simulate_I_infty(
     n: int,
     *,
     rel_tol: float = 1e-6,
-    max_steps: int = 1_000_000,
-    tail_correction: bool = True,
 ) -> np.ndarray:
     """n independent draws of the lifetime integral of exp(gamma * Y) under `tilted`.
 
@@ -180,10 +181,10 @@ def simulate_I_infty(
 
     The output depends on n (it sets how many variates each step takes from
     rng), so callers that need prefix-stable samples must fix n.  Raises
-    AssumptionError if any draw is still unfinished after max_steps steps.
+    AssumptionError if any draw is still unfinished after MAX_STEPS steps.
     """
     gamma, theta, gt = params.gamma, params.theta, params.gt
-    m1 = _tilted_first_moment(tilted.model, params, tilted.kappa) if tail_correction else 0.0
+    m1 = _tilted_first_moment(tilted.model, params, tilted.kappa)
     if tilted.jump_rate == 0.0:
         # Pure drift: the truncation time solves the stopping rule exactly and
         # the conditional tail mean restores 1/(gamma*theta) with no error.
@@ -194,9 +195,9 @@ def simulate_I_infty(
     y = np.zeros(n)
     acc = np.zeros(n)
     scale = 1.0 / tilted.jump_rate
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         w = rng.exponential(scale, live.size)
-        acc -= np.exp(gamma * y) * np.expm1(-gt * w) / gt
+        acc += segment_exp_integral(y, w, gamma, theta)
         y += levy.sample_jump(tilted.model, tilted.kappa, live.size, rng) - theta * w
         weight = np.exp(gamma * y)
         done = weight < rel_tol * acc
@@ -207,7 +208,7 @@ def simulate_I_infty(
         if live.size == 0:
             return out
     raise AssumptionError(
-        f"{live.size} of {n} integrals failed to converge within {max_steps} jumps; "
+        f"{live.size} of {n} integrals failed to converge within {MAX_STEPS} jumps; "
         "the tilted driver does not appear to drift downward"
     )
 
@@ -218,7 +219,6 @@ def simulate_tagged_mass_passage(
     a: float,
     n: int,
     rng: np.random.Generator,
-    max_steps: int = 1_000_000,
 ) -> tuple[np.ndarray, np.ndarray]:
     """First times the lineage masses exp(-xi) of n paths drop to <= a, with the accrued premium.
 
@@ -226,7 +226,7 @@ def simulate_tagged_mass_passage(
     The paths advance together, one jump per step, and a path retires at
     the jump that takes its mass to <= a (mass is piecewise constant), so
     both values are exact.  Raises AssumptionError if a path is still above
-    a after max_steps steps.
+    a after MAX_STEPS steps.
     """
     ell, acc = np.zeros(n), np.zeros(n)
     if a >= 1.0:
@@ -237,7 +237,7 @@ def simulate_tagged_mass_passage(
     log_a = -math.log(a)
     live = np.arange(n)
     t, xi, acc_live = np.zeros(n), np.zeros(n), np.zeros(n)
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         w = _holding_times(model, live.size, rng)
         acc_live += segment_exp_integral(xi - theta * t, w, gamma, theta)
         t += w
@@ -248,4 +248,4 @@ def simulate_tagged_mass_passage(
         live, t, xi, acc_live = live[keep], t[keep], xi[keep], acc_live[keep]
         if live.size == 0:
             return ell, acc
-    raise AssumptionError(f"{live.size} of {n} masses never reached {a} within {max_steps} jumps")
+    raise AssumptionError(f"{live.size} of {n} masses never reached {a} within {MAX_STEPS} jumps")

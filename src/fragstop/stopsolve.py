@@ -24,7 +24,7 @@ import numpy as np
 from scipy import integrate, interpolate, special
 
 from . import expfun, levy, pathsim
-from .expfun import MomentEstimate, SharedSample
+from .expfun import LOG_FLOAT_MAX, MomentEstimate, SharedSample
 from .levy import AssumptionError, DislocationModel, DomainError, ModelParams
 
 
@@ -50,16 +50,6 @@ class SolverResult:
     f_at_b_star: float
     sample_meta: dict
     diagnostics: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "b_star": self.b_star,
-            "kappa": self.kappa,
-            "value_at_c": self.value_at_c,
-            "f_at_b_star": self.f_at_b_star,
-            "sample_meta": self.sample_meta,
-            "diagnostics": self.diagnostics,
-        }
 
 
 # --- value functions ----------------------------------------------------------
@@ -153,6 +143,27 @@ class TildeCurve:
 
 # --- solving ------------------------------------------------------------------
 
+_NO_START = "f(c) is not finite at c = {}; no bracket can start there"
+
+
+def threshold_exponent(params: ModelParams) -> float:
+    """p = kappa/gamma of f(b) = p; raises if p <= 1 or f(c) overflows on every sample.
+
+    Every lifetime integral is at least 1/(gamma*theta), as Y = xi - theta*t only
+    jumps up, so f(c) overflows on every sample once p * log(c + 1/(gamma*theta)) does.
+    """
+    p = params.kappa / params.gamma
+    if not p > 1.0:
+        raise AssumptionError(
+            f"kappa/gamma = {p} <= 1: the threshold equation has no root "
+            "(q = 0 with a trivial family is outside the solvable regime)"
+        )
+    # 1 - 1e-9 absorbs the rounding of the sampled integrals.
+    if params.gt > 0.0 and p * math.log(params.c + (1.0 - 1e-9) / params.gt) > LOG_FLOAT_MAX:
+        raise DivergenceError(_NO_START.format(params.c))
+    return p
+
+
 def solve_b_star(
     model: DislocationModel,
     params: ModelParams,
@@ -168,12 +179,7 @@ def solve_b_star(
     width rel_tol_b, or earlier once the bracket is one ulp wide.
     Requires kappa/gamma > 1, which holds whenever q > 0.
     """
-    p = params.kappa / params.gamma
-    if not p > 1.0:
-        raise AssumptionError(
-            f"kappa/gamma = {p} <= 1: the threshold equation has no root "
-            "(q = 0 with a trivial family is outside the solvable regime)"
-        )
+    p = threshold_exponent(params)
 
     def g(b: float) -> float:
         return expfun.f_of_b(sample, params, b) - p
@@ -182,7 +188,7 @@ def solve_b_star(
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         g0 = g(params.c)
     if not math.isfinite(g0):
-        raise DivergenceError(f"f(c) is not finite at c = {params.c}; no bracket can start there")
+        raise DivergenceError(_NO_START.format(params.c))
     if g0 > 0.0:
         hi = 2.0 * params.c
         while math.isfinite(hi) and not g(hi) <= 0.0:
@@ -258,17 +264,13 @@ def _jump_term(model: DislocationModel, params: ModelParams, value_fn, x: float,
     gamma = params.gamma
     if levy.is_degenerate(model):
         return 0.0
-    if isinstance(model, levy.BinaryPoint):
-        s, t = model.s0, 1.0 - model.s0
-        val = s * (value_fn(s**gamma * x) - fx)
-        if t > 0.0:
-            val += t * (value_fn(t**gamma * x) - fx)
-        return model.rate * val
 
     def branches(s: float) -> float:
         t = 1.0 - s
         return s * (value_fn(s**gamma * x) - fx) + t * (value_fn(t**gamma * x) - fx)
 
+    if isinstance(model, levy.BinaryPoint):
+        return model.rate * branches(model.s0)
     if isinstance(model, levy.BinaryUniform):
         val, _ = integrate.quad(lambda s: 2.0 * branches(s), 0.5, 1.0,
                                 epsabs=QUAD_TOL, epsrel=1e-8, limit=100)
@@ -397,10 +399,21 @@ class DiscountedValueCheck:
     decrements: tuple         # MomentEstimate of X_{t_k} - X_{t_{k+1}}, paired
 
 
-def _check_from_matrix(times, vals) -> tuple:
-    ests = tuple(MomentEstimate.of(vals[:, k]) for k in range(times.size))
-    decs = tuple(MomentEstimate.of(vals[:, k] - vals[:, k + 1]) for k in range(times.size - 1))
-    return ests, decs
+def _discounted_value_check(params, sample, curve, times, z, *, star: bool
+                            ) -> DiscountedValueCheck:
+    """Means of e^{-lam t} V(Z_t) against V(c), V the optimal value if star else the candidate."""
+    times = np.asarray(times, dtype=float)
+    cols = (np.exp(-params.lam * times)[None, :] * (curve.star(z) if star else curve.tilde(z))).T
+    b_star, p = curve.b_star, params.kappa / params.gamma
+    # Above b*, V*(c) = c exactly: the payoff of stopping at once.
+    exact = star and params.c > b_star
+    ref_se = 0.0 if exact else b_star * expfun.ratio_of_power_means(sample, params.c, b_star, p)[1]
+    return DiscountedValueCheck(
+        tuple(times), tuple(map(MomentEstimate.of, cols)),
+        reference=(value_star if star else value_tilde)(params, sample, b_star, params.c),
+        reference_se=ref_se,
+        decrements=tuple(MomentEstimate.of(a - b) for a, b in zip(cols, cols[1:])),
+    )
 
 
 def martingale_check(
@@ -415,16 +428,7 @@ def martingale_check(
     z[:, k] holds the simulated Z of every path at times[k]; the curve
     must span z and carries b*.
     """
-    times = np.asarray(times, dtype=float)
-    vals = np.exp(-params.lam * times)[None, :] * curve.tilde(z)
-    ests, decs = _check_from_matrix(times, vals)
-    b_star = curve.b_star
-    p = params.kappa / params.gamma
-    _, ref_se = expfun.ratio_of_power_means(sample, params.c, b_star, p)
-    return DiscountedValueCheck(tuple(times), ests,
-                                reference=value_tilde(params, sample, b_star, params.c),
-                                reference_se=b_star * ref_se,
-                                decrements=decs)
+    return _discounted_value_check(params, sample, curve, times, z, star=False)
 
 
 def supermartingale_check(
@@ -438,19 +442,7 @@ def supermartingale_check(
 
     z and curve as in martingale_check.
     """
-    times = np.asarray(times, dtype=float)
-    vals = np.exp(-params.lam * times)[None, :] * curve.star(z)
-    ests, decs = _check_from_matrix(times, vals)
-    b_star = curve.b_star
-    if params.c > b_star:
-        ref, ref_se = params.c, 0.0
-    else:
-        p = params.kappa / params.gamma
-        _, se = expfun.ratio_of_power_means(sample, params.c, b_star, p)
-        ref, ref_se = value_star(params, sample, b_star, params.c), b_star * se
-    return DiscountedValueCheck(tuple(times), ests,
-                                reference=ref, reference_se=ref_se,
-                                decrements=decs)
+    return _discounted_value_check(params, sample, curve, times, z, star=True)
 
 
 # --- brute-force threshold sweep -------------------------------------------------
@@ -458,13 +450,7 @@ def supermartingale_check(
 @dataclass(frozen=True)
 class ThresholdSweep:
     thresholds: np.ndarray
-    mean_payoffs: np.ndarray
-    std_errors: np.ndarray
     discounts: np.ndarray  # per-path discount factors, one column per threshold
-
-    @property
-    def argmax(self) -> float:
-        return float(self.thresholds[int(np.argmax(self.mean_payoffs))])
 
 
 def threshold_payoff_sweep(
@@ -476,14 +462,12 @@ def threshold_payoff_sweep(
     *,
     horizon: float = 1e4,
 ) -> ThresholdSweep:
-    """Monte Carlo value b * E[e^{-lam tau_b}] of every threshold strategy.
+    """Per-path discounts e^{-lam tau_b} behind the value b * E[e^{-lam tau_b}] of each threshold.
 
     One path realization serves every threshold (common random numbers), so
     neighboring grid points are directly comparable; the mean payoff curve
     peaks within sampling error at the optimal threshold.
     """
     bs = np.asarray(sorted(thresholds), dtype=float)
-    disc = pathsim.first_passage_payoff_sums(model, params, bs, params.lam, n_paths, rng, horizon)
-    mean_d = disc.mean(axis=0)
-    se_d = disc.std(axis=0, ddof=1) / math.sqrt(n_paths) if n_paths > 1 else np.zeros(bs.size)
-    return ThresholdSweep(bs, bs * mean_d, bs * se_d, disc)
+    return ThresholdSweep(
+        bs, pathsim.first_passage_payoff_sums(model, params, bs, params.lam, n_paths, rng, horizon))

@@ -173,6 +173,18 @@ def path_average_check(check, model, params, sample, b_star, times, n_paths, rng
     return check(params, sample, curve, times, z)
 
 
+def sweep_payoffs(sweep: stopsolve.ThresholdSweep) -> tuple[np.ndarray, np.ndarray]:
+    """Mean payoff b * E[e^{-lam tau_b}] of each swept threshold b, and its standard error."""
+    n = sweep.discounts.shape[0]
+    return (sweep.thresholds * sweep.discounts.mean(axis=0),
+            sweep.thresholds * sweep.discounts.std(axis=0, ddof=1) / math.sqrt(n))
+
+
+def sweep_argmax(sweep: stopsolve.ThresholdSweep) -> float:
+    """The swept threshold with the largest mean payoff."""
+    return float(sweep.thresholds[int(np.argmax(sweep_payoffs(sweep)[0]))])
+
+
 # Reference configuration: uniform binary splits at unit rate, all problem
 # constants 1 except the start c, which sits inside the continuation region
 # (the solved threshold is ~0.78).

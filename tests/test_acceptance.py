@@ -21,7 +21,7 @@ from fragstop import expfun, fragsim, levy, pathsim, stopsolve
 from fragstop.cli import main
 from fragstop.streams import substream
 
-from conftest import degenerate_sample, path_average_check
+from conftest import degenerate_sample, path_average_check, sweep_argmax
 
 REF_MODEL = levy.BinaryUniform(1.0)
 REF_PARAMS = levy.make_params(REF_MODEL, gamma=1.0, theta=1.0, q=1.0, c=0.25)
@@ -137,9 +137,8 @@ def test_criterion_05_threshold_optimality():
         sweep = stopsolve.threshold_payoff_sweep(
             REF_MODEL, REF_PARAMS, grid, 100_000, substream(ACC_SEED, "sweep")
         )
-        assert abs(sweep.argmax - b) <= step + 1e-12, (
-            f"argmax {sweep.argmax} vs b* {b} (step {step})"
-        )
+        argmax = sweep_argmax(sweep)
+        assert abs(argmax - b) <= step + 1e-12, f"argmax {argmax} vs b* {b} (step {step})"
 
 
 def test_criterion_06_martingale_and_supermartingale():
@@ -200,9 +199,9 @@ def test_criterion_08_many_to_one():
         for f_id, p in (("identity", 1.0), ("square", 2.0)):
             res = fragsim.many_to_one_fixed_time(REF_MODEL, REF_PARAMS, f_id, 1.0, 10_000, ACC_SEED)
             assert res.rhs.value == pytest.approx(math.exp(-levy.phi(REF_MODEL, p)), rel=1e-12)
-            assert abs(res.gap) <= 3.0 * res.combined_se, f_id
+            assert abs(res.lhs.value - res.rhs.value) <= 3.0 * res.combined_se, f_id
         res = fragsim.many_to_one_stopping_line(REF_MODEL, REF_PARAMS, 0.1, 10_000, ACC_SEED)
-        assert abs(res.gap) <= 3.0 * res.combined_se
+        assert abs(res.lhs.value - res.rhs.value) <= 3.0 * res.combined_se
 
 
 def test_criterion_09_optimal_line_end_to_end():
@@ -240,7 +239,7 @@ def test_criterion_10_negative_control_and_determinism(tmp_path, capsys):
         sweep = stopsolve.threshold_payoff_sweep(
             REF_MODEL, REF_PARAMS, grid, 30_000, substream(ACC_SEED, "neg-sweep")
         )
-        assert abs(sweep.argmax - corrupt) > step
+        assert abs(sweep_argmax(sweep) - corrupt) > step
 
         # criterion 7's smooth pasting breaks
         gaps = stopsolve.pasting_check(REF_PARAMS, sample, corrupt)

@@ -13,6 +13,7 @@ import pytest
 
 from fragstop import fragsim, harness, levy, pathsim
 from fragstop.cli import main
+from fragstop.expfun import MomentEstimate
 from fragstop.fragsim import BlockCapError, FixedTime, FrozenBlocks, MassBelow, OptimalStatistic
 from fragstop.levy import BinaryBeta, BinaryPoint, BinaryUniform, InvalidModelError
 from fragstop.streams import run_key
@@ -106,7 +107,8 @@ class TestStoppingLines:
             fragsim.accrued_at(ref_params, mass, born, acc, t) + ref_params.c
         )
         assert mass.size == 256 and mass.sum() == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(fragsim.zeta_at(ref_params, born, zeta, t), recon, rtol=1e-11)
+        np.testing.assert_allclose(pathsim.z_advance(zeta, t - born, ref_params.gt), recon,
+                                   rtol=1e-11)
 
     def test_horizon_flags_partial(self, ref_model, ref_params):
         frozen = fragsim.run_stopping_line(
@@ -145,7 +147,7 @@ def tagged_walk(model, params, line, rng) -> list[tuple[float, float]]:
         freeze_t = fragsim.freeze_times(line, params, mass, born, zeta)
         split_t = born + rng.exponential(1.0 / model.rate)
         if freeze_t[0] <= split_t[0]:
-            log.append((freeze_t[0], fragsim.zeta_at(params, born, zeta, freeze_t)[0]))
+            log.append((freeze_t[0], pathsim.z_advance(zeta, freeze_t - born, params.gt)[0]))
             return log
         s = scalar_split(model, rng)
         kids = fragsim.split_blocks(params, mass, born, acc, zeta, split_t, np.array([s]))
@@ -274,16 +276,20 @@ class TestEnsembles:
 
 class TestManyToOne:
     def test_const1_is_mass_conservation(self, ref_model, ref_params):
-        res = fragsim.many_to_one_fixed_time(ref_model, ref_params, "const1", 1.0, 200, 7)
-        assert res.lhs.value == pytest.approx(1.0, abs=1e-12)
-        assert res.lhs.std_error == pytest.approx(0.0, abs=1e-12)
-        assert res.rhs.value == 1.0
+        # The constant functional, p = 0: the block average is the total mass
+        # alive at t, which is 1 in every run, and exp(-t * phi(0)) = 1.
+        alive = fragsim.evolve_to_time(ref_model, ref_params, 1.0,
+                                       run_key(7, "m21-fixed-const1", 200))
+        lhs = MomentEstimate.of(np.bincount(alive.run, weights=alive.mass, minlength=200))
+        assert lhs.value == pytest.approx(1.0, abs=1e-12)
+        assert lhs.std_error == pytest.approx(0.0, abs=1e-12)
+        assert math.exp(-1.0 * levy.phi(ref_model, 0.0)) == 1.0
 
     @pytest.mark.parametrize("f_id,p", [("identity", 1.0), ("square", 2.0)])
     def test_fixed_time_identity(self, ref_model, ref_params, f_id, p):
         res = fragsim.many_to_one_fixed_time(ref_model, ref_params, f_id, 1.0, 5000, 31)
         assert res.rhs.value == pytest.approx(math.exp(-levy.phi(ref_model, p)), rel=1e-12)
-        assert abs(res.gap) <= 3.0 * res.combined_se
+        assert abs(res.lhs.value - res.rhs.value) <= 3.0 * res.combined_se
 
     def test_unknown_functional(self, ref_model, ref_params):
         with pytest.raises(InvalidModelError):
@@ -302,11 +308,11 @@ class TestManyToOne:
         closed = 0.5 - 1.0 / 3.0
         assert abs(res.lhs.value - closed) <= 3.0 * res.lhs.std_error
         assert abs(res.rhs.value - closed) <= 3.0 * res.rhs.std_error
-        assert abs(res.gap) <= 3.0 * res.combined_se
+        assert abs(res.lhs.value - res.rhs.value) <= 3.0 * res.combined_se
 
     def test_line_uniform_agreement(self, ref_model, ref_params):
         res = fragsim.many_to_one_stopping_line(ref_model, ref_params, 0.1, 4000, 13)
-        assert abs(res.gap) <= 3.0 * res.combined_se
+        assert abs(res.lhs.value - res.rhs.value) <= 3.0 * res.combined_se
 
 
 class TestOptimalLineValue:

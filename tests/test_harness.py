@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,6 +219,27 @@ class TestSolveCommand:
         err = json.loads(captured.err)
         assert (err["error"], err["type"]) == ("assumption", "DivergenceError")
 
+    @pytest.mark.parametrize("args,error_type", [
+        (["solve"], "DivergenceError"),
+        (["sweep", "--axis", "q", "--grid", "1e300"], "DivergenceError"),
+        (["sweep", "--axis", "gamma", "--grid", "1e300"], "AssumptionError"),
+    ], ids=["solve", "sweep-q", "sweep-gamma"])
+    def test_far_tilt_ends_quickly(self, args, error_type, tmp_path):
+        # At q = 1e4 and beyond, kappa is past the float spacing of the root's
+        # tolerance, where its bisection once never ended; and (c + I)^p
+        # overflows for every shared sample, so the solve stops before drawing
+        # one.  A child process keeps a regression from hanging the suite.
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text(with_key(with_key(REF_CFG, "q", 10000), "samples", 100_000))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fragstop.cli", *args, "--config", str(cfg)],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": str(Path(harness.__file__).resolve().parents[1])},
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr)["type"] == error_type
+
     def test_resource_cap_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cap.cfg"
         cfg.write_text(REF_CFG + "block_cap = 16\n")
@@ -249,6 +274,24 @@ class TestVerifyCommand:
         assert captured.out == ""
         err = json.loads(captured.err)
         assert err["error"] == "config" and "corrupt-bstar" in err["message"]
+
+    @pytest.mark.parametrize("factor", ["1e50", "1e300"])
+    def test_far_corrupt_factor_rejected(self, factor, ref_cfg_path, capsys):
+        # The value's standard errors divide by E[(b + I)^p]^4, which overflows
+        # at these thresholds; 1e50 once died with an OverflowError and 1e300
+        # with a non-finite value curve.
+        assert main(["verify", "--config", ref_cfg_path, "--samples", "2000", "--runs", "50",
+                     "--corrupt-bstar", factor]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "config" and "corrupt-bstar" in err["message"]
+
+    def test_large_corrupt_factor_fails_checks(self, ref_cfg_path, capsys):
+        assert main(["verify", "--config", ref_cfg_path, "--samples", "2000", "--runs", "50",
+                     "--corrupt-bstar", "1e20"]) == 4
+        payload = json.loads(capsys.readouterr().out)
+        assert not payload["all_pass"]
 
     def test_one_value_curve_per_verify(self, ref_cfg_path, monkeypatch, capsys):
         builds = []

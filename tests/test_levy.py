@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,6 +131,23 @@ class TestPsiKappa:
         kap = levy.kappa_root(BinaryUniform(1.0), 1.0, 2.0)
         assert kap == pytest.approx((1.0 + math.sqrt(17.0)) / 2.0, abs=1e-10)
 
+    def test_root_past_tolerance_spacing_ends(self):
+        # Above about 1e4 the float spacing near kappa exceeds KAPPA_TOL, and
+        # the bisection once looped forever on two adjacent floats; a child
+        # process keeps a regression from hanging the suite.
+        lams = (1e4, 1e8, 1e300)
+        child = ("from fragstop import levy\n"
+                 f"for lam in {lams!r}: print(levy.kappa_root(levy.BinaryUniform(1.0), 1.0, lam))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(levy.__file__).resolve().parents[1])},
+        )
+        assert proc.returncode == 0, proc.stderr
+        roots = [float(x) for x in proc.stdout.split()]
+        assert len(roots) == len(lams)
+        for lam, kap in zip(lams, roots):
+            assert levy.psi(BinaryUniform(1.0), 1.0, kap) == pytest.approx(lam, rel=1e-12)
+
     def test_kappa_small_lambda(self):
         assert levy.kappa_root(BinaryUniform(1.0), 1.0, 1e-9) < 1e-8
         assert levy.kappa_root(BinaryUniform(1.0), 1.0, 0.0) == 0.0
@@ -144,7 +166,7 @@ class TestPsiKappa:
 
 class TestTilt:
     def test_untilted_matches_physical(self, ref_model, ref_params):
-        dyn = levy.tilt(ref_model, ref_params, kappa=0.0)
+        dyn = levy.tilt(ref_model, replace(ref_params, kappa=0.0))
         assert dyn.jump_rate == pytest.approx(ref_model.rate, abs=1e-14)
 
     def test_reference_tilted_rate(self, ref_model, ref_params):

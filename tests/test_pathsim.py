@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -149,28 +150,28 @@ class TestLifetimeIntegral:
         draws = pathsim.simulate_I_infty(dyn, params, rng, 8)
         assert draws == pytest.approx(np.full(8, 2.0), abs=1e-12)
 
-    def test_tail_correction_is_nonnegative(self, ref_model, ref_params):
+    def test_tail_correction_is_nonnegative(self, ref_model, ref_params, monkeypatch):
         # The stopping rule ignores the tail mean, so both calls consume the
         # substream identically and the draws pair up elementwise.
         dyn = levy.tilt(ref_model, ref_params)
         with_tail = pathsim.simulate_I_infty(dyn, ref_params, substream(5, "tail"), 50)
-        without = pathsim.simulate_I_infty(
-            dyn, ref_params, substream(5, "tail"), 50, tail_correction=False
-        )
+        monkeypatch.setattr(pathsim, "_tilted_first_moment", lambda *args: 0.0)
+        without = pathsim.simulate_I_infty(dyn, ref_params, substream(5, "tail"), 50)
         assert np.all(with_tail >= without)
         assert np.any(with_tail > without)
 
     def test_untilted_infinite_mean_rejected(self, ref_model, ref_params, rng):
         # At gamma = theta = rate = 1 the physical-measure mean diverges, so
         # the tail correction must refuse rather than return garbage.
-        dyn = levy.tilt(ref_model, ref_params, kappa=0.0)
+        dyn = levy.tilt(ref_model, replace(ref_params, kappa=0.0))
         with pytest.raises(AssumptionError):
             pathsim.simulate_I_infty(dyn, ref_params, rng, 16)
 
-    def test_step_budget_exhausted(self, ref_model, ref_params, rng):
+    def test_step_budget_exhausted(self, ref_model, ref_params, rng, monkeypatch):
+        monkeypatch.setattr(pathsim, "MAX_STEPS", 1)
         dyn = levy.tilt(ref_model, ref_params)
         with pytest.raises(AssumptionError, match="failed to converge within 1 jumps"):
-            pathsim.simulate_I_infty(dyn, ref_params, rng, 64, max_steps=1)
+            pathsim.simulate_I_infty(dyn, ref_params, rng, 64)
 
     @pytest.mark.parametrize(
         "model",
@@ -205,10 +206,10 @@ class TestTaggedMassPassage:
         ell, acc = pathsim.simulate_tagged_mass_passage(ref_model, ref_params, 1.0, 3, rng)
         assert ell.tolist() == acc.tolist() == [0.0, 0.0, 0.0]
 
-    def test_step_budget_exhausted(self, ref_model, ref_params, rng):
+    def test_step_budget_exhausted(self, ref_model, ref_params, rng, monkeypatch):
+        monkeypatch.setattr(pathsim, "MAX_STEPS", 1)
         with pytest.raises(AssumptionError, match="within 1 jumps"):
-            pathsim.simulate_tagged_mass_passage(ref_model, ref_params, 1e-6, 64, rng,
-                                                 max_steps=1)
+            pathsim.simulate_tagged_mass_passage(ref_model, ref_params, 1e-6, 64, rng)
 
 
 FAMILIES = [BinaryUniform(1.0), BinaryPoint(1.0, 0.7), BinaryBeta(1.0, 0.5)]

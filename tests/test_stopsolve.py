@@ -8,7 +8,7 @@ from fragstop import expfun, harness, levy, pathsim, stopsolve
 from fragstop.levy import AssumptionError, BinaryUniform, DomainError
 from fragstop.streams import substream
 
-from conftest import degenerate_sample, path_average_check
+from conftest import degenerate_sample, path_average_check, sweep_argmax, sweep_payoffs
 
 
 def make_degen(q=1.0, c=0.25, gamma=1.0, theta=1.0):
@@ -351,9 +351,10 @@ class TestThresholdSweep:
         grid = np.linspace(0.5, 2.0, 7)
         sweep = stopsolve.threshold_payoff_sweep(model, params, grid, 10, rng)
         expected = grid * ((params.c + 1.0) / (grid + 1.0)) ** 2
-        assert np.allclose(sweep.mean_payoffs, expected, rtol=1e-12)
+        means, std_errors = sweep_payoffs(sweep)
+        assert np.allclose(means, expected, rtol=1e-12)
         # every path is the same deterministic passage; only rounding remains
-        assert np.allclose(sweep.std_errors, 0.0, atol=1e-8)
+        assert np.allclose(std_errors, 0.0, atol=1e-8)
 
     def test_reference_peak_near_threshold(self, ref_model, ref_params, ref_solved):
         b = ref_solved.b_star
@@ -362,4 +363,4 @@ class TestThresholdSweep:
             ref_model, ref_params, grid, 30_000, substream(26, "sweep")
         )
         step = grid[1] - grid[0]
-        assert abs(sweep.argmax - b) <= step + 1e-12
+        assert abs(sweep_argmax(sweep) - b) <= step + 1e-12
