@@ -12,7 +12,7 @@ The integer-moment recursion
     M_n = n * M_{n-1} / (psi(kappa) - psi(kappa - n*gamma)),   M_0 = 1,
 
 is the independent oracle for the sampler; it follows from splitting the
-integral at the first jump and is valid while kappa - n*gamma >= 0.
+integral at the first jump and holds for n below the tail index of I.
 """
 
 from __future__ import annotations
@@ -149,22 +149,18 @@ def estimate_moment(sample: SharedSample, a: float, s: float) -> MomentEstimate:
 def moment_recursion(model: DislocationModel, params: ModelParams, n: int) -> float:
     """n-th integer moment of I under the kappa(lam) tilt, by recursion.
 
-    Valid for 0 <= n <= floor(kappa/gamma); the denominator is positive
-    there because psi is increasing and kappa - n*gamma < kappa.
+    psi is convex with psi(kappa) = lam, so the denominators stay positive
+    exactly for n below the tail index of I; past it, or past psi's domain,
+    DomainError.
     """
     if n < 0 or n != int(n):
         raise DomainError(f"moment order must be a nonnegative integer, got {n}")
-    if n > math.floor(params.kappa / params.gamma + 1e-12):
-        raise DomainError(
-            f"n = {n} exceeds the finite integer-moment range "
-            f"floor(kappa/gamma) = {math.floor(params.kappa / params.gamma)}"
-        )
     m = 1.0
     lam = levy.psi(model, params.theta, params.kappa)
     for k in range(1, n + 1):
         denom = lam - levy.psi(model, params.theta, params.kappa - k * params.gamma)
         if denom <= 0.0:
-            raise DomainError(f"nonpositive recursion denominator at order {k}")
+            raise DomainError(f"E[I^{k}] is infinite: nonpositive recursion denominator")
         m = k * m / denom
     return m
 

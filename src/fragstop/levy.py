@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import special
 
 
 class InvalidModelError(ValueError):
@@ -115,8 +114,9 @@ def split_power_mean(model: DislocationModel, p: float) -> float:
     if isinstance(model, BinaryPoint):
         return model.s0 ** (1.0 + p) + (1.0 - model.s0) ** (1.0 + p)
     a = model.shape
-    # Symmetry of Beta(a, a) folds both fragments into one beta integral.
-    return 2.0 * math.exp(special.betaln(a + 1.0 + p, a) - special.betaln(a, a))
+    # Symmetry of Beta(a, a) folds both fragments into 2 B(a+1+p, a) / B(a, a).
+    lg = math.lgamma
+    return 2.0 * math.exp(lg(a + 1.0 + p) + lg(2.0 * a) - lg(2.0 * a + 1.0 + p) - lg(a))
 
 
 def phi(model: DislocationModel, p: float) -> float:
@@ -143,6 +143,7 @@ def phi_prime0(model: DislocationModel) -> float:
         s = model.s0
         t = 1.0 - s
         return model.rate * (-s * math.log(s) - (t * math.log(t) if t > 0 else 0.0))
+    from scipy import special  # only the beta family needs scipy
     a = model.shape
     return model.rate * (special.digamma(2.0 * a + 1.0) - special.digamma(a + 1.0))
 
@@ -203,6 +204,7 @@ def split_quantile(model: DislocationModel, u: np.ndarray) -> np.ndarray:
         return np.full(np.shape(u), model.s0)
     p = 0.5 * (1.0 + u)
     if isinstance(model, BinaryBeta):
+        from scipy import special
         return special.betaincinv(model.shape, model.shape, p)
     return p
 

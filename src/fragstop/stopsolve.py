@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import integrate, interpolate, special
+from numpy.polynomial import Chebyshev, legendre
 
 from . import expfun, levy, pathsim
 from .expfun import LOG_FLOAT_MAX, MomentEstimate, SharedSample
@@ -30,9 +30,9 @@ from .levy import AssumptionError, DislocationModel, DomainError, ModelParams
 
 # Numerical settings shared by every solve and check.
 FD_STEP_REL = 1e-4          # central-difference step, relative to the point
-QUAD_TOL = 1e-9             # absolute tolerance of the generator's jump integral
+JUMP_NODES = 13             # Gauss-Legendre nodes per piece of the generator's jump integral
 RESIDUAL_BATCHES = 20       # batch means behind a generator-residual error
-TILDE_GRID = 100            # interpolation nodes of TildeCurve
+TILDE_DEGREE = 25           # Chebyshev degree of TildeCurve (TILDE_DEGREE + 1 nodes)
 POWER_MEAN_BUDGET = 8_000_000  # array elements per chunk in _power_mean_many
 
 
@@ -107,14 +107,14 @@ def _power_mean_many(draws: np.ndarray, z: np.ndarray, p: float) -> np.ndarray:
 class TildeCurve:
     """Fast evaluator of the candidate value on a z-interval.
 
-    Computes the exact shared-sample values at TILDE_GRID = 100 log-spaced
-    nodes and interpolates log-value against log z with a not-a-knot cubic
-    spline.  The candidate is a positive power mean, so its log is nearly
-    linear in log z: on the reference models the relative interpolation
-    error is about 1e-8, far below the Monte Carlo errors it feeds into.
-    `verify` builds one curve over the z-range of all its path-average
-    checks, where evaluating the full sample at every path point would be
-    wasteful.
+    A Chebyshev series of degree TILDE_DEGREE in (log(z + 1/(gamma*theta)),
+    log value) through the exact shared-sample values at its nodes.  Every
+    lifetime integral is at least 1/(gamma*theta), so in that variable the
+    candidate is a smooth, nearly linear power mean down to z = 0; on the
+    reference models the relative error is below 1e-10 for z in [0, 1000],
+    far below the Monte Carlo errors it feeds into.  `verify` builds one
+    curve over the z-range of all its path-average checks, where evaluating
+    the full sample at every path point would be wasteful.
     """
 
     def __init__(
@@ -125,16 +125,16 @@ class TildeCurve:
         z_min: float,
         z_max: float,
     ):
-        lo = max(z_min, 1e-12) * 0.9
-        hi = max(z_max, b_star, params.c) * 1.1
-        grid = np.geomspace(lo, hi, TILDE_GRID)
-        vals = value_tilde(params, sample, b_star, grid)
-        self.b_star = b_star
-        self._lo, self._hi = lo, hi
-        self._spline = interpolate.CubicSpline(np.log(grid), np.log(vals))
+        self.b_star, self._shift = b_star, 1.0 / params.gt
+        z_hi = max(z_max, b_star, params.c) * 1.1
+        self._log_value = Chebyshev.interpolate(
+            lambda w: np.log(value_tilde(params, sample, b_star, np.exp(w) - self._shift)),
+            TILDE_DEGREE, domain=np.log([0.9 * z_min + self._shift, z_hi + self._shift]),
+        )
 
     def tilde(self, z):
-        return np.exp(self._spline(np.log(np.clip(z, self._lo, self._hi))))
+        # Clipped to the fitted interval: the series diverges outside it.
+        return np.exp(self._log_value(np.clip(np.log(z + self._shift), *self._log_value.domain)))
 
     def star(self, z):
         z = np.asarray(z, dtype=float)
@@ -220,7 +220,8 @@ def solve_b_star(
         star_fn = value_evaluator(params, sample, b_star, star=True)
         diag["generator_residual"] = {
             "continuation": {f"{x:.6g}": generator_residual(model, params, tilde_fn, x) for x in grid},
-            "stopping": {f"{2 * b_star:.6g}": generator_residual(model, params, star_fn, 2.0 * b_star)},
+            "stopping": {f"{2 * b_star:.6g}": generator_residual(model, params, star_fn,
+                                                                 2.0 * b_star, kink=b_star)},
         }
     return SolverResult(
         b_star=b_star,
@@ -252,39 +253,38 @@ def pasting_check(params: ModelParams, sample: SharedSample, b_star: float) -> P
 
 # --- generator ----------------------------------------------------------------
 
-def _jump_term(model: DislocationModel, params: ModelParams, value_fn, x: float, fx: float
-               ) -> float:
+_GL_NODES, _GL_WEIGHTS = legendre.leggauss(JUMP_NODES)  # on [-1, 1]
+
+
+def _jump_term(model: DislocationModel, params: ModelParams, value_fn, x: float, fx: float,
+               kink: float | None = None) -> float:
     """integral of (f(e^{-gamma y} x) - f(x)) against the lineage jump measure.
 
     The jump measure is the push-forward of the split law through the two
     branches y = -log(s) and y = -log(1-s) with size-biased weights, so the
-    integral reduces to a one-dimensional integral over s in [1/2, 1)
-    (a two-term sum for point families).
+    integral reduces to one over s in [1/2, 1) against the split density
+    2 (s(1-s))^(a-1) / B(a, a) (uniform: a = 1), or to a two-term sum for
+    point families.  In v, where 1 - s = v^4/2, the integrand is smooth
+    enough for a fixed JUMP_NODES-point Gauss-Legendre rule, split where
+    s^gamma x or (1-s)^gamma x crosses the kink of value_fn, if it has one.
     """
-    gamma = params.gamma
-    if levy.is_degenerate(model):
-        return 0.0
-
-    def branches(s: float) -> float:
-        t = 1.0 - s
-        return s * (value_fn(s**gamma * x) - fx) + t * (value_fn(t**gamma * x) - fx)
-
     if isinstance(model, levy.BinaryPoint):
-        return model.rate * branches(model.s0)
-    if isinstance(model, levy.BinaryUniform):
-        val, _ = integrate.quad(lambda s: 2.0 * branches(s), 0.5, 1.0,
-                                epsabs=QUAD_TOL, epsrel=1e-8, limit=100)
-        return model.rate * val
-    # Beta family: pull the (1-s)^(shape-1) endpoint singularity into the
-    # quadrature weight so adaptive refinement sees a smooth integrand.
-    a = model.shape
-    log_norm = math.log(2.0) - float(special.betaln(a, a))
-    val, _ = integrate.quad(
-        lambda s: math.exp(log_norm + (a - 1.0) * math.log(s)) * branches(s),
-        0.5, 1.0, weight="alg", wvar=(0.0, a - 1.0),
-        epsabs=QUAD_TOL, epsrel=1e-8, limit=100,
-    )
-    return model.rate * val
+        s, t, weights = np.array([model.s0]), np.array([1.0 - model.s0]), model.rate
+    else:
+        edges = [0.0, 1.0]
+        if kink is not None:
+            r = (kink / x) ** (1.0 / params.gamma)
+            edges[1:1] = [(2.0 * tk) ** 0.25 for tk in (r, 1.0 - r) if 0.0 < tk < 0.5]
+        lo, hi = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
+        v = (0.5 * (hi - lo) * _GL_NODES + 0.5 * (hi + lo)).ravel()
+        t = 0.5 * v**4
+        s = 1.0 - t
+        a = model.shape if isinstance(model, levy.BinaryBeta) else 1.0
+        # rule weight * ds/dv (2 v^3) * split density; zero at rate 0
+        weights = (model.rate * (0.5 * (hi - lo) * _GL_WEIGHTS).ravel() * 4.0 * v**3 * np.exp(
+            (a - 1.0) * np.log(s * t) + math.lgamma(2.0 * a) - 2.0 * math.lgamma(a)))
+    vals = value_fn(np.concatenate([s**params.gamma * x, t**params.gamma * x])) - fx
+    return float(np.sum(weights * (s * vals[: s.size] + t * vals[s.size :])))
 
 
 def generator_residual(
@@ -292,21 +292,22 @@ def generator_residual(
     params: ModelParams,
     value_fn,
     x: float,
+    *,
+    kink: float | None = None,
 ) -> float:
     """(L - lam) value_fn at x, with L the integro-differential generator.
 
     L f(x) = (1 + gamma*theta*x) f'(x) + jump term; the derivative uses a
     central difference with step FD_STEP_REL * x.  For the candidate value the
     residual is zero in expectation at every x > 0; for the optimal value it
-    is nonpositive above b*.
+    is nonpositive above b*.  value_fn takes arrays, and kinks at `kink`, if given.
     """
     if x <= 0.0:
         raise DomainError(f"x must be > 0, got {x}")
     h = FD_STEP_REL * x
-    fx = float(value_fn(x))
-    deriv = (float(value_fn(x + h)) - float(value_fn(x - h))) / (2.0 * h)
-    jump = _jump_term(model, params, value_fn, x, fx)
-    return (1.0 + params.gt * x) * deriv + jump - params.lam * fx
+    fm, fx, fp = map(float, value_fn(np.array([x - h, x, x + h])))
+    jump = _jump_term(model, params, value_fn, x, fx, kink)
+    return (1.0 + params.gt * x) * ((fp - fm) / (2.0 * h)) + jump - params.lam * fx
 
 
 def generator_residual_estimate(
@@ -331,7 +332,8 @@ def generator_residual_estimate(
     for k in range(RESIDUAL_BATCHES):
         sub = replace(sample, draws=sample.draws[k::RESIDUAL_BATCHES])
         fn = value_evaluator(params, sub, b_star, star=kind == "star")
-        vals.append(generator_residual(model, params, fn, x))
+        vals.append(generator_residual(model, params, fn, x,
+                                       kink=b_star if kind == "star" else None))
     return MomentEstimate.of(np.asarray(vals))
 
 

@@ -20,6 +20,7 @@ import pytest
 from scipy import integrate, optimize, special, stats
 
 from fragstop import expfun, levy, pathsim, stopsolve
+from fragstop.levy import DomainError
 from fragstop.streams import substream
 
 # b* and value_at_c of the README model (gamma = theta = q = rate = 1,
@@ -64,6 +65,22 @@ def test_sampler_matches_exact_law(point):
     # P(I <= x) = P(B >= 1/(rho x)).
     cdf = lambda x: special.betaincc(a1, a2, np.minimum(1.0, 1.0 / (rho * x)))  # noqa: E731
     assert stats.kstest(draws, cdf).pvalue > 0.01
+
+
+@pytest.mark.parametrize("point", [(1.0, 1.0, 1.0, 1.0), (0.5, 1.0, 1.0, 1.0),
+                                   (2.0, 1.5, 0.5, 1.0)], ids=["readme", "gamma0.5", "gamma2"])
+def test_moment_guard_is_the_tail_index(point):
+    # E[I^n] = E[B^-n] / rho^n = B(s_max - n, eta - s_max) / (B(s_max, eta - s_max) rho^n)
+    # for every integer n < s_max, and is infinite from s_max on.
+    model, params = uniform_params(*point)
+    rho, a1, a2 = beta_law(params, model.rate)
+    n_max = math.ceil(a1) - 1
+    assert n_max > params.kappa / params.gamma
+    for n in range(1, n_max + 1):
+        exact = math.exp(special.betaln(a1 - n, a2) - special.betaln(a1, a2)) / rho**n
+        assert expfun.moment_recursion(model, params, n) == pytest.approx(exact, rel=1e-9)
+    with pytest.raises(DomainError):
+        expfun.moment_recursion(model, params, n_max + 1)
 
 
 def test_readme_values_follow_from_the_law():

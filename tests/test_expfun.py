@@ -68,9 +68,15 @@ class TestMomentRecursion:
         )
 
     def test_out_of_range(self, ref_model, ref_params):
-        # kappa/gamma ~ 2.56, so order 3 is beyond the finite range.
+        # The tail index of I is 4.12 here, so order 5 has no finite moment.
         with pytest.raises(DomainError):
-            expfun.moment_recursion(ref_model, ref_params, 3)
+            expfun.moment_recursion(ref_model, ref_params, 5)
+
+    def test_orders_past_kappa_over_gamma(self, ref_model, ref_params):
+        # kappa/gamma ~ 2.56 is no bound: orders 3 and 4 lie below the tail
+        # index and match the reciprocal-Beta law of I (tests/test_exact_law.py).
+        assert expfun.moment_recursion(ref_model, ref_params, 3) == pytest.approx(1.913024, abs=5e-7)
+        assert expfun.moment_recursion(ref_model, ref_params, 4) == pytest.approx(8.726362, abs=5e-7)
 
     def test_monte_carlo_agreement(self, ref_model, ref_params, ref_sample):
         for n in (1, 2):

@@ -486,3 +486,43 @@ class TestFormatCsv:
         assert np.isinf(b.frozen_at).any()
         assert harness.format_csv("blocks", self.HEADER, columns) == per_row_csv(
             "blocks", self.HEADER, list(zip(*(c.tolist() for c in columns))))
+
+
+README_KEYS = "rate = 1.0\ngamma = 1.0\ntheta = 1.0\nq = 1.0\nc = 0.25\nseed = 12345\n"
+
+
+def scipy_modules_after(family_keys: str, commands: str) -> list[str]:
+    """The scipy modules a fresh interpreter holds after running `commands` on a README config.
+
+    `commands` is Python source run with `harness` imported and `cfg` set to
+    the README model of `family_keys` at 2000 samples and 200 runs.
+    """
+    child = (
+        "import sys\n"
+        "from fragstop import harness\n"
+        f"text = {family_keys + README_KEYS!r}\n"
+        "cfg = harness.with_overrides(harness.parse_config_text(text), samples=2000, runs=200)\n"
+        f"{commands}\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(harness.__file__).resolve().parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+class TestScipyStaysOut:
+    # Only the beta family needs scipy, for its special functions.
+    @pytest.mark.parametrize("family_keys", ["family = uniform\n", "family = point\ns0 = 0.7\n"],
+                             ids=["uniform", "point"])
+    def test_uniform_and_point_runs_import_numpy_only(self, family_keys):
+        commands = ("harness.cmd_solve(cfg)\nharness.cmd_verify(cfg)\n"
+                    "harness.cmd_simulate(cfg, 'optimal')")
+        assert scipy_modules_after(family_keys, commands) == []
+
+    def test_beta_solve_needs_no_quadrature_or_interpolation(self):
+        loaded = scipy_modules_after("family = beta\nshape = 0.5\n", "harness.cmd_solve(cfg)")
+        assert "scipy.special" in loaded
+        assert not [m for m in loaded if m.startswith(("scipy.integrate", "scipy.interpolate"))]

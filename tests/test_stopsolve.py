@@ -1,8 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
-from scipy import interpolate
+from scipy import integrate, interpolate, special
 
 from fragstop import expfun, harness, levy, pathsim, stopsolve
 from fragstop.levy import AssumptionError, BinaryUniform, DomainError
@@ -92,6 +93,31 @@ class TestSolveReference:
         assert np.allclose(curve.tilde(pts), exact, rtol=1e-7)
 
 
+class SplineTildeCurve:
+    """The value curve the Chebyshev `TildeCurve` replaced: a not-a-knot cubic
+    spline in (log z, log value) through 100 log-spaced nodes.
+
+    Statistical reference for the path-average checks; same constructor and
+    methods as `stopsolve.TildeCurve`.
+    """
+
+    def __init__(self, params, sample, b_star, z_min, z_max):
+        lo = max(z_min, 1e-12) * 0.9
+        hi = max(z_max, b_star, params.c) * 1.1
+        grid = np.geomspace(lo, hi, 100)
+        vals = stopsolve.value_tilde(params, sample, b_star, grid)
+        self.b_star = b_star
+        self._lo, self._hi = lo, hi
+        self._spline = interpolate.CubicSpline(np.log(grid), np.log(vals))
+
+    def tilde(self, z):
+        return np.exp(self._spline(np.log(np.clip(z, self._lo, self._hi))))
+
+    def star(self, z):
+        z = np.asarray(z, dtype=float)
+        return np.where(z > self.b_star, z, self.tilde(z))
+
+
 class PchipTildeCurve:
     """The value curve `TildeCurve` replaced: 800-node PCHIP on (log z, value).
 
@@ -122,7 +148,9 @@ FAMILIES = {"uniform": "family = uniform\n", "point": "family = point\ns0 = 0.7\
             "beta": "family = beta\nshape = 0.5\n"}
 
 
+@functools.cache
 def readme_solved(family: str):
+    """The README solve of one family; cached, as several tests read the same sample."""
     cfg = harness.parse_config_text(FAMILIES[family] + README_CFG)
     model, params = cfg.model(), cfg.params()
     sample = expfun.draw_shared_sample(model, params, cfg.samples, seed=cfg.seed)
@@ -130,30 +158,40 @@ def readme_solved(family: str):
     return cfg, model, params, sample, b_star
 
 
+def assert_path_averages_agree(reference_curve):
+    """The README verify's path averages read through TildeCurve and through a reference curve.
+
+    Same paths, same sample: they may differ only by interpolation error,
+    far below their standard errors.
+    """
+    cfg, model, params, sample, b_star = readme_solved("uniform")
+    times = (0.5, 1.0, 2.0)
+    for check, label in ((stopsolve.martingale_check, "verify-mart"),
+                         (stopsolve.supermartingale_check, "verify-supermart")):
+        new, old = (path_average_check(check, model, params, sample, b_star, times,
+                                       cfg.runs, substream(cfg.seed, label), curve_type)
+                    for curve_type in (stopsolve.TildeCurve, reference_curve))
+        assert (new.reference, new.reference_se) == (old.reference, old.reference_se)
+        for a, b in zip(new.estimates + new.decrements, old.estimates + old.decrements):
+            assert abs(a.value - b.value) <= 1e-3 * b.std_error
+            assert a.std_error == pytest.approx(b.std_error, rel=1e-3)
+
+
 class TestTildeCurve:
+    @pytest.mark.parametrize("z_min,z_max", [(0.2, 60.0), (0.0, 1000.0)])
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_spline_accuracy(self, family):
-        assert stopsolve.TILDE_GRID == 100
+    def test_chebyshev_accuracy(self, family, z_min, z_max):
         _, _, params, sample, b_star = readme_solved(family)
-        curve = stopsolve.TildeCurve(params, sample, b_star, 0.2, 60.0)
-        pts = np.geomspace(0.2, 60.0, 1000)
+        curve = stopsolve.TildeCurve(params, sample, b_star, z_min, z_max)
+        pts = np.concatenate([[z_min], np.geomspace(max(z_min, 1e-9), z_max, 400)])
         exact = stopsolve.value_tilde(params, sample, b_star, pts)
-        assert np.allclose(curve.tilde(pts), exact, rtol=1e-7, atol=0.0)
+        assert np.allclose(curve.tilde(pts), exact, rtol=1e-10, atol=0.0)
 
     def test_agrees_with_pchip_reference(self):
-        # Same paths, same sample: the path averages read through either
-        # curve may differ only by interpolation error, far below their SE.
-        cfg, model, params, sample, b_star = readme_solved("uniform")
-        times = (0.5, 1.0, 2.0)
-        for check, label in ((stopsolve.martingale_check, "verify-mart"),
-                             (stopsolve.supermartingale_check, "verify-supermart")):
-            new, old = (path_average_check(check, model, params, sample, b_star, times,
-                                           cfg.runs, substream(cfg.seed, label), curve_type)
-                        for curve_type in (stopsolve.TildeCurve, PchipTildeCurve))
-            assert (new.reference, new.reference_se) == (old.reference, old.reference_se)
-            for a, b in zip(new.estimates + new.decrements, old.estimates + old.decrements):
-                assert abs(a.value - b.value) <= 1e-3 * b.std_error
-                assert a.std_error == pytest.approx(b.std_error, rel=1e-3)
+        assert_path_averages_agree(PchipTildeCurve)
+
+    def test_agrees_with_spline_reference(self):
+        assert_path_averages_agree(SplineTildeCurve)
 
 
 class TestPasting:
@@ -173,7 +211,58 @@ class TestPasting:
         assert abs(gaps.slope_gap) > 0.02
 
 
+QUAD_TOL = 1e-9  # absolute tolerance of the quad reference, and the bound on its gap
+
+
+def quad_jump_term(model, params, value_fn, x, fx, kink=None):
+    """The generator's jump term by adaptive quadrature in s, as the package computed it
+    before its Gauss-Legendre rule; split at the kink of value_fn, if one is given."""
+    gamma = params.gamma
+
+    def branches(s):
+        t = 1.0 - s
+        return s * (value_fn(s**gamma * x) - fx) + t * (value_fn(t**gamma * x) - fx)
+
+    edges = [0.5, 1.0]
+    if kink is not None:
+        r = (kink / x) ** (1.0 / gamma)
+        edges[1:1] = [k for k in (r, 1.0 - r) if 0.5 < k < 1.0]
+    quad = functools.partial(integrate.quad, epsabs=QUAD_TOL, epsrel=1e-8, limit=100)
+    if isinstance(model, levy.BinaryUniform):
+        return model.rate * quad(lambda s: 2.0 * branches(s), 0.5, 1.0, points=edges[1:-1])[0]
+    # Beta family: the (1-s)^(shape-1) endpoint singularity goes into the
+    # quadrature weight of the piece that ends at 1 (a weighted quad takes no
+    # break points, so a kink splits off the piece before it).
+    a = model.shape
+    log_norm = math.log(2.0) - float(special.betaln(a, a))
+
+    def integrand(s):
+        return math.exp(log_norm + (a - 1.0) * math.log(s)) * branches(s)
+
+    total = quad(integrand, edges[-2], 1.0, weight="alg", wvar=(0.0, a - 1.0))[0]
+    if len(edges) == 3:
+        total += quad(lambda s: (1.0 - s) ** (a - 1.0) * integrand(s), 0.5, edges[1])[0]
+    return model.rate * total
+
+
 class TestGenerator:
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("model", [BinaryUniform(1.0), levy.BinaryBeta(1.0, 0.5),
+                                       levy.BinaryBeta(1.0, 3.0)],
+                             ids=["uniform", "beta0.5", "beta3"])
+    def test_jump_term_matches_quad_reference(self, model, gamma):
+        # Candidate points below b*, and optimal-value points above it, where
+        # the integrand kinks at s^gamma x = b* or (1-s)^gamma x = b*.
+        params = levy.make_params(model, gamma=gamma, theta=1.0, q=1.0, c=0.25)
+        sample = expfun.draw_shared_sample(model, params, 3000, seed=12345)
+        b = stopsolve.solve_b_star(model, params, sample, diagnostics=False).b_star
+        for mults, kink in (((0.2, 0.5, 0.9), None), ((1.5, 2.0, 4.0), b)):
+            fn = stopsolve.value_evaluator(params, sample, b, star=kink is not None)
+            for x in (m * b for m in mults):
+                fx = fn(x)
+                new = stopsolve._jump_term(model, params, fn, x, fx, kink)
+                assert abs(new - quad_jump_term(model, params, fn, x, fx, kink)) <= QUAD_TOL
+
     def test_identity_function_residual(self):
         model, params, _ = make_degen(q=1.0)
         for x in (0.5, 1.0, 3.0):
