@@ -79,7 +79,10 @@ class SharedSample:
 
     @property
     def max_order(self) -> float:
-        """Largest finite moment order, kappa/gamma."""
+        """The conservative moment-order guard that f(b) needs, kappa/gamma.
+
+        Moments of I are finite up to the tail index s_max, which is larger.
+        """
         return self.kappa / self.gamma
 
     def meta(self) -> dict:
@@ -125,7 +128,7 @@ def draw_shared_sample(
 def _check_order(sample: SharedSample, s: float) -> None:
     if s > sample.max_order + 1e-9:
         raise DomainError(
-            f"moment order s = {s} exceeds the finiteness boundary "
+            f"moment order s = {s} exceeds the order guard "
             f"kappa/gamma = {sample.max_order}"
         )
 

@@ -143,9 +143,20 @@ def phi_prime0(model: DislocationModel) -> float:
         s = model.s0
         t = 1.0 - s
         return model.rate * (-s * math.log(s) - (t * math.log(t) if t > 0 else 0.0))
-    from scipy import special  # only the beta family needs scipy
     a = model.shape
-    return model.rate * (special.digamma(2.0 * a + 1.0) - special.digamma(a + 1.0))
+    # psi(2a+1) - psi(a+1) = sum_{k>=1} a/((k+a)(k+2a)): eleven terms, then the rest,
+    # psi(y) - psi(x) at x = a + 12, y = x + a, from psi's asymptotic series.  Each
+    # x^-m - y^-m in it is a*u*v * sum_{i<m} u^i v^(m-1-i) (u = 1/x, v = 1/y), so
+    # nothing cancels at small a.
+    head = math.fsum(a / (k + a) / (k + 2.0 * a) for k in range(1, 12))
+    x = a + 12.0
+    u, v = 1.0 / x, 1.0 / (x + a)
+    h, vm, series = 0.0, 1.0, 0.5  # 1/2 from the -1/(2x) term
+    for c in (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760):  # B_2j / (2j)
+        h = u * (u * h + vm) + vm * v
+        vm *= v * v
+        series += c * h
+    return model.rate * (head + math.log1p(a / x) + a * u * v * series)
 
 
 def psi(model: DislocationModel, theta: float, u: float) -> float:
@@ -204,7 +215,11 @@ def split_quantile(model: DislocationModel, u: np.ndarray) -> np.ndarray:
         return np.full(np.shape(u), model.s0)
     p = 0.5 * (1.0 + u)
     if isinstance(model, BinaryBeta):
-        from scipy import special
+        try:
+            from scipy import special
+        except ImportError as exc:
+            raise InvalidModelError(
+                "the beta family's cascade needs scipy (its inverse incomplete beta)") from exc
         return special.betaincinv(model.shape, model.shape, p)
     return p
 

@@ -491,13 +491,21 @@ class TestFormatCsv:
 README_KEYS = "rate = 1.0\ngamma = 1.0\ntheta = 1.0\nq = 1.0\nc = 0.25\nseed = 12345\n"
 
 
+def run_child(source: str) -> subprocess.CompletedProcess:
+    """Run Python `source` in a fresh interpreter that imports this checkout's fragstop."""
+    return subprocess.run(
+        [sys.executable, "-c", source], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(harness.__file__).resolve().parents[1])},
+    )
+
+
 def scipy_modules_after(family_keys: str, commands: str) -> list[str]:
     """The scipy modules a fresh interpreter holds after running `commands` on a README config.
 
     `commands` is Python source run with `harness` imported and `cfg` set to
     the README model of `family_keys` at 2000 samples and 200 runs.
     """
-    child = (
+    proc = run_child(
         "import sys\n"
         "from fragstop import harness\n"
         f"text = {family_keys + README_KEYS!r}\n"
@@ -505,16 +513,15 @@ def scipy_modules_after(family_keys: str, commands: str) -> list[str]:
         f"{commands}\n"
         "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", child], capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": str(Path(harness.__file__).resolve().parents[1])},
-    )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
 
 
+BETA_KEYS = "family = beta\nshape = 0.5\n"
+
+
 class TestScipyStaysOut:
-    # Only the beta family needs scipy, for its special functions.
+    # Only the beta family's cascade needs scipy, for its inverse incomplete beta.
     @pytest.mark.parametrize("family_keys", ["family = uniform\n", "family = point\ns0 = 0.7\n"],
                              ids=["uniform", "point"])
     def test_uniform_and_point_runs_import_numpy_only(self, family_keys):
@@ -522,7 +529,25 @@ class TestScipyStaysOut:
                     "harness.cmd_simulate(cfg, 'optimal')")
         assert scipy_modules_after(family_keys, commands) == []
 
-    def test_beta_solve_needs_no_quadrature_or_interpolation(self):
-        loaded = scipy_modules_after("family = beta\nshape = 0.5\n", "harness.cmd_solve(cfg)")
+    def test_beta_solve_and_sweep_import_numpy_only(self):
+        commands = "harness.cmd_solve(cfg)\nharness.cmd_sweep(cfg, 'q', [0.5, 1.0])"
+        assert scipy_modules_after(BETA_KEYS, commands) == []
+
+    def test_beta_simulate_imports_special_only(self):
+        special_alone = scipy_modules_after(BETA_KEYS, "from scipy import special")
+        loaded = scipy_modules_after(BETA_KEYS, "harness.cmd_simulate(cfg, 'optimal')")
         assert "scipy.special" in loaded
-        assert not [m for m in loaded if m.startswith(("scipy.integrate", "scipy.interpolate"))]
+        assert set(loaded) <= set(special_alone)
+
+    def test_beta_simulate_without_scipy_exits_with_config_error(self, tmp_path):
+        cfg = tmp_path / "beta.cfg"
+        cfg.write_text(BETA_KEYS + README_KEYS)
+        argv = ["simulate", "--config", str(cfg), "--line", "optimal", "--samples", "2000",
+                "--runs", "50", "--out", str(tmp_path / "blocks.csv")]
+        proc = run_child("import sys\nsys.modules['scipy'] = None\n"
+                         f"from fragstop.cli import main\nsys.exit(main({argv!r}))\n")
+        assert proc.returncode == harness.EXIT_CONFIG, proc.stderr
+        assert "Traceback" not in proc.stderr
+        err = json.loads(proc.stderr)
+        assert err["type"] == "InvalidModelError"
+        assert "the beta family's cascade needs scipy" in err["message"]

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +114,39 @@ class TestPhiPrime0:
         h = 1e-6
         fd = (levy.phi(model, h) - levy.phi(model, -h)) / (2.0 * h)
         assert levy.phi_prime0(model) == pytest.approx(fd, rel=1e-8)
+
+
+def beta_gap(a: float) -> float:
+    """psi(2a + 1) - psi(a + 1), as phi_prime0 computes it for the beta family."""
+    return levy.phi_prime0(BinaryBeta(1.0, a))
+
+
+class TestBetaDigammaGap:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_integer_shape_is_harmonic_difference(self, n):
+        exact = float(sum(Fraction(1, k) for k in range(n + 1, 2 * n + 1)))  # H_2n - H_n
+        assert abs(beta_gap(float(n)) - exact) <= 4 * math.ulp(exact)
+
+    def test_half_shape(self):
+        assert beta_gap(0.5) == pytest.approx(2.0 * math.log(2.0) - 1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("rate", [0.3, 1.0, 2.5])
+    def test_shape_one_is_uniform(self, rate):
+        assert levy.phi_prime0(BinaryBeta(rate, 1.0)) == levy.phi_prime0(BinaryUniform(rate))
+        assert levy.phi_prime0(BinaryBeta(rate, 1.0)) == rate / 2.0
+
+    def test_matches_scipy_digamma(self):
+        for a in np.geomspace(1e-2, 1e6, 97):
+            ref = special.digamma(2.0 * a + 1.0) - special.digamma(a + 1.0)
+            assert beta_gap(float(a)) == pytest.approx(ref, rel=1e-12), a
+
+    def test_small_shape_expansion(self):
+        # sum_k a/((k+a)(k+2a)) = a zeta(2) - 3 a^2 zeta(3) + O(a^3).  The a^2 term
+        # is 2.2a relative to a pi^2/6 (2.2e-6 at a = 1e-6), so it is kept.
+        zeta3 = 1.2020569031595942
+        for a in np.geomspace(1e-8, 1e-6, 9):
+            expansion = a * math.pi**2 / 6.0 - 3.0 * zeta3 * a * a
+            assert beta_gap(float(a)) == pytest.approx(expansion, rel=1e-10), a
 
 
 class TestPsiKappa:
