@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -366,28 +366,41 @@ _SWEEP_AXES = ("q", "c", "gamma", "theta", "rate")
 
 
 def cmd_sweep(cfg: RunConfig, axis: str, grid: list[float]) -> tuple[str, dict]:
-    """Solve across a parameter grid; returns (csv_text, summary)."""
+    """Solve across a parameter grid; returns (csv_text, summary).
+
+    Neither the tilt nor the threshold equation f(b) = kappa/gamma involves
+    the start c, so along c every grid point is validated first, then one
+    shared sample is drawn and b* solved once, at the first grid point: it
+    is exactly constant along the sweep, and only the value moves with c.
+    The other axes change the tilt, so each of their points is solved
+    afresh on fresh draws.
+    """
     if axis not in _SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {_SWEEP_AXES}, got {axis!r}")
     if not grid:
         raise ConfigError("bad --grid: it names no grid point")
-    bs, values = [], []
-    shared = None
-    for value in grid:
-        point = with_overrides(cfg, **{axis: value})
-        model = point.model()
-        params = point.params()
-        # Along a c-sweep the tilt is unchanged, so one sample serves every
-        # grid point; other axes change the tilt and need fresh draws.
-        if axis == "c" and shared is not None:
-            sample = shared
-        else:
-            sample = _shared_sample(point, model, params)
-            shared = sample
-        res = stopsolve.solve_b_star(model, params, sample,
-                                     rel_tol_b=point.bisect_rel_tol, diagnostics=False)
-        bs.append(res.b_star)
-        values.append(res.value_at_c)
+    if axis == "c":
+        model = cfg.model()
+        params = with_overrides(cfg, c=grid[0]).params()
+        for value in grid:
+            if not (value > 0.0 and math.isfinite(value)):  # as levy.make_params words it
+                raise levy.InvalidModelError(f"c must be > 0, got {value}")
+            stopsolve.threshold_exponent(replace(params, c=value))
+        sample = _shared_sample(cfg, model, params)
+        b_star = stopsolve.solve_b_star(model, params, sample, rel_tol_b=cfg.bisect_rel_tol,
+                                        diagnostics=False).b_star
+        value_at = stopsolve.value_evaluator(params, sample, b_star, star=True)
+        bs, values = [b_star] * len(grid), [value_at(value) for value in grid]
+    else:
+        bs, values = [], []
+        for value in grid:
+            point = with_overrides(cfg, **{axis: value})
+            model = point.model()
+            params = point.params()
+            res = stopsolve.solve_b_star(model, params, _shared_sample(point, model, params),
+                                         rel_tol_b=point.bisect_rel_tol, diagnostics=False)
+            bs.append(res.b_star)
+            values.append(res.value_at_c)
     csv_text = format_csv("sweep", ["grid_point", "b_star", "value_at_c"], [grid, bs, values])
     tol = cfg.bisect_rel_tol * max(bs)
     summary = {

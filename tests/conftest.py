@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from fragstop import expfun, levy, pathsim, stopsolve
+from fragstop import expfun, harness, levy, pathsim, stopsolve
 
 
 # Reference code that several test modules share; import it from `conftest`.
@@ -30,6 +30,21 @@ def reference_run_key(master_seed: int, label: str, index: int) -> int:
     h.update(label.encode())
     h.update(index.to_bytes(8, "little", signed=False))
     return int.from_bytes(h.digest(), "little")
+
+
+def reference_c_sweep(cfg, grid) -> tuple[list[float], list[float]]:
+    """(b*, value_at_c) along a c grid, with a bisection at every grid point.
+
+    This is how `sweep --axis c` worked before it solved b* once: one shared
+    sample, drawn at the first grid point, and a fresh solve at each c.
+    """
+    first = harness.with_overrides(cfg, c=grid[0])
+    model = first.model()
+    sample = harness._shared_sample(first, model, first.params())
+    solved = [stopsolve.solve_b_star(model, harness.with_overrides(cfg, c=c).params(), sample,
+                                     rel_tol_b=cfg.bisect_rel_tol, diagnostics=False)
+              for c in grid]
+    return [res.b_star for res in solved], [res.value_at_c for res in solved]
 
 
 # --- scalar reference walks: one path, one scalar jump at a time -------------------

@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fragstop import fragsim, harness, stopsolve
+from fragstop import expfun, fragsim, harness, levy, stopsolve
 from fragstop.cli import main
 from fragstop.harness import ConfigError, parse_config_text
+
+from conftest import reference_c_sweep
 
 DEGEN_CFG = """
 family = none
@@ -551,3 +553,101 @@ class TestScipyStaysOut:
         err = json.loads(proc.stderr)
         assert err["type"] == "InvalidModelError"
         assert "the beta family's cascade needs scipy" in err["message"]
+
+
+# The c grid of the benchmark's solve-grid workload: 120 geometric points
+# from 0.05 to 2, on both sides of the README threshold (about 0.78).
+BENCH_C_GRID = [float(c) for c in np.round(np.geomspace(0.05, 2.0, 120), 6)]
+
+
+def readme_cfg(family_keys: str = "family = uniform\n") -> harness.RunConfig:
+    return harness.with_overrides(parse_config_text(family_keys + README_KEYS), samples=5000)
+
+
+def sweep_values(csv_text: str) -> list[float]:
+    return [float(row.split(",")[2]) for row in csv_text.splitlines()[2:]]
+
+
+def never_drawn(*args, **kwargs):
+    raise AssertionError("a shared sample was drawn")
+
+
+class TestStartSweep:
+    # Along c the threshold equation does not change: b* is solved once.
+    @pytest.mark.parametrize("family_keys", ["family = uniform\n", "family = point\ns0 = 0.7\n",
+                                             BETA_KEYS], ids=["uniform", "point", "beta"])
+    def test_matches_bisection_at_every_point(self, family_keys):
+        cfg = readme_cfg(family_keys)
+        csv_text, summary = harness.cmd_sweep(cfg, "c", BENCH_C_GRID)
+        ref_bs, ref_values = reference_c_sweep(cfg, BENCH_C_GRID)
+        np.testing.assert_allclose(ref_bs, summary["b_star"][0], rtol=cfg.bisect_rel_tol, atol=0)
+        # The value is stationary in b at b* (smooth fit), so thresholds that
+        # differ within the bisection tolerance move it only at second order.
+        np.testing.assert_allclose(sweep_values(csv_text), ref_values, rtol=1e-9, atol=0)
+
+    def test_exact_against_solve_and_value_star(self):
+        cfg = readme_cfg()
+        csv_text, summary = harness.cmd_sweep(cfg, "c", BENCH_C_GRID)
+        first = harness.with_overrides(cfg, c=BENCH_C_GRID[0])
+        b_star = harness.cmd_solve(first)["b_star"]
+        assert summary["b_star"] == [b_star] * len(BENCH_C_GRID)
+        assert {float(row.split(",")[1]) for row in csv_text.splitlines()[2:]} == {b_star}
+        assert summary["b_star_nonincreasing"] and summary["b_star_nondecreasing"]
+        sample = harness._shared_sample(first, first.model(), first.params())
+        expected = [stopsolve.value_star(harness.with_overrides(cfg, c=c).params(), sample,
+                                         b_star, c) for c in BENCH_C_GRID]
+        assert sweep_values(csv_text) == expected
+
+    def test_one_sample_one_tilt_one_bisection(self, monkeypatch):
+        calls = dict.fromkeys(("draw_shared_sample", "kappa_root", "f_of_b"), 0)
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in ((expfun, "draw_shared_sample"), (levy, "kappa_root"),
+                             (expfun, "f_of_b")):
+            counted(module, name)
+        cfg = readme_cfg()
+        grid = [float(c) for c in np.geomspace(0.05, 2.0, 50)]
+        harness.cmd_sweep(cfg, "c", grid)
+        in_sweep = dict(calls)
+        first = harness.with_overrides(cfg, c=grid[0])
+        params = first.params()
+        sample = harness._shared_sample(first, first.model(), params)
+        calls["f_of_b"] = 0
+        stopsolve.solve_b_star(first.model(), params, sample, rel_tol_b=cfg.bisect_rel_tol,
+                               diagnostics=False)
+        assert in_sweep == {"draw_shared_sample": 1, "kappa_root": 1, "f_of_b": calls["f_of_b"]}
+
+    @pytest.mark.parametrize("grid,code,error_type,message", [
+        ("0.5,nan", 2, "InvalidModelError", "c must be > 0, got nan"),
+        ("0.5,-1", 2, "InvalidModelError", "c must be > 0, got -1.0"),
+        ("0.5,inf", 2, "InvalidModelError", "c must be > 0, got inf"),
+        ("0.5,1e300", 3, "DivergenceError",
+         "f(c) is not finite at c = 1e+300; no bracket can start there"),
+        # every point is checked in grid order
+        ("0.5,nan,1e300", 2, "InvalidModelError", "c must be > 0, got nan"),
+        ("0.5,1e300,nan", 3, "DivergenceError",
+         "f(c) is not finite at c = 1e+300; no bracket can start there"),
+    ])
+    def test_bad_point_exits_before_sampling(self, grid, code, error_type, message,
+                                             ref_cfg_path, monkeypatch, capsys):
+        monkeypatch.setattr(expfun, "draw_shared_sample", never_drawn)
+        assert main(["sweep", "--config", ref_cfg_path, "--axis", "c", "--grid", grid]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert (err["type"], err["message"]) == (error_type, message)
+
+    @pytest.mark.parametrize("c", [math.nan, -1.0, math.inf])
+    def test_bad_start_message_is_make_params_message(self, c):
+        with pytest.raises(levy.InvalidModelError) as made:
+            levy.make_params(levy.BinaryUniform(1.0), gamma=1.0, theta=1.0, q=1.0, c=c)
+        with pytest.raises(levy.InvalidModelError) as swept:
+            harness.cmd_sweep(readme_cfg(), "c", [0.5, c])
+        assert str(swept.value) == str(made.value)
