@@ -8,9 +8,7 @@ from .levy import (
     DomainError,
     InvalidModelError,
     ModelParams,
-    TiltedDynamics,
     make_params,
-    tilt,
 )
 from .expfun import MomentEstimate, SharedSample, draw_shared_sample
 from .fragsim import FixedTime, MassBelow, OptimalStatistic
@@ -26,7 +24,6 @@ __all__ = [
     "DomainError",
     "InvalidModelError",
     "ModelParams",
-    "TiltedDynamics",
     "MomentEstimate",
     "SharedSample",
     "SolverResult",
@@ -36,7 +33,6 @@ __all__ = [
     "draw_shared_sample",
     "make_params",
     "solve_b_star",
-    "tilt",
     "value_star",
     "value_tilde",
     "__version__",

@@ -7,12 +7,9 @@ solve: with common draws the ratio estimator behind f(b) is deterministic
 and strictly decreasing in b, so bisection on f is well-defined despite
 Monte Carlo noise.
 
-The integer-moment recursion
-
-    M_n = n * M_{n-1} / (psi(kappa) - psi(kappa - n*gamma)),   M_0 = 1,
-
-is the independent oracle for the sampler; it follows from splitting the
-integral at the first jump and holds for n below the tail index of I.
+The integer-moment recursion, the independent oracle for the sampler and
+the source of its tail mean, lives next to the sampler as
+`pathsim.moment_recursion`; it is bound here under the same name.
 """
 
 from __future__ import annotations
@@ -25,6 +22,7 @@ import numpy as np
 
 from . import levy, pathsim
 from .levy import DislocationModel, DomainError, ModelParams
+from .pathsim import moment_recursion  # noqa: F401  (re-exported)
 from .streams import substream
 
 # Draws per sampler batch.  It fixes how each substream is consumed, so
@@ -67,7 +65,6 @@ class SharedSample:
 
     draws: np.ndarray
     gamma: float
-    theta: float
     kappa: float
     lam: float
     rel_tol: float
@@ -111,18 +108,15 @@ def draw_shared_sample(
     larger sample with the same seed, and the result is independent of any
     worker scheduling.
     """
-    dyn = levy.tilt(model, params)
     # psi at the bisected root, which may differ from params.lam in the last digits.
     lam_eff = levy.psi(model, params.theta, params.kappa)
     draws = np.empty(n_draws)
     for start in range(0, n_draws, SAMPLE_CHUNK):
         rng = substream(seed, "shared-sample", start // SAMPLE_CHUNK)
-        batch = pathsim.simulate_I_infty(dyn, params, rng, SAMPLE_CHUNK, rel_tol=rel_tol)
+        batch = pathsim.simulate_I_infty(model, params, rng, SAMPLE_CHUNK, rel_tol=rel_tol)
         draws[start : start + SAMPLE_CHUNK] = batch[: n_draws - start]
-    return SharedSample(
-        draws=draws, gamma=params.gamma, theta=params.theta,
-        kappa=params.kappa, lam=lam_eff, rel_tol=rel_tol, seed=seed,
-    )
+    return SharedSample(draws=draws, gamma=params.gamma, kappa=params.kappa, lam=lam_eff,
+                        rel_tol=rel_tol, seed=seed)
 
 
 def _check_order(sample: SharedSample, s: float) -> None:
@@ -147,25 +141,6 @@ def estimate_moment(sample: SharedSample, a: float, s: float) -> MomentEstimate:
     se_half_scaled = se_half * math.sqrt(half.size / n)
     unstable = se > 0.0 and abs(se - se_half_scaled) > 0.25 * se
     return replace(est, unstable_variance=unstable)
-
-
-def moment_recursion(model: DislocationModel, params: ModelParams, n: int) -> float:
-    """n-th integer moment of I under the kappa(lam) tilt, by recursion.
-
-    psi is convex with psi(kappa) = lam, so the denominators stay positive
-    exactly for n below the tail index of I; past it, or past psi's domain,
-    DomainError.
-    """
-    if n < 0 or n != int(n):
-        raise DomainError(f"moment order must be a nonnegative integer, got {n}")
-    m = 1.0
-    lam = levy.psi(model, params.theta, params.kappa)
-    for k in range(1, n + 1):
-        denom = lam - levy.psi(model, params.theta, params.kappa - k * params.gamma)
-        if denom <= 0.0:
-            raise DomainError(f"E[I^{k}] is infinite: nonpositive recursion denominator")
-        m = k * m / denom
-    return m
 
 
 def _power_pair_means(draws: np.ndarray, b: float, p: float) -> tuple[float, float]:

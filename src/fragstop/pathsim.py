@@ -19,11 +19,12 @@ given, so it is pure given that generator and the number of paths.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
 from . import levy
-from .levy import AssumptionError, DislocationModel, ModelParams, TiltedDynamics
+from .levy import AssumptionError, DislocationModel, DomainError, ModelParams
 
 # Steps after which a batched walk that still has unfinished paths gives up.
 MAX_STEPS = 1_000_000
@@ -58,6 +59,8 @@ def _holding_times(model: DislocationModel, m: int, rng: np.random.Generator) ->
     return rng.exponential(1.0 / model.rate, m)
 
 
+# Z that overflows to inf is past every level, so the overflow is silent.
+@np.errstate(over="ignore")
 def _walk_Z(model, params, targets, n, rng, horizon, reached, value) -> np.ndarray:
     """Record one value per path and sorted target as n physical Z paths first reach it.
 
@@ -142,50 +145,57 @@ def simulate_Z_at_times(
                    value=lambda t, z, s: z_advance(z, s - t, gt))
 
 
-def _tilted_first_moment(model: DislocationModel, params: ModelParams, kappa: float) -> float:
-    """Mean of the residual integral under the kappa-tilted dynamics.
+def moment_recursion(model: DislocationModel, params: ModelParams, n: int) -> float:
+    """n-th integer moment of I under the kappa(lam) tilt, by the recursion
+    M_k = k M_{k-1} / (psi(kappa) - psi(kappa - k*gamma)) from the first jump.
 
-    Equals 1 / (psi(kappa) - psi(kappa - gamma)); for kappa = kappa(lam)
-    this is the n = 1 case of the integer-moment recursion.
+    The oracle for `simulate_I_infty`, and its tail mean at n = 1.  psi is
+    convex with psi(kappa) = lam, so the denominators stay positive exactly
+    for n below the tail index of I; past it, or past psi's domain, DomainError.
     """
-    u = kappa - params.gamma
-    if not u > params.p_lower:
-        raise AssumptionError(
-            f"tail mean undefined: kappa - gamma = {u} is outside the exponent domain"
-        )
-    denom = levy.psi(model, params.theta, kappa) - levy.psi(model, params.theta, u)
-    if denom <= 0.0:
-        raise AssumptionError(
-            "tail mean is infinite under these dynamics (nonpositive moment denominator)"
-        )
-    return 1.0 / denom
+    if n < 0 or n != int(n):
+        raise DomainError(f"moment order must be a nonnegative integer, got {n}")
+    m = 1.0
+    lam = levy.psi(model, params.theta, params.kappa)
+    for k in range(1, n + 1):
+        denom = lam - levy.psi(model, params.theta, params.kappa - k * params.gamma)
+        if denom <= 0.0:
+            raise DomainError(f"E[I^{k}] is infinite: nonpositive recursion denominator")
+        m = k * m / denom
+    return m
 
 
 def simulate_I_infty(
-    tilted: TiltedDynamics,
+    model: DislocationModel,
     params: ModelParams,
     rng: np.random.Generator,
     n: int,
     *,
     rel_tol: float = 1e-6,
 ) -> np.ndarray:
-    """n independent draws of the lifetime integral of exp(gamma * Y) under `tilted`.
+    """n independent draws of the lifetime integral of exp(gamma * Y) under the kappa tilt.
 
-    All unfinished draws advance together, one jump per step: each step
-    draws the holding times of the m live draws, then their m jumps, adds
-    each segment integral in closed form, and retires the draws whose
-    integrand weight exp(gamma*Y) has dropped below rel_tol times their
-    accrued integral.  A retired draw gets the exact conditional mean of its
-    tail, exp(gamma*Y_T) * M1.  Draws are mean-exact; moments of order > 1
+    Tilted jumps arrive at rate - phi(kappa).  All unfinished draws advance
+    together, one jump per step: each step draws the holding times of the m
+    live draws, then their m jumps, adds each segment integral in closed
+    form, and retires the draws whose integrand weight exp(gamma*Y) has
+    dropped below rel_tol times their accrued integral.  A retired draw gets
+    the exact conditional mean of its tail, exp(gamma*Y_T) * M1, with M1 =
+    moment_recursion(..., 1).  Draws are mean-exact; moments of order > 1
     carry a bias of order rel_tol times the tail variance.
 
     The output depends on n (it sets how many variates each step takes from
     rng), so callers that need prefix-stable samples must fix n.  Raises
-    AssumptionError if any draw is still unfinished after MAX_STEPS steps.
+    DomainError if M1 is infinite and AssumptionError if any draw is still
+    unfinished after MAX_STEPS steps.
     """
-    gamma, theta, gt = params.gamma, params.theta, params.gt
-    m1 = _tilted_first_moment(tilted.model, params, tilted.kappa)
-    if tilted.jump_rate == 0.0:
+    gamma, theta, gt, kappa = params.gamma, params.theta, params.gt, params.kappa
+    jump_rate = model.rate - (levy.phi(model, kappa) if kappa > 0.0 else 0.0)
+    if model.rate > 0.0 and jump_rate / model.rate < 0.01:
+        warnings.warn(f"tilted jump acceptance rate {jump_rate / model.rate:.2e} is below 1%; "
+                      "rejection sampling will be slow", RuntimeWarning, stacklevel=2)
+    m1 = moment_recursion(model, params, 1)
+    if jump_rate == 0.0:
         # Pure drift: the truncation time solves the stopping rule exactly and
         # the conditional tail mean restores 1/(gamma*theta) with no error.
         weight_at_stop = rel_tol / (gt + rel_tol)
@@ -194,11 +204,11 @@ def simulate_I_infty(
     live = np.arange(n)
     y = np.zeros(n)
     acc = np.zeros(n)
-    scale = 1.0 / tilted.jump_rate
+    scale = 1.0 / jump_rate
     for _ in range(MAX_STEPS):
         w = rng.exponential(scale, live.size)
         acc += segment_exp_integral(y, w, gamma, theta)
-        y += levy.sample_jump(tilted.model, tilted.kappa, live.size, rng) - theta * w
+        y += levy.sample_jump(model, kappa, live.size, rng) - theta * w
         weight = np.exp(gamma * y)
         done = weight < rel_tol * acc
         if done.any():

@@ -12,8 +12,7 @@ from fragstop import expfun, harness, levy, pathsim, stopsolve
 def degenerate_sample(params: levy.ModelParams) -> expfun.SharedSample:
     """The no-splitting oracle sample: every draw equals 1/(gamma*theta)."""
     return expfun.SharedSample(
-        draws=np.full(2, 1.0 / params.gt),
-        gamma=params.gamma, theta=params.theta,
+        draws=np.full(2, 1.0 / params.gt), gamma=params.gamma,
         kappa=params.kappa, lam=params.lam, rel_tol=0.0, seed=0,
     )
 

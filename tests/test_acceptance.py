@@ -66,8 +66,7 @@ def test_criterion_01_deterministic_oracle_suite():
         assert params.kappa == pytest.approx(2.0, abs=1e-8)
 
         rng = substream(ACC_SEED, "det-oracle")
-        dyn = levy.tilt(model, params)
-        draws = pathsim.simulate_I_infty(dyn, params, rng, 4)
+        draws = pathsim.simulate_I_infty(model, params, rng, 4)
         assert draws == pytest.approx(np.ones(4), abs=1e-12)
 
         sample = degenerate_sample(params)

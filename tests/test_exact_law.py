@@ -60,8 +60,7 @@ def exact_power_mean(params, rate, b: float, r: float) -> float:
 def test_sampler_matches_exact_law(point):
     model, params = uniform_params(*point)
     rho, a1, a2 = beta_law(params, model.rate)
-    draws = pathsim.simulate_I_infty(levy.tilt(model, params), params,
-                                     substream(3, "exact-law"), 20_000)
+    draws = pathsim.simulate_I_infty(model, params, substream(3, "exact-law"), 20_000)
     # P(I <= x) = P(B >= 1/(rho x)).
     cdf = lambda x: special.betaincc(a1, a2, np.minimum(1.0, 1.0 / (rho * x)))  # noqa: E731
     assert stats.kstest(draws, cdf).pvalue > 0.01

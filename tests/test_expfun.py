@@ -44,7 +44,7 @@ class TestEstimateMoment:
         draws = np.ones(1000)
         draws[-1] = 1e4  # lone outlier in the second half moves the error estimate
         sample = expfun.SharedSample(
-            draws=draws, gamma=1.0, theta=1.0, kappa=ref_params.kappa,
+            draws=draws, gamma=1.0, kappa=ref_params.kappa,
             lam=ref_params.lam, rel_tol=0.0, seed=0,
         )
         assert expfun.estimate_moment(sample, 0.0, 2.0).unstable_variance

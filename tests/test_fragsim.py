@@ -658,6 +658,19 @@ GOLDEN_SOLVE = "c923cc7e87d5cc80c121165676f62e3633d1bd484f3508f586098728a532e43b
 GOLDEN_SWEEP_C = "eaa4f63ab41341c42effd8c85207e7f6973687059816cf4c38a0c19670116f6b"
 GOLDEN_VERIFY = "c8ab98c1840744370ad9c20e6359df1432d84cd3a37ea5cd741b7596c65f1033"
 
+# sha256 of the `solve` JSON per family at the same sizes: the README model,
+# then its family lines replaced.  The point, beta and none digests were
+# recorded while the kappa tilt still had its own dynamics object in levy.
+GOLDEN_SOLVE_FAMILIES = [
+    pytest.param("family = uniform\nrate = 1.0", GOLDEN_SOLVE, id="uniform"),
+    pytest.param("family = point\nrate = 1.0\ns0 = 0.7",
+                 "d740b149b35d92ede86f57c42c12d298f049e7beedd8af3b762914cf3d8d141c", id="point"),
+    pytest.param("family = beta\nrate = 1.0\nshape = 0.5",
+                 "394e6b4e4ec13747a28fea72e55ef3bbd7ad90d71988d917d083fc5c19a4a052", id="beta"),
+    pytest.param("family = none",
+                 "fbed47766e7f4d7deb133d07e716eeff6f0c48fb4be10cb1b030b83cb1700e6d", id="none"),
+]
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -672,8 +685,11 @@ class TestGoldenOutputs:
     def golden_cfg(self):
         return harness.with_overrides(harness.parse_config_text(README_CFG), **GOLDEN_SIZES)
 
-    def test_solve_bytes(self, golden_cfg):
-        assert sha256(harness.dumps_json(harness.cmd_solve(golden_cfg))) == GOLDEN_SOLVE
+    @pytest.mark.parametrize("family_lines,digest", GOLDEN_SOLVE_FAMILIES)
+    def test_solve_bytes(self, family_lines, digest):
+        text = README_CFG.replace("family = uniform\nrate = 1.0", family_lines)
+        cfg = harness.with_overrides(harness.parse_config_text(text), **GOLDEN_SIZES)
+        assert sha256(harness.dumps_json(harness.cmd_solve(cfg))) == digest
 
     def test_sweep_bytes(self, golden_cfg):
         csv_text, summary = harness.cmd_sweep(golden_cfg, "c", SWEEP_C_GRID)

@@ -242,6 +242,25 @@ class TestSolveCommand:
         assert proc.stdout == ""
         assert json.loads(proc.stderr)["type"] == error_type
 
+    @pytest.mark.parametrize("shape", ["1e7", "1e14", "1e16", "1e20"])
+    def test_huge_beta_shape_is_config_error(self, shape, tmp_path):
+        # Past shape 1e6 phi's lgamma difference loses precision: at 1e14 the
+        # solve once returned a wrong kappa, at 1e16 its rejection sampler
+        # spun, and at 1e20 it overflowed.  A child process keeps a
+        # regression from hanging the suite.
+        cfg = tmp_path / "beta.cfg"
+        cfg.write_text(REF_CFG.replace("family = uniform", f"family = beta\nshape = {shape}"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fragstop.cli", "solve", "--config", str(cfg)],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": str(Path(harness.__file__).resolve().parents[1])},
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+        err = json.loads(proc.stderr)
+        assert err["type"] == "InvalidModelError"
+        assert "family = point, s0 = 0.5" in err["message"]
+
     def test_resource_cap_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cap.cfg"
         cfg.write_text(REF_CFG + "block_cap = 16\n")

@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from fragstop import levy
+from fragstop import levy, pathsim
 from fragstop.levy import (
     AssumptionError,
     BinaryBeta,
@@ -95,6 +94,11 @@ class TestPhi:
             levy.validate_model(BinaryPoint(1.0, 1.0))
         with pytest.raises(InvalidModelError):
             levy.validate_model(BinaryBeta(1.0, 0.0))
+
+    def test_beta_shape_bound(self):
+        levy.validate_model(BinaryBeta(1.0, levy.BETA_SHAPE_MAX))
+        with pytest.raises(InvalidModelError, match="family = point, s0 = 0.5"):
+            levy.validate_model(BinaryBeta(1.0, math.nextafter(levy.BETA_SHAPE_MAX, math.inf)))
 
 
 class TestPhiPrime0:
@@ -199,20 +203,6 @@ class TestPsiKappa:
 
 
 class TestTilt:
-    def test_untilted_matches_physical(self, ref_model, ref_params):
-        dyn = levy.tilt(ref_model, replace(ref_params, kappa=0.0))
-        assert dyn.jump_rate == pytest.approx(ref_model.rate, abs=1e-14)
-
-    def test_reference_tilted_rate(self, ref_model, ref_params):
-        dyn = levy.tilt(ref_model, ref_params)
-        kap = ref_params.kappa
-        assert dyn.jump_rate == pytest.approx(1.0 - kap / (kap + 2.0), abs=1e-12)
-        assert dyn.jump_rate == pytest.approx(0.4384, abs=5e-5)
-
-    def test_degenerate_pure_drift(self, degen_model, degen_params):
-        dyn = levy.tilt(degen_model, degen_params)
-        assert dyn.jump_rate == 0.0
-
     @pytest.mark.parametrize(
         "model", [BinaryUniform(1.0), BinaryPoint(1.0, 0.6), BinaryBeta(1.5, 2.0)]
     )
@@ -246,11 +236,13 @@ class TestTilt:
         se = math.sqrt(0.75 * 0.25 / n)
         assert abs(frac - 0.75) <= 3.0 * se
 
-    def test_low_acceptance_warns(self):
+    def test_low_acceptance_warns(self, rng):
+        # The lifetime-integral sampler warns when its tilted jump rate
+        # rate - phi(kappa) is below 1% of the physical rate.
         model = BinaryUniform(1.0)
         params = levy.make_params(model, gamma=1.0, theta=1.0, q=250.0, c=1.0)
         with pytest.warns(RuntimeWarning, match="below 1%"):
-            levy.tilt(model, params)
+            pathsim.simulate_I_infty(model, params, rng, 1)
 
 
 JUMP_MODELS = [
@@ -304,10 +296,10 @@ class TestJumpLaws:
 
 
 class TestMakeParams:
-    def test_derived_quantities(self, ref_params):
+    def test_derived_quantities(self, ref_model, ref_params):
         assert ref_params.lam == pytest.approx(2.0)
         assert ref_params.kappa > ref_params.gamma
-        assert ref_params.p_lower == -2.0
+        assert levy.p_lower(ref_model) == -2.0
 
     def test_a2_violation_names_assumption(self):
         with pytest.raises(AssumptionError, match="A2"):

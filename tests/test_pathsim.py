@@ -1,11 +1,12 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fragstop import expfun, levy, pathsim
-from fragstop.levy import AssumptionError, BinaryBeta, BinaryPoint, BinaryUniform
+from fragstop.levy import AssumptionError, BinaryBeta, BinaryPoint, BinaryUniform, DomainError
 from fragstop.streams import substream
 
 from conftest import (
@@ -117,20 +118,38 @@ class TestZPath:
         assert means[0] > means[1] > means[2]
 
 
-def scalar_I_infty(tilted, params, m1, rng, rel_tol=1e-6, max_steps=1_000_000):
-    """One lifetime-integral draw by the per-jump loop (reference sampler).
+    @pytest.mark.parametrize("rate,theta", [(1.0, 100.0), (1e-300, 1.0)],
+                             ids=["theta100", "rate1e-300"])
+    def test_overflow_to_inf_is_silent(self, rate, theta):
+        # A long drift at a large gamma*theta overflows Z to inf, past every
+        # level; the walks must say so without a RuntimeWarning.
+        model = BinaryUniform(rate)
+        params = levy.make_params(model, gamma=1.0, theta=theta, q=1.0, c=0.25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = pathsim.simulate_Z_at_times(model, params, [0.5, 1000.0], 200,
+                                            substream(13, "overflow"))
+            tau = pathsim.simulate_Z_first_passage(model, params, [0.5, 1e300], 200,
+                                                   substream(13, "overflow"))
+        assert np.all(np.isfinite(z[:, 0])) and np.all(np.isinf(z[:, 1]))
+        assert np.all(np.isfinite(tau))
 
-    Retires on the same rule as the batched sampler, so both target the
-    same law; m1 is the tail mean.
+
+def scalar_I_infty(model, params, m1, rng, rel_tol=1e-6, max_steps=1_000_000):
+    """One lifetime-integral draw under the kappa tilt, by the per-jump loop (reference sampler).
+
+    Jumps arrive at the tilted rate rate - phi(kappa).  Retires on the same
+    rule as the batched sampler, so both target the same law; m1 is the
+    tail mean.
     """
-    gamma, theta = params.gamma, params.theta
+    gamma, theta, kappa = params.gamma, params.theta, params.kappa
     y, acc = 0.0, 0.0
-    scale = 1.0 / tilted.jump_rate
+    scale = 1.0 / (model.rate - levy.phi(model, kappa))
     for _ in range(max_steps):
         w = rng.exponential(scale)
         acc += pathsim.segment_exp_integral(y, w, gamma, theta)
         y -= theta * w
-        y += scalar_jump(tilted.model, tilted.kappa, rng)
+        y += scalar_jump(model, kappa, rng)
         if math.exp(gamma * y) < rel_tol * acc:
             return acc + math.exp(gamma * y) * m1
     raise AssertionError(f"reference draw did not converge within {max_steps} jumps")
@@ -138,40 +157,35 @@ def scalar_I_infty(tilted, params, m1, rng, rel_tol=1e-6, max_steps=1_000_000):
 
 class TestLifetimeIntegral:
     def test_degenerate_exact(self, degen_model, degen_params, rng):
-        dyn = levy.tilt(degen_model, degen_params)
-        draws = pathsim.simulate_I_infty(dyn, degen_params, rng, 8)
+        draws = pathsim.simulate_I_infty(degen_model, degen_params, rng, 8)
         assert draws.shape == (8,)
         assert draws == pytest.approx(np.ones(8), abs=1e-14)
 
     def test_degenerate_other_scale(self, rng):
         model = BinaryUniform(0.0)
         params = levy.make_params(model, gamma=2.0, theta=0.25, q=1.0, c=1.0)
-        dyn = levy.tilt(model, params)
-        draws = pathsim.simulate_I_infty(dyn, params, rng, 8)
+        draws = pathsim.simulate_I_infty(model, params, rng, 8)
         assert draws == pytest.approx(np.full(8, 2.0), abs=1e-12)
 
     def test_tail_correction_is_nonnegative(self, ref_model, ref_params, monkeypatch):
         # The stopping rule ignores the tail mean, so both calls consume the
         # substream identically and the draws pair up elementwise.
-        dyn = levy.tilt(ref_model, ref_params)
-        with_tail = pathsim.simulate_I_infty(dyn, ref_params, substream(5, "tail"), 50)
-        monkeypatch.setattr(pathsim, "_tilted_first_moment", lambda *args: 0.0)
-        without = pathsim.simulate_I_infty(dyn, ref_params, substream(5, "tail"), 50)
+        with_tail = pathsim.simulate_I_infty(ref_model, ref_params, substream(5, "tail"), 50)
+        monkeypatch.setattr(pathsim, "moment_recursion", lambda *args: 0.0)
+        without = pathsim.simulate_I_infty(ref_model, ref_params, substream(5, "tail"), 50)
         assert np.all(with_tail >= without)
         assert np.any(with_tail > without)
 
     def test_untilted_infinite_mean_rejected(self, ref_model, ref_params, rng):
         # At gamma = theta = rate = 1 the physical-measure mean diverges, so
         # the tail correction must refuse rather than return garbage.
-        dyn = levy.tilt(ref_model, replace(ref_params, kappa=0.0))
-        with pytest.raises(AssumptionError):
-            pathsim.simulate_I_infty(dyn, ref_params, rng, 16)
+        with pytest.raises(DomainError, match="infinite"):
+            pathsim.simulate_I_infty(ref_model, replace(ref_params, kappa=0.0), rng, 16)
 
     def test_step_budget_exhausted(self, ref_model, ref_params, rng, monkeypatch):
         monkeypatch.setattr(pathsim, "MAX_STEPS", 1)
-        dyn = levy.tilt(ref_model, ref_params)
         with pytest.raises(AssumptionError, match="failed to converge within 1 jumps"):
-            pathsim.simulate_I_infty(dyn, ref_params, rng, 64)
+            pathsim.simulate_I_infty(ref_model, ref_params, rng, 64)
 
     @pytest.mark.parametrize(
         "model",
@@ -180,12 +194,11 @@ class TestLifetimeIntegral:
     )
     def test_batched_matches_per_jump_reference(self, model):
         params = levy.make_params(model, gamma=1.0, theta=1.0, q=1.0, c=0.25)
-        dyn = levy.tilt(model, params)
         m1 = expfun.moment_recursion(model, params, 1)
         n = 20_000
         rng = substream(31, "per-jump-reference")
-        ref = np.array([scalar_I_infty(dyn, params, m1, rng) for _ in range(n)])
-        batched = pathsim.simulate_I_infty(dyn, params, substream(31, "batched"), n)
+        ref = np.array([scalar_I_infty(model, params, m1, rng) for _ in range(n)])
+        batched = pathsim.simulate_I_infty(model, params, substream(31, "batched"), n)
         se_ref = ref.std(ddof=1) / math.sqrt(n)
         se_batched = batched.std(ddof=1) / math.sqrt(n)
         assert abs(batched.mean() - ref.mean()) <= 4.0 * math.hypot(se_ref, se_batched)
