@@ -155,10 +155,11 @@ def split_blocks(params: ModelParams, mass, born, accrued, zeta, t, share):
 
 @dataclass(frozen=True)
 class FrozenBlocks:
-    """The frozen blocks of a set of runs, grouped by run, each run's in genealogy order.
+    """The frozen blocks of a set of runs, from the engine in generation order.
 
-    `run` indexes the keys the runs started from.  A block that the literal
-    statistic can never freeze has frozen_at = inf and accrued = nan.
+    `grouped` sorts them by run, stably.  `run` indexes the keys the runs
+    started from.  A block that the literal statistic can never freeze has
+    frozen_at = inf and accrued = nan.
     """
 
     run: np.ndarray
@@ -177,14 +178,17 @@ class FrozenBlocks:
         return out
 
     @staticmethod
-    def concatenated(parts: list, starts: list) -> FrozenBlocks:
-        """The blocks of consecutive run sets, run j of part k renamed starts[k] + j."""
-        def cat(field):
-            return np.concatenate([getattr(p, field) for p in parts])
+    def grouped(chunks) -> FrozenBlocks:
+        """One table of `_in_chunks`' (runs, blocks), grouped by run; run j is runs.start + j."""
+        parts = list(chunks)
+        run = np.concatenate([p.run + runs.start for runs, p in parts])
+        order = np.argsort(run, kind="stable")
 
-        return FrozenBlocks(np.concatenate([p.run + s for p, s in zip(parts, starts)]),
-                            cat("mass"), cat("accrued"), cat("frozen_at"),
-                            sum(p.dust_frozen for p in parts), sum(p.partial for p in parts))
+        def cat(field):
+            return np.concatenate([getattr(p, field) for _, p in parts])[order]
+
+        return FrozenBlocks(run[order], cat("mass"), cat("accrued"), cat("frozen_at"),
+                            sum(p.dust_frozen for _, p in parts), sum(p.partial for _, p in parts))
 
 
 # Runs advanced together by one engine call, and the most blocks one call
@@ -221,7 +225,7 @@ def run_stopping_line(
     and counted as partial.  A literal statistic line may close a branch
     that can never fire; such a block is stored with frozen_at = inf and
     contributes zero payoff.  A run that creates more than block_cap blocks
-    raises BlockCapError.
+    raises BlockCapError.  The blocks come in generation order.
     """
     if levy.is_degenerate(model):
         raise InvalidModelError("the fragmentation simulator requires rate > 0")
@@ -264,34 +268,39 @@ def run_stopping_line(
         )
         h = _block_words(h[split], _CHILDREN).T.ravel()
     run, mass, acc, t = (np.concatenate(x) for x in zip(*parts))
-    order = np.argsort(run, kind="stable")
-    return FrozenBlocks(run[order], mass[order], acc[order], t[order], dust, partial)
+    return FrozenBlocks(run, mass, acc, t, dust, partial)
 
 
 def evolve_to_time(model: DislocationModel, params: ModelParams, t: float,
                    keys: np.ndarray) -> FrozenBlocks:
-    """The blocks alive at calendar time t: the FixedTime(t) line, with no dust floor."""
+    """The blocks alive at time t, in generation order: the FixedTime(t) line, no dust floor."""
     return run_stopping_line(model, params, FixedTime(t), keys, dust_floor=0.0)
 
 
-def _in_chunks(engine, keys: np.ndarray) -> FrozenBlocks:
-    """engine(keys) over chunks of at most CHUNK_RUNS runs.
+def _in_chunks(engine, keys: np.ndarray):
+    """Yield (runs, engine(keys[runs])) over slices `runs` of at most CHUNK_RUNS runs.
 
     A chunk over the block budget is rerun as its first half, and later
     chunks keep the smaller size.
     """
-    parts, starts = [], []
     start, size = 0, CHUNK_RUNS
     while start < len(keys):
-        chunk = keys[start:start + size]
+        runs = slice(start, min(start + size, len(keys)))
         try:
-            parts.append(engine(chunk))
+            blocks = engine(keys[runs])
         except _OverBudget:
-            size = len(chunk) // 2
+            size = (runs.stop - start) // 2
             continue
-        starts.append(start)
-        start += len(chunk)
-    return FrozenBlocks.concatenated(parts, starts)
+        yield runs, blocks
+        start = runs.stop
+
+
+def _run_sums(engine, keys: np.ndarray, weights) -> np.ndarray:
+    """Per-run sums of weights(blocks), one chunk at a time, each run's in generation order."""
+    sums = np.empty(len(keys))
+    for runs, blocks in _in_chunks(engine, keys):
+        sums[runs] = np.bincount(blocks.run, weights(blocks), runs.stop - runs.start)
+    return sums
 
 
 # --- ensembles ------------------------------------------------------------------
@@ -327,10 +336,10 @@ def ensemble_payoffs(
     ensemble repeat a smaller one.  Reusing the same seed with a different
     line pairs the runs by common random numbers.
     """
-    frozen = _in_chunks(functools.partial(
+    frozen = FrozenBlocks.grouped(_in_chunks(functools.partial(
         run_stopping_line, model, params, line,
         dust_floor=dust_floor, horizon=horizon, block_cap=block_cap,
-    ), run_key(master_seed, "simulate", n_runs))
+    ), run_key(master_seed, "simulate", n_runs)))
     contrib = frozen.contributions(params)
     return EnsembleResult(np.bincount(frozen.run, weights=contrib, minlength=n_runs),
                           frozen, contrib)
@@ -375,9 +384,9 @@ def many_to_one_fixed_time(
     if f_id not in _FIXED_TIME_FUNCTIONALS:
         raise InvalidModelError(f"unknown test functional {f_id!r}")
     p = _FIXED_TIME_FUNCTIONALS[f_id]
-    alive = _in_chunks(functools.partial(evolve_to_time, model, params, t),
-                       run_key(master_seed, f"m21-fixed-{f_id}", n_runs))
-    vals = np.bincount(alive.run, weights=alive.mass ** (1.0 + p), minlength=n_runs)
+    vals = _run_sums(functools.partial(evolve_to_time, model, params, t),
+                     run_key(master_seed, f"m21-fixed-{f_id}", n_runs),
+                     lambda alive: alive.mass ** (1.0 + p))
     rhs = MomentEstimate(math.exp(-t * levy.phi(model, p)), 0.0, 0)
     return ManyToOneResult(MomentEstimate.of(vals), rhs)
 
@@ -398,13 +407,10 @@ def many_to_one_stopping_line(
     """
     if not 0.0 < a <= 1.0:
         raise InvalidModelError(f"mass threshold must be in (0, 1], got {a}")
-    frozen = _in_chunks(functools.partial(run_stopping_line, model, params, MassBelow(a)),
-                        run_key(master_seed, "m21-line-frag", n_runs))
-    lhs_vals = np.bincount(
-        frozen.run, minlength=n_runs,
-        weights=frozen.mass * np.exp(-params.q * frozen.frozen_at)
-        * np.minimum(frozen.accrued, LINE_CAP),
-    )
+    lhs_vals = _run_sums(
+        functools.partial(run_stopping_line, model, params, MassBelow(a)),
+        run_key(master_seed, "m21-line-frag", n_runs),
+        lambda b: b.mass * np.exp(-params.q * b.frozen_at) * np.minimum(b.accrued, LINE_CAP))
     ell, acc = pathsim.simulate_tagged_mass_passage(
         model, params, a, n_runs, substream(master_seed, "m21-line-tag"))
     rhs_vals = np.exp(-params.q * ell) * np.minimum(acc, LINE_CAP)

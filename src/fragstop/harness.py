@@ -390,7 +390,7 @@ def cmd_sweep(cfg: RunConfig, axis: str, grid: list[float]) -> tuple[str, dict]:
         b_star = stopsolve.solve_b_star(model, params, sample, rel_tol_b=cfg.bisect_rel_tol,
                                         diagnostics=False).b_star
         value_at = stopsolve.value_evaluator(params, sample, b_star, star=True)
-        bs, values = [b_star] * len(grid), [value_at(value) for value in grid]
+        bs, values = [b_star] * len(grid), value_at(np.asarray(grid))
     else:
         bs, values = [], []
         for value in grid:

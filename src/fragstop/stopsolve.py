@@ -33,7 +33,7 @@ FD_STEP_REL = 1e-4          # central-difference step, relative to the point
 JUMP_NODES = 13             # Gauss-Legendre nodes per piece of the generator's jump integral
 RESIDUAL_BATCHES = 20       # batch means behind a generator-residual error
 TILDE_DEGREE = 25           # Chebyshev degree of TildeCurve (TILDE_DEGREE + 1 nodes)
-POWER_MEAN_BUDGET = 8_000_000  # array elements per chunk in _power_mean_many
+POWER_MEAN_BUDGET = 1 << 16    # array elements per chunk in _power_mean_many (cache-sized)
 
 
 class DivergenceError(RuntimeError):
@@ -93,7 +93,9 @@ def value_star(params: ModelParams, sample: SharedSample, b_star: float, c_query
 def _power_mean_many(draws: np.ndarray, z: np.ndarray, p: float) -> np.ndarray:
     """mean((z_i + I)^p) for each z_i of a 1-d array, chunked to bound peak memory.
 
-    The power is taken in place, so a chunk holds one budget-sized array.
+    The power is taken in place, so a chunk holds one budget-sized array, or
+    one row when a row is larger.  Each row's mean is one contiguous
+    reduction, so no value depends on the chunking.
     """
     out = np.empty(z.shape)
     step = max(1, POWER_MEAN_BUDGET // max(draws.size, 1))

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from fragstop import expfun, harness, levy, pathsim, stopsolve
+from fragstop import expfun, fragsim, harness, levy, pathsim, stopsolve
 
 
 # Reference code that several test modules share; import it from `conftest`.
@@ -44,6 +44,29 @@ def reference_c_sweep(cfg, grid) -> tuple[list[float], list[float]]:
                                      rel_tol_b=cfg.bisect_rel_tol, diagnostics=False)
               for c in grid]
     return [res.b_star for res in solved], [res.value_at_c for res in solved]
+
+
+def materialised_run_sums(engine, keys, weights) -> np.ndarray:
+    """Per-run sums of weights(blocks) over one table of every run's frozen blocks.
+
+    This is how the many-to-one checks summed before they reduced each chunk
+    as it came: each chunk of runs (halved as the package halves it over the
+    block budget) sorted by run, the chunks concatenated, then one bincount.
+    """
+    parts, start, size = [], 0, fragsim.CHUNK_RUNS
+    while start < len(keys):
+        chunk = keys[start:start + size]
+        try:
+            blocks = engine(chunk)
+        except fragsim._OverBudget:
+            size = len(chunk) // 2
+            continue
+        order = np.argsort(blocks.run, kind="stable")
+        parts.append((blocks.run[order] + start, blocks.mass[order], blocks.accrued[order],
+                      blocks.frozen_at[order]))
+        start += len(chunk)
+    table = fragsim.FrozenBlocks(*(np.concatenate(x) for x in zip(*parts)), 0, 0)
+    return np.bincount(table.run, weights=weights(table), minlength=len(keys))
 
 
 # --- scalar reference walks: one path, one scalar jump at a time -------------------

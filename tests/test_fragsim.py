@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +19,8 @@ from fragstop.fragsim import BlockCapError, FixedTime, FrozenBlocks, MassBelow, 
 from fragstop.levy import BinaryBeta, BinaryPoint, BinaryUniform, InvalidModelError
 from fragstop.streams import run_key
 
-from conftest import reference_run_key, scalar_first_passage, scalar_split, simulate_Z_path
+from conftest import (materialised_run_sums, reference_run_key, scalar_first_passage,
+                      scalar_split, simulate_Z_path)
 
 KEY = int(run_key(0, "test", 1)[0])
 
@@ -315,6 +317,64 @@ class TestManyToOne:
         assert abs(res.lhs.value - res.rhs.value) <= 3.0 * res.combined_se
 
 
+def materialised_lhs(model, params, kind: str, n_runs: int, seed: int) -> MomentEstimate:
+    """The lhs of a many-to-one check at t = 1 or a = 0.1, summed over the whole block table."""
+    if kind == "line":
+        engine = functools.partial(fragsim.run_stopping_line, model, params, MassBelow(0.1))
+        weights = lambda b: (b.mass * np.exp(-params.q * b.frozen_at)  # noqa: E731
+                             * np.minimum(b.accrued, fragsim.LINE_CAP))
+        keys = run_key(seed, "m21-line-frag", n_runs)
+    else:
+        power = 1.0 + {"identity": 1.0, "square": 2.0}[kind]
+        engine = functools.partial(fragsim.evolve_to_time, model, params, 1.0)
+        weights = lambda b: b.mass ** power  # noqa: E731
+        keys = run_key(seed, f"m21-fixed-{kind}", n_runs)
+    return MomentEstimate.of(materialised_run_sums(engine, keys, weights))
+
+
+def streamed_lhs(model, params, kind: str, n_runs: int, seed: int) -> MomentEstimate:
+    if kind == "line":
+        return fragsim.many_to_one_stopping_line(model, params, 0.1, n_runs, seed).lhs
+    return fragsim.many_to_one_fixed_time(model, params, kind, 1.0, n_runs, seed).lhs
+
+
+class TestStreamedSums:
+    """The many-to-one checks sum each chunk of runs as it comes; no bit may move."""
+
+    @pytest.mark.parametrize("kind", ["line", "identity", "square"])
+    @pytest.mark.parametrize("model", [BinaryUniform(1.0), BinaryPoint(1.0, 0.7)],
+                             ids=["uniform", "point0.7"])
+    def test_lhs_matches_table(self, model, kind):
+        # 3000 runs: two full chunks of CHUNK_RUNS and a partial one.
+        params = levy.make_params(model, gamma=1.0, theta=1.0, q=1.0, c=0.25)
+        streamed = streamed_lhs(model, params, kind, 3000, 41)
+        reference = materialised_lhs(model, params, kind, 3000, 41)
+        assert (streamed.value, streamed.std_error) == (reference.value, reference.std_error)
+
+    @pytest.mark.parametrize("kind", ["line", "square"])
+    def test_lhs_matches_table_over_budget(self, ref_model, ref_params, kind, monkeypatch):
+        # A budget of 60 blocks halves every chunk down to a few runs.
+        monkeypatch.setattr(fragsim, "BLOCK_BUDGET", 60)
+        calls = []
+        engine = fragsim.run_stopping_line
+        monkeypatch.setattr(fragsim, "run_stopping_line",
+                            lambda *a, **k: calls.append(len(a[3])) or engine(*a, **k))
+        streamed = streamed_lhs(ref_model, ref_params, kind, 300, 43)
+        assert calls[0] == 300 and min(calls) < 16
+        reference = materialised_lhs(ref_model, ref_params, kind, 300, 43)
+        assert (streamed.value, streamed.std_error) == (reference.value, reference.std_error)
+
+    def test_line_sums_hold_one_chunk(self, ref_model, ref_params):
+        # The whole table of 10,000 runs held about 12 MB.
+        tracemalloc.start()
+        try:
+            fragsim.many_to_one_stopping_line(ref_model, ref_params, 0.1, 10_000, 12345)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+
 class TestOptimalLineValue:
     def test_matches_single_lineage_value(self, ref_model, ref_params, ref_sample, ref_solved):
         ens = fragsim.ensemble_payoffs(
@@ -583,11 +643,10 @@ class TestRunKeys:
     def test_payoffs_agree_with_blake2b_keys(self, ref_model, ref_params, line):
         # Run keys are words of one substream, where they were one blake2b
         # hash per run: the payoff law must not notice.
-        old = fragsim._in_chunks(
+        old_payoffs = materialised_run_sums(
             functools.partial(fragsim.run_stopping_line, ref_model, ref_params, line),
-            [reference_run_key(24, "simulate", i) for i in range(self.N)])
-        old_payoffs = np.bincount(old.run, weights=old.contributions(ref_params),
-                                  minlength=self.N)
+            [reference_run_key(24, "simulate", i) for i in range(self.N)],
+            lambda blocks: blocks.contributions(ref_params))
         new = fragsim.ensemble_payoffs(ref_model, ref_params, line, self.N, 24)
         TestReferenceEngine._agree(new.payoffs, old_payoffs, "payoff")
 

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +193,33 @@ class TestTildeCurve:
 
     def test_agrees_with_spline_reference(self):
         assert_path_averages_agree(SplineTildeCurve)
+
+
+class TestPowerMeans:
+    NODES = stopsolve.TILDE_DEGREE + 1
+
+    @pytest.mark.parametrize("n_draws", [3000, 100_000])
+    def test_chunking_keeps_bits(self, ref_params, ref_sample, n_draws, monkeypatch):
+        draws = ref_sample.draws[:n_draws]
+        z = np.geomspace(1e-3, 1e3, self.NODES)
+        p = ref_params.kappa / ref_params.gamma
+        means = []
+        for budget in (1, stopsolve.POWER_MEAN_BUDGET, 10**9):
+            monkeypatch.setattr(stopsolve, "POWER_MEAN_BUDGET", budget)
+            means.append(stopsolve._power_mean_many(draws, z, p))
+        np.testing.assert_array_equal(means[0], means[1])
+        np.testing.assert_array_equal(means[0], means[2])
+
+    def test_peak_memory_is_one_block(self, ref_params, ref_sample):
+        # One 100,000 x 26 block, as the means took it whole, held about 21 MB.
+        z = np.geomspace(1e-3, 1e3, self.NODES)
+        tracemalloc.start()
+        try:
+            stopsolve._power_mean_many(ref_sample.draws, z, ref_params.kappa / ref_params.gamma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ref_sample.draws.size == 100_000 and peak < 4e6
 
 
 class TestPasting:
