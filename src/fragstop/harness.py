@@ -325,8 +325,9 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
             std_error=mc.std_error,
         ))
 
+    # The dominance checks demand a 3-SE margin, so they get at least 10,000 paths.
     sweep = stopsolve.threshold_payoff_sweep(
-        model, params, [0.8 * b_star, b_star, 1.25 * b_star], cfg.runs,
+        model, params, [0.8 * b_star, b_star, 1.25 * b_star], max(cfg.runs, 10_000),
         substream(cfg.seed, "verify-sweep"), horizon=cfg.fp_horizon,
     )
     center = sweep.discounts[:, 1] * sweep.thresholds[1]
