@@ -365,7 +365,8 @@ class TestStreamedSums:
         assert (streamed.value, streamed.std_error) == (reference.value, reference.std_error)
 
     def test_line_sums_hold_one_chunk(self, ref_model, ref_params):
-        # The whole table of 10,000 runs held about 12 MB.
+        # A table of all 10,000 runs' frozen blocks takes about 12 MB; one
+        # chunk of 1024 runs and the lineage side about 2 MB.
         tracemalloc.start()
         try:
             fragsim.many_to_one_stopping_line(ref_model, ref_params, 0.1, 10_000, 12345)

@@ -211,7 +211,8 @@ class TestPowerMeans:
         np.testing.assert_array_equal(means[0], means[2])
 
     def test_peak_memory_is_one_block(self, ref_params, ref_sample):
-        # One 100,000 x 26 block, as the means took it whole, held about 21 MB.
+        # The whole 100,000 x 26 table of powers takes about 21 MB; one
+        # 100,000-draw row 0.8 MB.
         z = np.geomspace(1e-3, 1e3, self.NODES)
         tracemalloc.start()
         try:
