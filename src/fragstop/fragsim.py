@@ -2,10 +2,11 @@
 
 The state is a finite set of blocks; each live block independently splits at
 the family rate into two fragments whose masses sum to the parent's exactly.
-Alongside its mass every block carries two path functionals, both exact:
+Alongside its mass and birth time every block carries, exactly,
 
   accrued  -- the premium integral of e^{-gamma*theta*s} * mass(s)^(-gamma)
-              along its ancestral line, and
+              along its ancestral line, with e^{-gamma*theta*born}, where
+              its next accrual starts, and, on statistic lines only,
   zeta     -- the per-block stopping statistic
               e^{gamma*theta*t} * mass^gamma * (accrued + c),
 
@@ -87,7 +88,8 @@ StoppingLine = Union[FixedTime, MassBelow, OptimalStatistic]
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-# Stream counters of a block: its two draws, then its two children's hashes.
+# Stream counters of a block, one row each: its two draws, then its two
+# children's hashes.
 _DRAWS = np.arange(2, dtype=np.uint64)[:, None]
 _CHILDREN = np.arange(2, 4, dtype=np.uint64)[:, None]
 
@@ -95,9 +97,12 @@ _CHILDREN = np.arange(2, 4, dtype=np.uint64)[:, None]
 def _block_words(hashes: np.ndarray, counters: np.ndarray) -> np.ndarray:
     """Each block's stream word at `counters`: mix(hash + (counter+1)*golden), wrapping."""
     z = hashes + (counters + np.uint64(1)) * _GOLDEN
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _block_stream(hashes: np.ndarray, counters: np.ndarray) -> np.ndarray:
@@ -107,48 +112,6 @@ def _block_stream(hashes: np.ndarray, counters: np.ndarray) -> np.ndarray:
     hash; `counters` broadcasts against `hashes`.
     """
     return (_block_words(hashes, counters) >> np.uint64(11)) * 2.0**-53
-
-
-# --- per-block arithmetic, vectorised over blocks ---------------------------------
-
-def accrued_at(params: ModelParams, mass, born, accrued, t):
-    """Premium integral at times t >= born, the mass constant since birth."""
-    gt = params.gt
-    return accrued + mass ** (-params.gamma) * (np.exp(-gt * born) - np.exp(-gt * t)) / gt
-
-
-def freeze_times(line: StoppingLine, params: ModelParams, mass, born, zeta) -> np.ndarray:
-    """Each block's own line time; may be inf (literal statistic only)."""
-    if isinstance(line, FixedTime):
-        return np.full(np.shape(mass), line.t)
-    if isinstance(line, MassBelow):
-        return np.where(mass <= line.a, born, np.inf)
-    gt = params.gt
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if not line.literal:
-            return born + pathsim.z_crossing_dt(zeta, line.b, gt)
-        # Literal variant: eta(t) = e^{-gt t} zeta(t) increases toward the cap
-        # K = (zeta_birth + m) e^{-gt born}, m = 1/gt; caps only shrink at
-        # splits, so K <= b closes the whole subtree exactly.
-        m = 1.0 / gt
-        decay = np.exp(-gt * born)
-        cap = (zeta + m) * decay
-        return np.where(cap - m * decay >= line.b, born,
-                        np.where(cap <= line.b, np.inf, -np.log((cap - line.b) / m) / gt))
-
-
-def split_blocks(params: ModelParams, mass, born, accrued, zeta, t, share):
-    """Children of blocks split at times t into shares (share, 1 - share).
-
-    Returns the children's (mass, born, accrued, zeta), those of block j at
-    2j and 2j + 1.  Both inherit the parent's accrued premium; the statistic
-    is scaled by each child's share^gamma.
-    """
-    acc = accrued_at(params, mass, born, accrued, t)
-    z = pathsim.z_advance(zeta, t - born, params.gt)
-    shares = np.column_stack([share, 1.0 - share]).ravel()
-    return (np.repeat(mass, 2) * shares, np.repeat(t, 2), np.repeat(acc, 2),
-            np.repeat(z, 2) * shares ** params.gamma)
 
 
 # --- the engine ---------------------------------------------------------------------
@@ -202,6 +165,28 @@ class _OverBudget(Exception):
     """A call over several runs created more than BLOCK_BUDGET blocks."""
 
 
+def _line_times(line: StoppingLine, params: ModelParams, state: np.ndarray):
+    """Each live block's own line time: a float on a fixed-time line, else an array.
+
+    The literal statistic's time is inf on a branch it can never freeze:
+    eta(t) = e^{-gt t} zeta(t) increases toward the cap K = (zeta_birth + m)
+    e^{-gt born}, m = 1/gt, and caps only shrink at splits, so K <= b closes
+    the whole subtree exactly.
+    """
+    if isinstance(line, FixedTime):
+        return line.t
+    mass, born = state[0], state[1]
+    if isinstance(line, MassBelow):
+        return np.where(mass <= line.a, born, np.inf)
+    gt = params.gt
+    if not line.literal:
+        return born + pathsim.z_crossing_dt(state[4], line.b, gt)
+    m, decay = 1.0 / gt, state[3]
+    cap = (state[4] + m) * decay
+    return np.where(cap - m * decay >= line.b, born,
+                    np.where(cap <= line.b, np.inf, -np.log((cap - line.b) / m) / gt))
+
+
 # Overflow gives inf and 0 * inf gives nan silently, as with Python floats:
 # a statistic that overflows is beyond every threshold.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -226,49 +211,122 @@ def run_stopping_line(
     that can never fire; such a block is stored with frozen_at = inf and
     contributes zero payoff.  A run that creates more than block_cap blocks
     raises BlockCapError.  The blocks come in generation order.
+
+    Each live block is a column of one state array, with rows mass, birth
+    time, accrued premium, e^{-gamma*theta*born} and, on statistic lines
+    only, zeta.  Between splits the premium accrues as
+    mass^(-gamma) * (e^{-gt*born} - e^{-gt*t}) / gt; a split computes
+    e^{-gt*t} once, and it becomes both children's e^{-gt*born}.  Both
+    children inherit the parent's accrued premium; zeta is advanced to the
+    split and scaled by each child's share^gamma.
     """
     if levy.is_degenerate(model):
         raise InvalidModelError("the fragmentation simulator requires rate > 0")
     if isinstance(line, FixedTime) and line.t > horizon:
         raise InvalidModelError(f"line time {line.t} exceeds the horizon {horizon}")
-    literal = isinstance(line, OptimalStatistic) and line.literal
+    statistic = isinstance(line, OptimalStatistic)
+    literal = statistic and line.literal
+    gamma, gt = params.gamma, params.gt
     n_runs = len(keys)
     run = np.arange(n_runs)
     h = np.asarray(keys, dtype=np.uint64)
-    mass, born, acc = np.ones(n_runs), np.zeros(n_runs), np.zeros(n_runs)
-    zeta = np.full(n_runs, params.c)
-    created = np.ones(n_runs, dtype=np.int64)
+    state = np.zeros((5 if statistic else 4, n_runs))
+    state[[0, 3]] = 1.0
+    if statistic:
+        state[4] = params.c
     parts = []
     dust = partial = 0
+    # Blocks created in the chunk; per run only once the cap can bind.
+    total, created = n_runs, None
     while run.size:
         u_hold, u_share = _block_stream(h, _DRAWS)
-        line_t = freeze_times(line, params, mass, born, zeta)
+        mass, born = state[0], state[1]
         split_t = born - np.log1p(-u_hold) / model.rate
-        is_dust = (mass < dust_floor) | (mass == 0.0)
-        never = np.isinf(line_t) & literal & ~is_dust
-        is_partial = (np.minimum(line_t, split_t) > horizon) & ~is_dust & ~never
-        freeze = is_dust | never | is_partial | (line_t <= split_t)
-        t = np.where(is_dust, born, np.where(is_partial, horizon, line_t))[freeze]
-        a = accrued_at(params, mass[freeze], born[freeze], acc[freeze], t)
-        a = np.where(is_dust[freeze], acc[freeze], np.where(never[freeze], np.nan, a))
-        parts.append((run[freeze], mass[freeze], a, t))
-        dust += int(np.count_nonzero(is_dust))
-        partial += int(np.count_nonzero(is_partial))
+        line_t = _line_times(line, params, state)
+        # Dust, blocks alive past the horizon and branches the literal
+        # statistic never fires on are rare: only steps that may hold one
+        # take these masks.
+        lightest = mass.min()
+        rare = (literal or lightest < dust_floor or lightest == 0.0
+                or horizon < math.inf and (np.minimum(line_t, split_t) > horizon).any())
+        if rare:
+            is_dust = (mass < dust_floor) | (mass == 0.0)
+            never = np.isinf(line_t) & literal & ~is_dust
+            is_partial = (np.minimum(line_t, split_t) > horizon) & ~is_dust & ~never
+            freeze = is_dust | never | is_partial | (line_t <= split_t)
+            line_t = np.where(is_dust, born, np.where(is_partial, horizon, line_t))
+            dust += int(np.count_nonzero(is_dust))
+            partial += int(np.count_nonzero(is_partial))
+        else:
+            freeze = line_t <= split_t
 
-        split = ~freeze
-        run = np.repeat(run[split], 2)
-        created += np.bincount(run, minlength=n_runs)
-        if run.size and created.max() > block_cap:
-            raise BlockCapError(f"block budget {block_cap} exceeded at t = {split_t[split].max()}")
-        if n_runs > 1 and created.sum() > BLOCK_BUDGET:
+        f = np.flatnonzero(freeze)
+        # Rows mass, birth time (overwritten by the freeze time), accrued, e^{-gt*born}.
+        frozen = np.take(state[:4], f, axis=1)
+        if np.ndim(line_t):
+            np.take(line_t, f, out=frozen[1])
+        else:
+            frozen[1] = line_t
+        gain = frozen[0] ** -gamma * (frozen[3] - np.exp(-gt * frozen[1])) / gt
+        if rare:
+            frozen[2] = np.where(is_dust[f], frozen[2],
+                                 np.where(never[f], np.nan, frozen[2] + gain))
+        else:
+            frozen[2] += gain
+        parts.append((run[f], frozen[:3]))
+
+        s = np.flatnonzero(~freeze)
+        run = np.repeat(run[s], 2)
+        total += run.size
+        if total > block_cap:
+            if created is None:
+                # A run has made 2 * (its frozen and live blocks) - 1 blocks.
+                runs = np.concatenate([r for r, _ in parts] + [run])
+                created = 2 * np.bincount(runs, minlength=n_runs) - 1
+            else:
+                created += np.bincount(run, minlength=n_runs)
+            if created.max() > block_cap:
+                raise BlockCapError(f"block budget {block_cap} exceeded at t = {split_t[s].max()}")
+        if n_runs > 1 and total > BLOCK_BUDGET:
             raise _OverBudget
-        mass, born, acc, zeta = split_blocks(
-            params, mass[split], born[split], acc[split], zeta[split], split_t[split],
-            levy.split_quantile(model, u_share[split]),
-        )
-        h = _block_words(h[split], _CHILDREN).T.ravel()
-    run, mass, acc, t = (np.concatenate(x) for x in zip(*parts))
-    return FrozenBlocks(run, mass, acc, t, dust, partial)
+        state, h = _children(model, params, np.take(state, s, axis=1), split_t[s], u_share[s],
+                             h[s])
+    run = np.concatenate([r for r, _ in parts])
+    mass, frozen_at, accrued = np.concatenate([b for _, b in parts], axis=1)
+    return FrozenBlocks(run, mass, accrued, frozen_at, dust, partial)
+
+
+def _children(model, params, parents, t, u_share, h):
+    """State and hashes of the children of blocks (state columns `parents`) split at times t.
+
+    The children of parent j are columns 2j and 2j + 1, with shares
+    (share, 1 - share) from the split law at u_share.  Each is written
+    through a stride-2 view: broadcasting a parent against its two children
+    would run numpy's inner loops two elements at a time.
+    """
+    gamma, gt = params.gamma, params.gt
+    mass, born, acc, decay = parents[:4]
+    share = levy.split_quantile(model, u_share)
+    shares = np.column_stack([share, 1.0 - share])
+    # Split time, accrued premium and e^{-gt*t}: the same for both children.
+    same = np.empty((3, t.size))
+    same[0] = t
+    np.exp(-gt * t, out=same[2])
+    np.add(acc, mass ** -gamma * (decay - same[2]) / gt, out=same[1])
+    kids = np.empty((len(parents), t.size, 2))
+    zeta = None
+    if len(parents) > 4:
+        zeta = pathsim.z_advance(parents[4], t - born, gt)
+        scale = shares ** gamma
+    words = _block_words(h, _CHILDREN)
+    h = np.empty(2 * t.size, dtype=np.uint64)
+    for k in range(2):
+        kids[1:4, :, k] = same
+        np.multiply(mass, shares[:, k], out=kids[0, :, k])
+        if zeta is not None:
+            np.multiply(zeta, scale[:, k], out=kids[4, :, k])
+        h[k::2] = words[k]
+    return kids.reshape(len(parents), -1), h
 
 
 def evolve_to_time(model: DislocationModel, params: ModelParams, t: float,

@@ -255,7 +255,8 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
     b_star = solved.b_star * corrupt_bstar
     p = params.kappa / params.gamma
     with np.errstate(over="ignore", divide="ignore"):  # the value's errors divide by E[(b+I)^p]^4
-        if not 4.0 * np.log(np.mean((b_star + sample.draws) ** p)) < expfun.LOG_FLOAT_MAX:
+        value = stopsolve.ValueFunction(params, sample, b_star)
+        if not 4.0 * np.log(value.norm) < expfun.LOG_FLOAT_MAX:
             raise ConfigError(f"verify needs E[(b + I)^p]^4 finite for its standard errors, but "
                               f"it overflows at b = {b_star} (b* times --corrupt-bstar "
                               f"{corrupt_bstar})")
@@ -280,17 +281,16 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
                                          substream(cfg.seed, "verify-mart"))
     z_sup = pathsim.simulate_Z_at_times(model, params, times, cfg.runs,
                                         substream(cfg.seed, "verify-supermart"))
-    curve = stopsolve.TildeCurve(params, sample, b_star,
-                                 float(min(z_mart.min(), z_sup.min())),
+    curve = stopsolve.TildeCurve(value, float(min(z_mart.min(), z_sup.min())),
                                  float(max(z_mart.max(), z_sup.max())))
-    mart = stopsolve.martingale_check(params, sample, curve, times, z_mart)
+    mart = stopsolve.martingale_check(curve, times, z_mart)
     for t, est in zip(mart.times, mart.estimates):
         se = math.hypot(est.std_error, mart.reference_se)
         checks.append(_check(
             f"martingale_t={t}", est.value, 3.0 * se + floor,
             target=mart.reference, std_error=se,
         ))
-    sup = stopsolve.supermartingale_check(params, sample, curve, times, z_sup)
+    sup = stopsolve.supermartingale_check(curve, times, z_sup)
     for t, est in zip(sup.times, sup.estimates):
         se = math.hypot(est.std_error, sup.reference_se)
         checks.append(_check(
@@ -390,8 +390,8 @@ def cmd_sweep(cfg: RunConfig, axis: str, grid: list[float]) -> tuple[str, dict]:
         sample = _shared_sample(cfg, model, params)
         b_star = stopsolve.solve_b_star(model, params, sample, rel_tol_b=cfg.bisect_rel_tol,
                                         diagnostics=False).b_star
-        value_at = stopsolve.value_evaluator(params, sample, b_star, star=True)
-        bs, values = [b_star] * len(grid), value_at(np.asarray(grid))
+        bs = [b_star] * len(grid)
+        values = stopsolve.ValueFunction(params, sample, b_star).star(np.asarray(grid))
     else:
         bs, values = [], []
         for value in grid:

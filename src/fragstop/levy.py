@@ -250,16 +250,22 @@ def sample_jump(model: DislocationModel, kappa: float, n: int, rng: np.random.Ge
         return -np.log(picks)
     out = np.empty(n)
     filled = 0
+    # Uniforms per candidate after its split: the pick, then (tilted) the acceptance.
+    rows = 2 if kappa > 0.0 else 1
     while filled < n:
         m = max(n - filled, 1024)
+        # A PCG64 double takes one raw word, so row k of one rng.random((k, m))
+        # call is the k-th of k successive rng.random(m) calls.
         if isinstance(model, BinaryBeta):
             v = rng.beta(model.shape, model.shape, size=m)
             s = np.maximum(v, 1.0 - v)
+            u = rng.random((rows, m))
         else:
-            s = split_quantile(model, rng.random(m))
-        picks = np.where(rng.random(m) < s, s, 1.0 - s)
+            u = rng.random((rows + 1, m))
+            s, u = split_quantile(model, u[0]), u[1:]
+        picks = np.where(u[0] < s, s, 1.0 - s)
         if kappa > 0.0:
-            picks = picks[rng.random(m) < picks**kappa]
+            picks = picks[u[1] < picks**kappa]
         take = min(picks.size, n - filled)
         out[filled : filled + take] = picks[:take]
         filled += take

@@ -39,9 +39,15 @@ def z_advance(z0, dt, gt: float):
 
 
 def z_crossing_dt(z0, b, gt: float):
-    """Time for Z to drift from z0 up to b (0 if already at/above b)."""
+    """Time for Z to drift from z0 up to b (0 if already at/above b).
+
+    Z never drifts below -1/gt (z0 + 1/gt grows like e^{gt t}), so a level
+    b below -1/gt is passed at once: its ratio is negative, and `fmax`
+    takes its nan log to 0.
+    """
     m = 1.0 / gt
-    return np.maximum(np.log((b + m) / (z0 + m)) / gt, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.fmax(np.log((b + m) / (z0 + m)) / gt, 0.0)
 
 
 def segment_exp_integral(y0, dt, gamma: float, theta: float):
@@ -202,19 +208,23 @@ def simulate_I_infty(
         return np.full(n, 1.0 / (gt + rel_tol) + weight_at_stop * m1)
     out = np.empty(n)
     live = np.arange(n)
-    y = np.zeros(n)
-    acc = np.zeros(n)
+    # One column per live draw: Y, the accrued integral, and the integrand
+    # weight exp(gamma*Y), which is also the next segment's starting weight.
+    state = np.zeros((3, n))
+    state[2] = 1.0
     scale = 1.0 / jump_rate
     for _ in range(MAX_STEPS):
+        y, acc, weight = state
         w = rng.exponential(scale, live.size)
-        acc += segment_exp_integral(y, w, gamma, theta)
+        acc += weight * -np.expm1(-gt * w) / gt  # segment_exp_integral from the stored weight
         y += levy.sample_jump(model, kappa, live.size, rng) - theta * w
-        weight = np.exp(gamma * y)
+        np.exp(gamma * y, out=weight)
         done = weight < rel_tol * acc
-        if done.any():
-            out[live[done]] = acc[done] + weight[done] * m1
-            keep = ~done
-            live, y, acc = live[keep], y[keep], acc[keep]
+        retired = np.flatnonzero(done)
+        if retired.size:
+            out[live[retired]] = acc[retired] + weight[retired] * m1
+            keep = np.flatnonzero(~done)
+            live, state = live[keep], np.take(state, keep, axis=1)
         if live.size == 0:
             return out
     raise AssumptionError(

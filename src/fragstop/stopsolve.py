@@ -17,6 +17,7 @@ boolean.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -54,26 +55,42 @@ class SolverResult:
 
 # --- value functions ----------------------------------------------------------
 
-def value_evaluator(params: ModelParams, sample: SharedSample, b_star: float, *,
-                    star: bool = False):
-    """Evaluator z -> candidate value, or optimal value when star, on the shared sample.
+class ValueFunction:
+    """The candidate value b* E[(z+I)^p] / E[(b*+I)^p] on a shared sample, and the optimal value.
 
-    The normalization E[(b*+I)^p] is computed once, here, so callers that
-    evaluate many points (quadrature, finite differences, curve nodes) pay
-    for it once per (sample, b*).
+    The normalization E[(b*+I)^p] is computed once, here, and the value at c
+    and its shared-sample error once each, when first read; callers that
+    evaluate many points (quadrature, finite differences, curve nodes, both
+    path-average checks) pay for each once per (sample, b*).
     """
-    p = params.kappa / params.gamma
-    draws = sample.draws
-    denom = float(np.mean((b_star + draws) ** p))
 
-    def value(c_query):
-        z = np.atleast_1d(np.asarray(c_query, dtype=float))
-        out = b_star * _power_mean_many(draws, z, p) / denom
-        if star:
-            out = np.where(z > b_star, z, out)
-        return float(out[0]) if np.ndim(c_query) == 0 else out
+    def __init__(self, params: ModelParams, sample: SharedSample, b_star: float):
+        self.params, self.sample, self.b_star = params, sample, b_star
+        self.p = params.kappa / params.gamma
+        self.norm = float(np.mean((b_star + sample.draws) ** self.p))
 
-    return value
+    def tilde(self, z):
+        """The candidate value at z (scalar or array); defined for every z > 0, also above b*."""
+        zs = np.atleast_1d(np.asarray(z, dtype=float))
+        out = self.b_star * _power_mean_many(self.sample.draws, zs, self.p) / self.norm
+        return float(out[0]) if np.ndim(z) == 0 else out
+
+    def star(self, z):
+        """The optimal value: the candidate below b*, the stopped payoff z above."""
+        zs = np.atleast_1d(np.asarray(z, dtype=float))
+        out = np.where(zs > self.b_star, zs, self.tilde(zs))
+        return float(out[0]) if np.ndim(z) == 0 else out
+
+    @functools.cached_property
+    def at_c(self) -> float:
+        """The candidate value at the start c."""
+        return self.tilde(self.params.c)
+
+    @functools.cached_property
+    def se_at_c(self) -> float:
+        """The shared-sample standard error of at_c, from the delta-method ratio error."""
+        return self.b_star * expfun.ratio_of_power_means(
+            self.sample, self.params.c, self.b_star, self.p)[1]
 
 
 def value_tilde(params: ModelParams, sample: SharedSample, b_star: float, c_query):
@@ -82,12 +99,12 @@ def value_tilde(params: ModelParams, sample: SharedSample, b_star: float, c_quer
     Convex and continuously differentiable in c_query; accepts scalars or
     arrays.  Defined for every c_query > 0, also above b*.
     """
-    return value_evaluator(params, sample, b_star)(c_query)
+    return ValueFunction(params, sample, b_star).tilde(c_query)
 
 
 def value_star(params: ModelParams, sample: SharedSample, b_star: float, c_query):
     """Optimal value: the candidate below b*, the stopped payoff c above."""
-    return value_evaluator(params, sample, b_star, star=True)(c_query)
+    return ValueFunction(params, sample, b_star).star(c_query)
 
 
 def _power_mean_many(draws: np.ndarray, z: np.ndarray, p: float) -> np.ndarray:
@@ -116,21 +133,16 @@ class TildeCurve:
     reference models the relative error is below 1e-10 for z in [0, 1000],
     far below the Monte Carlo errors it feeds into.  `verify` builds one
     curve over the z-range of all its path-average checks, where evaluating
-    the full sample at every path point would be wasteful.
+    the full sample at every path point would be wasteful.  `value` is the
+    exact ValueFunction the curve was fitted to.
     """
 
-    def __init__(
-        self,
-        params: ModelParams,
-        sample: SharedSample,
-        b_star: float,
-        z_min: float,
-        z_max: float,
-    ):
-        self.b_star, self._shift = b_star, 1.0 / params.gt
-        z_hi = max(z_max, b_star, params.c) * 1.1
+    def __init__(self, value: ValueFunction, z_min: float, z_max: float):
+        self.value, self.b_star = value, value.b_star
+        self._shift = 1.0 / value.params.gt
+        z_hi = max(z_max, value.b_star, value.params.c) * 1.1
         self._log_value = Chebyshev.interpolate(
-            lambda w: np.log(value_tilde(params, sample, b_star, np.exp(w) - self._shift)),
+            lambda w: np.log(value.tilde(np.exp(w) - self._shift)),
             TILDE_DEGREE, domain=np.log([0.9 * z_min + self._shift, z_hi + self._shift]),
         )
 
@@ -218,11 +230,11 @@ def solve_b_star(
         gaps = pasting_check(params, sample, b_star)
         diag["pasting"] = {"value_gap": gaps.value_gap, "slope_gap": gaps.slope_gap}
         grid = [0.2 * b_star, 0.5 * b_star, 0.9 * b_star]
-        tilde_fn = value_evaluator(params, sample, b_star)
-        star_fn = value_evaluator(params, sample, b_star, star=True)
+        value = ValueFunction(params, sample, b_star)
         diag["generator_residual"] = {
-            "continuation": {f"{x:.6g}": generator_residual(model, params, tilde_fn, x) for x in grid},
-            "stopping": {f"{2 * b_star:.6g}": generator_residual(model, params, star_fn,
+            "continuation": {f"{x:.6g}": generator_residual(model, params, value.tilde, x)
+                             for x in grid},
+            "stopping": {f"{2 * b_star:.6g}": generator_residual(model, params, value.star,
                                                                  2.0 * b_star, kink=b_star)},
         }
     return SolverResult(
@@ -333,7 +345,8 @@ def generator_residual_estimate(
     vals = []
     for k in range(RESIDUAL_BATCHES):
         sub = replace(sample, draws=sample.draws[k::RESIDUAL_BATCHES])
-        fn = value_evaluator(params, sub, b_star, star=kind == "star")
+        value = ValueFunction(params, sub, b_star)
+        fn = value.star if kind == "star" else value.tilde
         vals.append(generator_residual(model, params, fn, x,
                                        kink=b_star if kind == "star" else None))
     return MomentEstimate.of(np.asarray(vals))
@@ -403,50 +416,37 @@ class DiscountedValueCheck:
     decrements: tuple         # MomentEstimate of X_{t_k} - X_{t_{k+1}}, paired
 
 
-def _discounted_value_check(params, sample, curve, times, z, *, star: bool
-                            ) -> DiscountedValueCheck:
+def _discounted_value_check(curve, times, z, *, star: bool) -> DiscountedValueCheck:
     """Means of e^{-lam t} V(Z_t) against V(c), V the optimal value if star else the candidate."""
+    value = curve.value
+    params = value.params
     times = np.asarray(times, dtype=float)
     cols = (np.exp(-params.lam * times)[None, :] * (curve.star(z) if star else curve.tilde(z))).T
-    b_star, p = curve.b_star, params.kappa / params.gamma
     # Above b*, V*(c) = c exactly: the payoff of stopping at once.
-    exact = star and params.c > b_star
-    ref_se = 0.0 if exact else b_star * expfun.ratio_of_power_means(sample, params.c, b_star, p)[1]
+    exact = star and params.c > value.b_star
     return DiscountedValueCheck(
         tuple(times), tuple(map(MomentEstimate.of, cols)),
-        reference=(value_star if star else value_tilde)(params, sample, b_star, params.c),
-        reference_se=ref_se,
+        reference=params.c if exact else value.at_c,
+        reference_se=0.0 if exact else value.se_at_c,
         decrements=tuple(MomentEstimate.of(a - b) for a, b in zip(cols, cols[1:])),
     )
 
 
-def martingale_check(
-    params: ModelParams,
-    sample: SharedSample,
-    curve: TildeCurve,
-    times,
-    z: np.ndarray,
-) -> DiscountedValueCheck:
+def martingale_check(curve: TildeCurve, times, z: np.ndarray) -> DiscountedValueCheck:
     """Means of e^{-lam t} tilde(Z_t); each should equal tilde(c).
 
     z[:, k] holds the simulated Z of every path at times[k]; the curve
-    must span z and carries b*.
+    must span z, and its `value` gives b*, the sample and tilde(c).
     """
-    return _discounted_value_check(params, sample, curve, times, z, star=False)
+    return _discounted_value_check(curve, times, z, star=False)
 
 
-def supermartingale_check(
-    params: ModelParams,
-    sample: SharedSample,
-    curve: TildeCurve,
-    times,
-    z: np.ndarray,
-) -> DiscountedValueCheck:
+def supermartingale_check(curve: TildeCurve, times, z: np.ndarray) -> DiscountedValueCheck:
     """Means of e^{-lam t} V*(Z_t); nonincreasing in t, each <= V*(c).
 
     z and curve as in martingale_check.
     """
-    return _discounted_value_check(params, sample, curve, times, z, star=True)
+    return _discounted_value_check(curve, times, z, star=True)
 
 
 # --- brute-force threshold sweep -------------------------------------------------

@@ -69,6 +69,53 @@ def materialised_run_sums(engine, keys, weights) -> np.ndarray:
     return np.bincount(table.run, weights=weights(table), minlength=len(keys))
 
 
+# --- the batched samplers as they were: one rng call per uniform row ---------------
+# The package draws each rejection round's uniforms in one call and keeps the
+# lifetime integrals' state in one array; these must match it bit for bit,
+# generator state included.
+
+def rowwise_sample_jump(model, kappa: float, n: int, rng) -> np.ndarray:
+    """`levy.sample_jump`, with one rng.random(m) call per uniform of a round."""
+    if isinstance(model, levy.BinaryPoint):
+        return levy.sample_jump(model, kappa, n, rng)
+    out = np.empty(n)
+    filled = 0
+    while filled < n:
+        m = max(n - filled, 1024)
+        if isinstance(model, levy.BinaryBeta):
+            v = rng.beta(model.shape, model.shape, size=m)
+            s = np.maximum(v, 1.0 - v)
+        else:
+            s = levy.split_quantile(model, rng.random(m))
+        picks = np.where(rng.random(m) < s, s, 1.0 - s)
+        if kappa > 0.0:
+            picks = picks[rng.random(m) < picks**kappa]
+        take = min(picks.size, n - filled)
+        out[filled : filled + take] = picks[:take]
+        filled += take
+    return -np.log(out)
+
+
+def fieldwise_I_infty(model, params, rng, n: int, rel_tol: float = 1e-6) -> np.ndarray:
+    """`pathsim.simulate_I_infty` with one array per field, recomputing each segment's weight."""
+    gamma, theta, kappa = params.gamma, params.theta, params.kappa
+    m1 = pathsim.moment_recursion(model, params, 1)
+    out = np.empty(n)
+    live, y, acc = np.arange(n), np.zeros(n), np.zeros(n)
+    scale = 1.0 / (model.rate - (levy.phi(model, kappa) if kappa > 0.0 else 0.0))
+    while live.size:
+        w = rng.exponential(scale, live.size)
+        acc += pathsim.segment_exp_integral(y, w, gamma, theta)
+        y += rowwise_sample_jump(model, kappa, live.size, rng) - theta * w
+        weight = np.exp(gamma * y)
+        done = weight < rel_tol * acc
+        if done.any():
+            out[live[done]] = acc[done] + weight[done] * m1
+            keep = ~done
+            live, y, acc = live[keep], y[keep], acc[keep]
+    return out
+
+
 # --- scalar reference walks: one path, one scalar jump at a time -------------------
 # The package's walks are batched over paths; these per-path loops are the
 # statistical reference they are checked against.
@@ -203,11 +250,12 @@ def path_average_check(check, model, params, sample, b_star, times, n_paths, rng
     """Run a path-average check on n_paths Z paths, with a value curve spanning them.
 
     `check` is `stopsolve.martingale_check` or `stopsolve.supermartingale_check`;
-    `curve_type` builds the curve from (params, sample, b_star, z_min, z_max).
+    `curve_type` builds the curve from (stopsolve.ValueFunction, z_min, z_max).
     """
     z = pathsim.simulate_Z_at_times(model, params, times, n_paths, rng)
-    curve = curve_type(params, sample, b_star, float(z.min()), float(z.max()))
-    return check(params, sample, curve, times, z)
+    curve = curve_type(stopsolve.ValueFunction(params, sample, b_star),
+                       float(z.min()), float(z.max()))
+    return check(curve, times, z)
 
 
 def sweep_payoffs(sweep: stopsolve.ThresholdSweep) -> tuple[np.ndarray, np.ndarray]:

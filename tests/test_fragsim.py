@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -96,17 +97,18 @@ class TestStoppingLines:
         np.testing.assert_allclose(stat, b, rtol=1e-10)
 
     def test_zeta_accrued_consistency(self, ref_params):
-        # Eight generations of splits through the engine's own arithmetic:
-        # zeta must equal e^{gt t} mass^gamma (accrued + c) on every block.
+        # Eight generations of splits through the engine's arithmetic (the
+        # masked engine's helpers, bit-equal to it by TestLeanEngine): zeta
+        # must equal e^{gt t} mass^gamma (accrued + c) on every block.
         rng = np.random.default_rng(2)
         mass, born, acc, zeta = np.ones(1), np.zeros(1), np.zeros(1), np.full(1, ref_params.c)
         for _ in range(8):
             t = born + rng.exponential(size=mass.size)
             share = 0.5 * (1.0 + rng.random(mass.size))
-            mass, born, acc, zeta = fragsim.split_blocks(ref_params, mass, born, acc, zeta, t, share)
+            mass, born, acc, zeta = split_blocks(ref_params, mass, born, acc, zeta, t, share)
         t = born + 0.7
         recon = np.exp(ref_params.gt * t) * mass**ref_params.gamma * (
-            fragsim.accrued_at(ref_params, mass, born, acc, t) + ref_params.c
+            accrued_at(ref_params, mass, born, acc, t) + ref_params.c
         )
         assert mass.size == 256 and mass.sum() == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(pathsim.z_advance(zeta, t - born, ref_params.gt), recon,
@@ -133,12 +135,44 @@ class TestStoppingLines:
                 ref_model, ref_params, MassBelow(1e-5), [KEY], block_cap=16,
             )
 
+    # (runs, line, cap, message), the messages as the masked engine gave them.
+    CAPPED_CHUNKS = [
+        (8, MassBelow(1e-4), 300, "block budget 300 exceeded at t = 24.619706596753826"),
+        (50, MassBelow(1e-4), 100, "block budget 100 exceeded at t = 20.217273480322568"),
+        # The chunk makes 8100 blocks, its largest run 509.
+        (64, FixedTime(4.0), 508, "block budget 508 exceeded at t = 3.978221946991077"),
+    ]
+
+    @pytest.mark.parametrize("n_runs,line,cap,message", CAPPED_CHUNKS)
+    def test_block_cap_enforced_per_run_in_a_chunk(self, ref_model, ref_params, n_runs, line,
+                                                   cap, message):
+        # A cap below BLOCK_BUDGET binds on one run of a multi-run chunk.
+        keys = run_key(0, "test", n_runs)
+        with pytest.raises(BlockCapError) as caught:
+            fragsim.run_stopping_line(ref_model, ref_params, line, keys, block_cap=cap)
+        assert str(caught.value) == message
+        with pytest.raises(BlockCapError) as masked:
+            masked_stopping_line(ref_model, ref_params, line, keys, block_cap=cap)
+        assert str(masked.value) == message
+
+    def test_block_cap_counts_each_run(self, ref_model, ref_params):
+        # A run that split k times made 2k + 1 blocks: a cap at the largest
+        # run's count passes, though the chunk made far more blocks in all.
+        keys = run_key(0, "test", 64)
+        free = fragsim.run_stopping_line(ref_model, ref_params, FixedTime(4.0), keys)
+        largest = 2 * np.bincount(free.run).max() - 1
+        assert largest == 509 and 2 * free.run.size - keys.size > 10 * largest
+        capped = fragsim.run_stopping_line(ref_model, ref_params, FixedTime(4.0), keys,
+                                           block_cap=largest)
+        assert_same_blocks(capped, free)
+
 
 def tagged_walk(model, params, line, rng) -> list[tuple[float, float]]:
     """(time, zeta) of one size-biased lineage at birth, every split and its freeze.
 
-    The lineage's blocks go through the engine's own freeze times and split
-    arithmetic, on length-1 arrays.  Each block draws its holding time, then
+    The lineage's blocks go through the engine's freeze times and split
+    arithmetic (the masked engine's helpers, bit-equal to the engine by
+    TestLeanEngine), on length-1 arrays.  Each block draws its holding time, then
     its split share, then the size-biased pick of the child to follow, all
     from `rng`: the draw order of the single-lineage premium process, jump
     by jump.
@@ -146,13 +180,13 @@ def tagged_walk(model, params, line, rng) -> list[tuple[float, float]]:
     mass, born, acc, zeta = np.ones(1), np.zeros(1), np.zeros(1), np.full(1, params.c)
     log = [(0.0, params.c)]
     while True:
-        freeze_t = fragsim.freeze_times(line, params, mass, born, zeta)
+        freeze_t = freeze_times(line, params, mass, born, zeta)
         split_t = born + rng.exponential(1.0 / model.rate)
         if freeze_t[0] <= split_t[0]:
             log.append((freeze_t[0], pathsim.z_advance(zeta, freeze_t - born, params.gt)[0]))
             return log
         s = scalar_split(model, rng)
-        kids = fragsim.split_blocks(params, mass, born, acc, zeta, split_t, np.array([s]))
+        kids = split_blocks(params, mass, born, acc, zeta, split_t, np.array([s]))
         k = 0 if rng.random() < s else 1
         mass, born, acc, zeta = (x[k:k + 1] for x in kids)
         log.append((split_t[0], zeta[0]))
@@ -193,14 +227,14 @@ class TestPayoff:
         # accrued, then each child accrues with mass 1/2 from u to t.
         model, params = point_params(c=0.3)
         u, t = 0.4, 1.1
-        mass, born, acc, _ = fragsim.split_blocks(
+        mass, born, acc, _ = split_blocks(
             params, np.ones(1), np.zeros(1), np.zeros(1), np.full(1, params.c),
             np.full(1, u), np.full(1, 0.5),
         )
         acc_parent = -math.expm1(-u)  # integral of e^{-s} ds over [0, u)
         np.testing.assert_allclose(acc, acc_parent, rtol=1e-12)
         frozen = FrozenBlocks(np.zeros(2, dtype=int), mass,
-                              fragsim.accrued_at(params, mass, born, acc, t), np.full(2, t), 0, 0)
+                              accrued_at(params, mass, born, acc, t), np.full(2, t), 0, 0)
         acc_child = acc_parent + 2.0 * (math.exp(-u) - math.exp(-t))
         expected = 2.0 * (acc_child + params.c) * 0.5**2 * math.exp(-t)
         assert frozen.contributions(params).sum() == pytest.approx(expected, rel=1e-12)
@@ -481,6 +515,21 @@ class TestInvariants:
         assert summary["dust_frozen"] == np.count_nonzero(data[:, 1] < 0.05) > 0
         assert summary["partial"] == np.count_nonzero(data[:, 3] == 1.5) > 0
 
+    @pytest.mark.parametrize("literal", [False, True], ids=["zeta", "literal"])
+    @pytest.mark.parametrize("b", ["-5", "-1", "-0.999"])
+    def test_threshold_below_every_statistic_freezes_at_birth(self, b, literal, tmp_path,
+                                                             capsys):
+        # zeta >= 0 > b: each root freezes at t = 0 and its run pays c.  Below
+        # -1/(gamma*theta) = -1 the crossing time's log ratio is negative.
+        cfg = tmp_path / "readme.cfg"
+        cfg.write_text(README_CFG)
+        args = ["simulate", "--config", str(cfg), "--runs", "5", "--line", f"optimal:{b}"]
+        assert main(args + ["--literal-theorem-statistic"] * literal) == 0
+        captured = capsys.readouterr()
+        summary = json.loads(captured.err)
+        assert summary["mean_payoff"] == 0.25 and summary["std_error"] == 0.0
+        assert captured.out.count("\n") == 2 + 5
+
     def test_runaway_line_exits_5_in_bounded_memory(self, tmp_path):
         # Every run of fixed:30 outgrows the 1,000,000-block cap.  One chunk
         # of 100 such runs would hold about 5e7 live blocks; the block budget
@@ -505,6 +554,146 @@ class TestInvariants:
         err = proc.stderr.strip().splitlines()
         assert json.loads(err[0])["type"] == "BlockCapError"
         assert int(err[-1]) < 1024 * 1024  # ru_maxrss is in KiB on Linux
+
+
+# --- reference: the masked engine the lean one replaced ---------------------------------
+# One array per block field, boolean masks applied per field, e^{-gt*born}
+# recomputed wherever it is needed and zeta advanced on every line.  The
+# engine must reproduce it bit for bit.
+
+def accrued_at(params, mass, born, accrued, t):
+    """Premium integral at times t >= born, the mass constant since birth."""
+    gt = params.gt
+    return accrued + mass ** (-params.gamma) * (np.exp(-gt * born) - np.exp(-gt * t)) / gt
+
+
+def freeze_times(line, params, mass, born, zeta) -> np.ndarray:
+    """Each block's own line time; may be inf (literal statistic only)."""
+    if isinstance(line, FixedTime):
+        return np.full(np.shape(mass), line.t)
+    if isinstance(line, MassBelow):
+        return np.where(mass <= line.a, born, np.inf)
+    gt = params.gt
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if not line.literal:
+            return born + pathsim.z_crossing_dt(zeta, line.b, gt)
+        m = 1.0 / gt
+        decay = np.exp(-gt * born)
+        cap = (zeta + m) * decay
+        return np.where(cap - m * decay >= line.b, born,
+                        np.where(cap <= line.b, np.inf, -np.log((cap - line.b) / m) / gt))
+
+
+def split_blocks(params, mass, born, accrued, zeta, t, share):
+    """Children (mass, born, accrued, zeta) of blocks split at times t, block j's at 2j, 2j + 1."""
+    acc = accrued_at(params, mass, born, accrued, t)
+    z = pathsim.z_advance(zeta, t - born, params.gt)
+    shares = np.column_stack([share, 1.0 - share]).ravel()
+    return (np.repeat(mass, 2) * shares, np.repeat(t, 2), np.repeat(acc, 2),
+            np.repeat(z, 2) * shares ** params.gamma)
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def masked_stopping_line(model, params, line, keys, *, dust_floor=1e-12, horizon=math.inf,
+                         block_cap=1_000_000) -> FrozenBlocks:
+    """`fragsim.run_stopping_line` as it was, one boolean mask per field and step."""
+    if isinstance(line, FixedTime) and line.t > horizon:
+        raise InvalidModelError(f"line time {line.t} exceeds the horizon {horizon}")
+    literal = isinstance(line, OptimalStatistic) and line.literal
+    n_runs = len(keys)
+    run = np.arange(n_runs)
+    h = np.asarray(keys, dtype=np.uint64)
+    mass, born, acc = np.ones(n_runs), np.zeros(n_runs), np.zeros(n_runs)
+    zeta = np.full(n_runs, params.c)
+    created = np.ones(n_runs, dtype=np.int64)
+    parts = []
+    dust = partial = 0
+    while run.size:
+        u_hold, u_share = fragsim._block_stream(h, np.arange(2, dtype=np.uint64)[:, None])
+        line_t = freeze_times(line, params, mass, born, zeta)
+        split_t = born - np.log1p(-u_hold) / model.rate
+        is_dust = (mass < dust_floor) | (mass == 0.0)
+        never = np.isinf(line_t) & literal & ~is_dust
+        is_partial = (np.minimum(line_t, split_t) > horizon) & ~is_dust & ~never
+        freeze = is_dust | never | is_partial | (line_t <= split_t)
+        t = np.where(is_dust, born, np.where(is_partial, horizon, line_t))[freeze]
+        a = accrued_at(params, mass[freeze], born[freeze], acc[freeze], t)
+        a = np.where(is_dust[freeze], acc[freeze], np.where(never[freeze], np.nan, a))
+        parts.append((run[freeze], mass[freeze], a, t))
+        dust += int(np.count_nonzero(is_dust))
+        partial += int(np.count_nonzero(is_partial))
+
+        split = ~freeze
+        run = np.repeat(run[split], 2)
+        created += np.bincount(run, minlength=n_runs)
+        if run.size and created.max() > block_cap:
+            raise BlockCapError(f"block budget {block_cap} exceeded at t = {split_t[split].max()}")
+        if n_runs > 1 and created.sum() > fragsim.BLOCK_BUDGET:
+            raise fragsim._OverBudget
+        mass, born, acc, zeta = split_blocks(
+            params, mass[split], born[split], acc[split], zeta[split], split_t[split],
+            levy.split_quantile(model, u_share[split]),
+        )
+        h = fragsim._block_words(h[split], np.arange(2, 4, dtype=np.uint64)[:, None]).T.ravel()
+    run, mass, acc, t = (np.concatenate(x) for x in zip(*parts))
+    return FrozenBlocks(run, mass, acc, t, dust, partial)
+
+
+def assert_same_blocks(new: FrozenBlocks, old: FrozenBlocks) -> None:
+    for field in ("run", "mass", "accrued", "frozen_at"):
+        a, b = getattr(new, field), getattr(old, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), field
+    assert (new.dust_frozen, new.partial) == (old.dust_frozen, old.partial)
+
+
+LEAN_MODELS = [BinaryUniform(1.0), BinaryPoint(1.0, 0.7), BinaryBeta(1.5, 0.5)]
+LEAN_LINES = [FixedTime(1.5), MassBelow(0.05), OptimalStatistic(0.78),
+              OptimalStatistic(0.78, literal=True), OptimalStatistic(0.1),
+              OptimalStatistic(0.1, literal=True), OptimalStatistic(-1.999),
+              OptimalStatistic(-3.0), OptimalStatistic(-3.0, literal=True)]
+LEAN_LINE_IDS = ["fixed", "mass", "optimal", "literal", "below-c", "below-c-literal",
+                 "near-floor", "below-floor", "below-floor-literal"]
+LEAN_OPTIONS = {"default": {}, "no-dust": {"dust_floor": 0.0},
+                "dust-horizon": {"dust_floor": 0.02, "horizon": 2.0},
+                "short-horizon": {"horizon": 0.5}}
+# Every line under every option, but a fixed line past the horizon (rejected).
+LEAN_CASES = [pytest.param(line, options, id=f"{line_id}-{options_id}")
+              for line, line_id in zip(LEAN_LINES, LEAN_LINE_IDS)
+              for options_id, options in LEAN_OPTIONS.items()
+              if not (isinstance(line, FixedTime) and line.t > options.get("horizon", math.inf))]
+
+
+class TestLeanEngine:
+    """The engine against the masked one it replaced: every bit of every block."""
+
+    @pytest.mark.parametrize("line,options", LEAN_CASES)
+    @pytest.mark.parametrize("model", LEAN_MODELS, ids=["uniform", "point0.7", "beta0.5"])
+    def test_bit_equal_to_masked_engine(self, model, line, options):
+        # gamma * theta = 0.5, so Z and zeta never drift below -2 (the floor).
+        params = levy.make_params(model, gamma=0.5, theta=1.0, q=1.0, c=0.25)
+        keys = run_key(17, "lean", 200)
+        assert_same_blocks(fragsim.run_stopping_line(model, params, line, keys, **options),
+                           masked_stopping_line(model, params, line, keys, **options))
+
+    @pytest.mark.parametrize("line", LEAN_LINES[:4], ids=LEAN_LINE_IDS[:4])
+    def test_bit_equal_at_other_gamma(self, line):
+        # gamma = 2 squares shares and mass exactly; gamma = 1 takes reciprocals.
+        for gamma in (1.0, 2.0):
+            params = levy.make_params(BinaryUniform(2.0), gamma=gamma, theta=2.0, q=0.5, c=0.4)
+            keys = run_key(18, "lean", 300)
+            assert_same_blocks(fragsim.run_stopping_line(BinaryUniform(2.0), params, line, keys),
+                               masked_stopping_line(BinaryUniform(2.0), params, line, keys))
+
+    def test_over_budget_in_step(self, ref_model, ref_params, monkeypatch):
+        # Both engines give up on a multi-run chunk in the same generation.
+        monkeypatch.setattr(fragsim, "BLOCK_BUDGET", 500)
+        keys = run_key(19, "lean", 40)
+        for engine in (fragsim.run_stopping_line, masked_stopping_line):
+            with pytest.raises(fragsim._OverBudget):
+                engine(ref_model, ref_params, MassBelow(0.001), keys)
+        one = run_key(19, "lean", 1)
+        assert_same_blocks(fragsim.run_stopping_line(ref_model, ref_params, MassBelow(0.001), one),
+                           masked_stopping_line(ref_model, ref_params, MassBelow(0.001), one))
 
 
 # --- reference: the per-block engine the batched one replaced -------------------------
@@ -697,6 +886,16 @@ GOLDEN_SIMULATE = [
     pytest.param("mass:0.001", False, {"runs": 40, "dust_floor": 0.05, "horizon": 1.5},
                  "0d38327f5a60fafc912533a82cd0acb1fffb5a948eb4795824d5d08211e810d0",
                  id="dust-horizon"),
+    # Recorded with the masked engine, before the engine kept its state in
+    # one array: point splits, and beta splits (their inverse incomplete beta).
+    pytest.param("mass:0.01", False, {"runs": 20, "family": "point", "s0": 0.7},
+                 "b23443d7721e9849aafd2e24562297db682a5e5dcda645c22633d80c0bf4d2ac",
+                 id="point-mass"),
+    pytest.param("optimal:0.78", False, {"runs": 100, "family": "beta", "shape": 0.5},
+                 "648d137c53ee064a0b49ae0fbc06b84c7f19ee13e7523fcac15d3f4f85c828eb",
+                 id="beta-optimal", marks=pytest.mark.skipif(
+                     importlib.util.find_spec("scipy") is None,
+                     reason="the beta cascade needs scipy")),
 ]
 
 
@@ -720,6 +919,9 @@ SWEEP_C_GRID = [0.1, 0.25, 0.5, 1.0]
 GOLDEN_SOLVE = "c923cc7e87d5cc80c121165676f62e3633d1bd484f3508f586098728a532e43b"
 GOLDEN_SWEEP_C = "eaa4f63ab41341c42effd8c85207e7f6973687059816cf4c38a0c19670116f6b"
 GOLDEN_VERIFY = "6ec0cda7270ff7800e09acff0c8d9c7eb341c838b9a6af056cf88706375c5d68"
+# The same `verify` with point splits (s0 = 0.7), the second config of the
+# verify-ref benchmark; recorded with the masked engine.
+GOLDEN_VERIFY_POINT = "56adb151e5d628ed69087beeeebf507daa51d6a51537151840f66d1a50014342"
 
 # sha256 of the `solve` JSON per family at the same sizes: the README model,
 # then its family lines replaced.  The point, beta and none digests were
@@ -761,6 +963,11 @@ class TestGoldenOutputs:
     def test_verify_bytes(self, golden_cfg):
         payload, _ = harness.cmd_verify(golden_cfg)
         assert sha256(harness.dumps_json(payload)) == GOLDEN_VERIFY
+
+    def test_verify_point_bytes(self, golden_cfg):
+        cfg = harness.with_overrides(golden_cfg, family="point", s0=0.7)
+        payload, _ = harness.cmd_verify(cfg)
+        assert sha256(harness.dumps_json(payload)) == GOLDEN_VERIFY_POINT
 
     def test_many_to_one_line_values(self):
         cfg = harness.parse_config_text(README_CFG)

@@ -20,7 +20,7 @@ from fragstop.levy import (
 )
 from fragstop.streams import substream
 
-from conftest import scalar_jump
+from conftest import rowwise_sample_jump, scalar_jump
 
 P_GRID = [0.1, 0.5, 1.0, 2.0, 3.0, 5.0]
 
@@ -283,6 +283,17 @@ class TestJumpLaws:
         for i, kappa in enumerate(self._kappas(model)):
             draws = levy.sample_jump(model, kappa, self.N, substream(41, "batched-jump", i))
             self._check(model, kappa, draws)
+
+    @pytest.mark.parametrize("n", [0, 1, 700, 1024, 5000])
+    @pytest.mark.parametrize("model", JUMP_MODELS, ids=JUMP_IDS)
+    def test_bit_equal_to_rowwise_draws(self, model, n):
+        # One rng.random((k, m)) call per round draws what k rng.random(m)
+        # calls drew, and leaves the generator where they left it.
+        for kappa in (*self._kappas(model), 0.4):
+            new, old = (np.random.default_rng(n), np.random.default_rng(n))
+            assert np.array_equal(levy.sample_jump(model, kappa, n, new),
+                                  rowwise_sample_jump(model, kappa, n, old))
+            assert new.exponential(1.0, 3).tolist() == old.exponential(1.0, 3).tolist()
 
     @pytest.mark.parametrize("model", JUMP_MODELS, ids=JUMP_IDS)
     def test_split_quantile_inverts_split_law(self, model):

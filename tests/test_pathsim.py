@@ -10,8 +10,8 @@ from fragstop.levy import AssumptionError, BinaryBeta, BinaryPoint, BinaryUnifor
 from fragstop.streams import substream
 
 from conftest import (
-    ZState, scalar_first_passage, scalar_jump, scalar_tagged_mass_passage, scalar_Z_at_times,
-    simulate_Z_path,
+    ZState, fieldwise_I_infty, scalar_first_passage, scalar_jump, scalar_tagged_mass_passage,
+    scalar_Z_at_times, simulate_Z_path,
 )
 
 
@@ -23,6 +23,24 @@ class TestSegmentForms:
         dt = pathsim.z_crossing_dt(z0, b, gt)
         np.testing.assert_allclose(pathsim.z_advance(z0, dt, gt), b, rtol=1e-12)
         assert np.all(pathsim.z_crossing_dt(b, z0, gt) == 0.0)
+
+    def test_crossing_below_the_drift_floor_is_immediate(self):
+        # Z never drifts below -1/gt, so any level under it is passed at once;
+        # there the log ratio is negative and once gave nan.
+        gt = 0.5
+        z0 = np.array([0.0, 0.25, 3.0, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for b in (-2.0, -2.5, -5.0, -1e300):
+                assert pathsim.z_crossing_dt(z0, b, gt).tolist() == [0.0] * 4
+
+    def test_crossing_bits_above_the_floor(self, rng):
+        # Above -1/gt the crossing time is the log ratio's, clipped at 0, as before.
+        gt = 0.5
+        z0 = rng.uniform(0.0, 5.0, 1000)
+        for b in (-1.999, -1.0, 0.0, 0.3, 2.0, 7.0):
+            old = np.maximum(np.log((b + 1.0 / gt) / (z0 + 1.0 / gt)) / gt, 0.0)
+            assert np.array_equal(pathsim.z_crossing_dt(z0, b, gt), old)
 
     def test_segment_integral_matches_quadrature(self):
         from scipy import integrate
@@ -204,6 +222,26 @@ class TestLifetimeIntegral:
         assert abs(batched.mean() - ref.mean()) <= 4.0 * math.hypot(se_ref, se_batched)
         assert abs(ref.mean() - m1) <= 4.0 * se_ref
         assert abs(batched.mean() - m1) <= 4.0 * se_batched
+
+
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-3])
+    @pytest.mark.parametrize("q,gamma", [(1.0, 1.0), (0.1, 0.5), (5.0, 2.0)])
+    @pytest.mark.parametrize(
+        "model",
+        [BinaryUniform(1.0), BinaryPoint(1.0, 0.7), BinaryBeta(1.0, 0.5), BinaryBeta(1.5, 3.0)],
+        ids=["uniform", "point", "beta0.5", "beta3"],
+    )
+    def test_bit_equal_to_fieldwise_reference(self, model, q, gamma, rel_tol):
+        # The stored segment weight is the exp(gamma*Y) each step recomputed.
+        params = levy.make_params(model, gamma=gamma, theta=1.0, q=q, c=0.25)
+        for n in (1, 1500):
+            new, old = (substream(32, "bits", n), substream(32, "bits", n))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # low acceptance at q = 5
+                assert np.array_equal(pathsim.simulate_I_infty(model, params, new, n,
+                                                               rel_tol=rel_tol),
+                                      fieldwise_I_infty(model, params, old, n, rel_tol))
+            assert new.random(3).tolist() == old.random(3).tolist()
 
 
 class TestTaggedMassPassage:

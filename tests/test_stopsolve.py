@@ -88,7 +88,8 @@ class TestSolveReference:
         assert np.all(second >= -1e-10)
 
     def test_curve_matches_exact_values(self, ref_params, ref_sample, ref_solved):
-        curve = stopsolve.TildeCurve(ref_params, ref_sample, ref_solved.b_star, 0.05, 5.0)
+        curve = stopsolve.TildeCurve(
+            stopsolve.ValueFunction(ref_params, ref_sample, ref_solved.b_star), 0.05, 5.0)
         pts = np.array([0.07, 0.3, 1.0, 2.5, 4.9])
         exact = stopsolve.value_tilde(ref_params, ref_sample, ref_solved.b_star, pts)
         assert np.allclose(curve.tilde(pts), exact, rtol=1e-7)
@@ -102,12 +103,12 @@ class SplineTildeCurve:
     methods as `stopsolve.TildeCurve`.
     """
 
-    def __init__(self, params, sample, b_star, z_min, z_max):
+    def __init__(self, value, z_min, z_max):
         lo = max(z_min, 1e-12) * 0.9
-        hi = max(z_max, b_star, params.c) * 1.1
+        hi = max(z_max, value.b_star, value.params.c) * 1.1
         grid = np.geomspace(lo, hi, 100)
-        vals = stopsolve.value_tilde(params, sample, b_star, grid)
-        self.b_star = b_star
+        vals = value.tilde(grid)
+        self.value, self.b_star = value, value.b_star
         self._lo, self._hi = lo, hi
         self._spline = interpolate.CubicSpline(np.log(grid), np.log(vals))
 
@@ -126,12 +127,12 @@ class PchipTildeCurve:
     methods as `stopsolve.TildeCurve`.
     """
 
-    def __init__(self, params, sample, b_star, z_min, z_max):
+    def __init__(self, value, z_min, z_max):
         lo = max(z_min, 1e-12) * 0.9
-        hi = max(z_max, b_star, params.c) * 1.1
+        hi = max(z_max, value.b_star, value.params.c) * 1.1
         grid = np.geomspace(lo, hi, 800)
-        vals = stopsolve.value_tilde(params, sample, b_star, grid)
-        self.b_star = b_star
+        vals = value.tilde(grid)
+        self.value, self.b_star = value, value.b_star
         self._lo, self._hi = lo, hi
         self._interp = interpolate.PchipInterpolator(np.log(grid), vals)
 
@@ -183,7 +184,7 @@ class TestTildeCurve:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_chebyshev_accuracy(self, family, z_min, z_max):
         _, _, params, sample, b_star = readme_solved(family)
-        curve = stopsolve.TildeCurve(params, sample, b_star, z_min, z_max)
+        curve = stopsolve.TildeCurve(stopsolve.ValueFunction(params, sample, b_star), z_min, z_max)
         pts = np.concatenate([[z_min], np.geomspace(max(z_min, 1e-9), z_max, 400)])
         exact = stopsolve.value_tilde(params, sample, b_star, pts)
         assert np.allclose(curve.tilde(pts), exact, rtol=1e-10, atol=0.0)
@@ -286,7 +287,8 @@ class TestGenerator:
         sample = expfun.draw_shared_sample(model, params, 3000, seed=12345)
         b = stopsolve.solve_b_star(model, params, sample, diagnostics=False).b_star
         for mults, kink in (((0.2, 0.5, 0.9), None), ((1.5, 2.0, 4.0), b)):
-            fn = stopsolve.value_evaluator(params, sample, b, star=kink is not None)
+            value = stopsolve.ValueFunction(params, sample, b)
+            fn = value.tilde if kink is None else value.star
             for x in (m * b for m in mults):
                 fx = fn(x)
                 new = stopsolve._jump_term(model, params, fn, x, fx, kink)
