@@ -250,9 +250,7 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
     model = cfg.model()
     params = cfg.params()
     sample = _shared_sample(cfg, model, params)
-    solved = stopsolve.solve_b_star(model, params, sample,
-                                    rel_tol_b=cfg.bisect_rel_tol, diagnostics=False)
-    b_star = solved.b_star * corrupt_bstar
+    b_star = stopsolve.bisect_b_star(params, sample, rel_tol_b=cfg.bisect_rel_tol) * corrupt_bstar
     p = params.kappa / params.gamma
     with np.errstate(over="ignore", divide="ignore"):  # the value's errors divide by E[(b+I)^p]^4
         value = stopsolve.ValueFunction(params, sample, b_star)
@@ -284,15 +282,13 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
     curve = stopsolve.TildeCurve(value, float(min(z_mart.min(), z_sup.min())),
                                  float(max(z_mart.max(), z_sup.max())))
     mart = stopsolve.martingale_check(curve, times, z_mart)
-    for t, est in zip(mart.times, mart.estimates):
-        se = math.hypot(est.std_error, mart.reference_se)
+    for t, est, se in zip(mart.times, mart.estimates, mart.combined_se):
         checks.append(_check(
             f"martingale_t={t}", est.value, 3.0 * se + floor,
             target=mart.reference, std_error=se,
         ))
     sup = stopsolve.supermartingale_check(curve, times, z_sup)
-    for t, est in zip(sup.times, sup.estimates):
-        se = math.hypot(est.std_error, sup.reference_se)
+    for t, est, se in zip(sup.times, sup.estimates, sup.combined_se):
         checks.append(_check(
             f"supermartingale_level_t={t}", est.value,
             3.0 * se + floor, target=sup.reference, one_sided=True,
@@ -388,8 +384,7 @@ def cmd_sweep(cfg: RunConfig, axis: str, grid: list[float]) -> tuple[str, dict]:
                 raise levy.InvalidModelError(f"c must be > 0, got {value}")
             stopsolve.threshold_exponent(replace(params, c=value))
         sample = _shared_sample(cfg, model, params)
-        b_star = stopsolve.solve_b_star(model, params, sample, rel_tol_b=cfg.bisect_rel_tol,
-                                        diagnostics=False).b_star
+        b_star = stopsolve.bisect_b_star(params, sample, rel_tol_b=cfg.bisect_rel_tol)
         bs = [b_star] * len(grid)
         values = stopsolve.ValueFunction(params, sample, b_star).star(np.asarray(grid))
     else:
@@ -458,9 +453,7 @@ def cmd_simulate(cfg: RunConfig, line_spec: str, literal: bool = False) -> tuple
     solved_b = None
     if line is None:
         sample = _shared_sample(cfg, model, params)
-        solved_b = stopsolve.solve_b_star(
-            model, params, sample, rel_tol_b=cfg.bisect_rel_tol, diagnostics=False
-        ).b_star
+        solved_b = stopsolve.bisect_b_star(params, sample, rel_tol_b=cfg.bisect_rel_tol)
         line = fragsim.OptimalStatistic(solved_b, literal=literal)
     result = fragsim.ensemble_payoffs(
         model, params, line, cfg.runs, cfg.seed,

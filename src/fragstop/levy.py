@@ -11,7 +11,8 @@ exponent is
 and the driver Y_t = xi_t - theta*t is spectrally positive with exponent
 psi(u) = theta*u - phi(u).  This module provides the families, closed-form
 phi/psi, the root kappa of psi(u) = lam, and the jump sampler, physical or
-under the exponential tilt (jump measure reweighted by exp(-kappa*x)).
+under the exponential tilt (jump measure reweighted by exp(-kappa*x)); the
+tilted jumps are drawn from their exact law, with no rejection.
 
 Families with ``rate == 0`` are accepted as the degenerate no-splitting
 configuration; every downstream quantity then has a deterministic closed
@@ -233,12 +234,15 @@ def split_quantile(model: DislocationModel, u: np.ndarray) -> np.ndarray:
 def sample_jump(model: DislocationModel, kappa: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """n jumps of the (tilted) lineage subordinator: x = -log(size-biased pick).
 
-    For kappa = 0 this is the physical jump law.  For kappa > 0 the law has
-    density proportional to exp(-kappa*x) against the physical one; the two
-    point-mass atoms are reweighted exactly, while continuous families use
-    rejection with the physical law as envelope (acceptance weight
-    pick^kappa = exp(-kappa*x) <= 1).  Each rejection round draws at least
-    1024 candidates.
+    For kappa = 0 this is the physical jump law: a split from the family's
+    split law, then the pick, the larger fragment with probability s.  For
+    kappa > 0 the law has density proportional to exp(-kappa*x) against the
+    physical one, and every family is drawn from it exactly.  The point
+    family reweights its two atoms.  The size-biased pick of a Beta(a, a)
+    split is Beta(a+1, a), and the tilt makes it Beta(a+1+kappa, a); so the
+    beta family draws Q = 1 - pick ~ Beta(a, a+1+kappa) and returns
+    -log1p(-Q), which keeps the digits of small jumps, and the uniform
+    family (a = 1) draws its jumps as Exponential(2 + kappa).
     """
     if is_degenerate(model):
         raise DomainError("the degenerate model has no jumps")
@@ -248,28 +252,24 @@ def sample_jump(model: DislocationModel, kappa: float, n: int, rng: np.random.Ge
         w = ws / (ws + t ** (1.0 + kappa))
         picks = np.where(rng.random(n) < w, s, t)
         return -np.log(picks)
-    out = np.empty(n)
-    filled = 0
-    # Uniforms per candidate after its split: the pick, then (tilted) the acceptance.
-    rows = 2 if kappa > 0.0 else 1
-    while filled < n:
-        m = max(n - filled, 1024)
-        # A PCG64 double takes one raw word, so row k of one rng.random((k, m))
-        # call is the k-th of k successive rng.random(m) calls.
+    if kappa > 0.0:
         if isinstance(model, BinaryBeta):
-            v = rng.beta(model.shape, model.shape, size=m)
-            s = np.maximum(v, 1.0 - v)
-            u = rng.random((rows, m))
-        else:
-            u = rng.random((rows + 1, m))
-            s, u = split_quantile(model, u[0]), u[1:]
-        picks = np.where(u[0] < s, s, 1.0 - s)
-        if kappa > 0.0:
-            picks = picks[u[1] < picks**kappa]
-        take = min(picks.size, n - filled)
-        out[filled : filled + take] = picks[:take]
-        filled += take
-    return -np.log(out)
+            return -np.log1p(-rng.beta(model.shape, model.shape + 1.0 + kappa, n))
+        return rng.exponential(1.0 / (2.0 + kappa), n)
+    # A physical call draws splits and picks for at least 1024 jumps and keeps
+    # the first n; the physical walks' streams, and every output pinned on
+    # them, depend on that.
+    m = max(n, 1024) if n else 0
+    if isinstance(model, BinaryBeta):
+        v = rng.beta(model.shape, model.shape, size=m)
+        s, u = np.maximum(v, 1.0 - v), rng.random(m)
+    else:
+        # A PCG64 double takes one raw word, so row 1 of rng.random((2, m)) is
+        # what a second rng.random(m) call would draw.
+        u = rng.random((2, m))
+        s, u = split_quantile(model, u[0]), u[1]
+    picks = np.where(u < s, s, 1.0 - s)
+    return -np.log(picks[:n])
 
 
 # --- problem constants -------------------------------------------------------

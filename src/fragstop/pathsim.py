@@ -19,7 +19,6 @@ given, so it is pure given that generator and the number of paths.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -75,22 +74,33 @@ def _walk_Z(model, params, targets, n, rng, horizon, reached, value) -> np.ndarr
     segment (reached(t, w, z_end) >= target) the closed-form value(t, z,
     target), then the jumps of the paths still live.  A path retires once it
     has reached its last target, or when its clock passes `horizon` at a
-    jump; targets it never reached keep inf.
+    jump; targets it never reached keep inf.  The targets a path has reached
+    form a prefix of the sorted targets, so each live path keeps only the
+    index of its next one.
     """
     targets = np.asarray(targets, dtype=float)
     out = np.full((n, targets.size), math.inf)
     live = np.arange(n)
+    nxt = np.zeros(n, dtype=np.intp)
     t = np.zeros(n)
     z = np.full(n, params.c)
     while live.size:
         w = _holding_times(model, live.size, rng)
         z_end = z_advance(z, w, params.gt)
         reach = reached(t, w, z_end)
-        rows, cols = np.nonzero(np.isinf(out[live]) & (targets <= reach[:, None]))
-        out[live[rows], cols] = value(t[rows], z[rows], targets[cols])
+        hit = np.flatnonzero(targets[nxt] <= reach)
+        if hit.size:
+            lo = nxt[hit]
+            count = targets.searchsorted(reach[hit], "right") - lo
+            rows, cols = hit.repeat(count), lo
+            if rows.size > hit.size:
+                # A path's new columns run lo, lo + 1, ..., lo + count - 1.
+                cols = np.arange(rows.size) + (lo - (count.cumsum() - count)).repeat(count)
+            out[live[rows], cols] = value(t[rows], z[rows], targets[cols])
+            nxt[hit] = lo + count
         t = t + w
         keep = (reach < targets[-1]) & (t <= horizon)
-        live, t, z_end = live[keep], t[keep], z_end[keep]
+        live, nxt, t, z_end = live[keep], nxt[keep], t[keep], z_end[keep]
         if live.size:
             z = z_end * np.exp(-params.gamma * levy.sample_jump(model, 0.0, live.size, rng))
     return out
@@ -181,11 +191,13 @@ def simulate_I_infty(
 ) -> np.ndarray:
     """n independent draws of the lifetime integral of exp(gamma * Y) under the kappa tilt.
 
-    Tilted jumps arrive at rate - phi(kappa).  All unfinished draws advance
-    together, one jump per step: each step draws the holding times of the m
-    live draws, then their m jumps, adds each segment integral in closed
-    form, and retires the draws whose integrand weight exp(gamma*Y) has
-    dropped below rel_tol times their accrued integral.  A retired draw gets
+    Tilted jumps arrive at rate - phi(kappa), and `levy.sample_jump` draws
+    them from their exact tilted law, so a step costs the same however
+    strong the tilt.  All unfinished draws advance together, one jump per
+    step: each step draws the holding times of the m live draws, then their
+    m jumps, adds each segment integral in closed form, and retires the
+    draws whose integrand weight exp(gamma*Y) has dropped below rel_tol
+    times their accrued integral.  A retired draw gets
     the exact conditional mean of its tail, exp(gamma*Y_T) * M1, with M1 =
     moment_recursion(..., 1).  Draws are mean-exact; moments of order > 1
     carry a bias of order rel_tol times the tail variance.
@@ -197,9 +209,6 @@ def simulate_I_infty(
     """
     gamma, theta, gt, kappa = params.gamma, params.theta, params.gt, params.kappa
     jump_rate = model.rate - (levy.phi(model, kappa) if kappa > 0.0 else 0.0)
-    if model.rate > 0.0 and jump_rate / model.rate < 0.01:
-        warnings.warn(f"tilted jump acceptance rate {jump_rate / model.rate:.2e} is below 1%; "
-                      "rejection sampling will be slow", RuntimeWarning, stacklevel=2)
     m1 = moment_recursion(model, params, 1)
     if jump_rate == 0.0:
         # Pure drift: the truncation time solves the stopping rule exactly and

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.polynomial import Chebyshev, legendre
+from numpy.polynomial import Chebyshev, chebyshev, legendre, polynomial
 
 from . import expfun, levy, pathsim
 from .expfun import LOG_FLOAT_MAX, MomentEstimate, SharedSample
@@ -35,6 +35,7 @@ JUMP_NODES = 13             # Gauss-Legendre nodes per piece of the generator's 
 RESIDUAL_BATCHES = 20       # batch means behind a generator-residual error
 TILDE_DEGREE = 25           # Chebyshev degree of TildeCurve (TILDE_DEGREE + 1 nodes)
 POWER_MEAN_BUDGET = 1 << 16    # array elements per chunk in _power_mean_many (cache-sized)
+SAMPLE_SE_DEGREE = 5        # degree of the path side's fit in _shared_sample_errors
 
 
 class DivergenceError(RuntimeError):
@@ -59,9 +60,9 @@ class ValueFunction:
     """The candidate value b* E[(z+I)^p] / E[(b*+I)^p] on a shared sample, and the optimal value.
 
     The normalization E[(b*+I)^p] is computed once, here, and the value at c
-    and its shared-sample error once each, when first read; callers that
-    evaluate many points (quadrature, finite differences, curve nodes, both
-    path-average checks) pay for each once per (sample, b*).
+    once, when first read; callers that evaluate many points (quadrature,
+    finite differences, curve nodes, both path-average checks) pay for each
+    once per (sample, b*).
     """
 
     def __init__(self, params: ModelParams, sample: SharedSample, b_star: float):
@@ -85,12 +86,6 @@ class ValueFunction:
     def at_c(self) -> float:
         """The candidate value at the start c."""
         return self.tilde(self.params.c)
-
-    @functools.cached_property
-    def se_at_c(self) -> float:
-        """The shared-sample standard error of at_c, from the delta-method ratio error."""
-        return self.b_star * expfun.ratio_of_power_means(
-            self.sample, self.params.c, self.b_star, self.p)[1]
 
 
 def value_tilde(params: ModelParams, sample: SharedSample, b_star: float, c_query):
@@ -178,15 +173,8 @@ def threshold_exponent(params: ModelParams) -> float:
     return p
 
 
-def solve_b_star(
-    model: DislocationModel,
-    params: ModelParams,
-    sample: SharedSample,
-    *,
-    rel_tol_b: float = 1e-6,
-    diagnostics: bool = True,
-) -> SolverResult:
-    """Solve f(b) = kappa/gamma by bisection on the samplewise-monotone f.
+def bisect_b_star(params: ModelParams, sample: SharedSample, *, rel_tol_b: float = 1e-6) -> float:
+    """b* alone: the root of f(b) = kappa/gamma, by bisection on the samplewise-monotone f.
 
     The bracket is found by doubling/halving from c; DivergenceError if b
     overflows to inf or underflows to 0 first.  Bisection stops at relative
@@ -223,7 +211,19 @@ def solve_b_star(
             lo = mid
         else:
             hi = mid
-    b_star = 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
+
+
+def solve_b_star(
+    model: DislocationModel,
+    params: ModelParams,
+    sample: SharedSample,
+    *,
+    rel_tol_b: float = 1e-6,
+    diagnostics: bool = True,
+) -> SolverResult:
+    """`bisect_b_star`'s threshold with the value at c, f(b*) and, if asked, its diagnostics."""
+    b_star = bisect_b_star(params, sample, rel_tol_b=rel_tol_b)
 
     diag: dict = {}
     if diagnostics:
@@ -412,8 +412,67 @@ class DiscountedValueCheck:
     times: tuple
     estimates: tuple          # MomentEstimate per time
     reference: float          # the t = 0 value the means are compared against
-    reference_se: float       # shared-sample error of the reference itself
+    combined_se: tuple        # per time, the error of estimate - reference: paths and sample
     decrements: tuple         # MomentEstimate of X_{t_k} - X_{t_{k+1}}, paired
+
+
+def _shared_sample_errors(value: ValueFunction, times: np.ndarray, z: np.ndarray, *,
+                          star: bool) -> np.ndarray:
+    """Shared-sample error of e^{-lam t} mean V(Z_t) - V(c) at each time, the paths held fixed.
+
+    Both sides read the one sample.  With N = mean (b*+I)^p and H_t(y) the
+    mean over paths of (Z_t + y)^p, the difference is (b*/N) mean d_i, where
+    d_i = e^{-lam t} H_t(I_i) - (c+I_i)^p; by the delta method draw i adds
+    (b*/N) [d_i - (mean d / N) (b*+I_i)^p].  For the optimal value only paths
+    with Z_t <= b* enter H_t, and the c term drops when c > b*, as V*(c) = c.
+    H_t is smooth in log y, so each time's log H_t is read from the
+    polynomial of degree SAMPLE_SE_DEGREE through its values at the
+    Chebyshev points of the log of the sample's range (TildeCurve's fit, with
+    draws and paths swapped); an error needs only a few digits.  The draws
+    stream through in blocks of at most POWER_MEAN_BUDGET elements.
+    """
+    params, draws, p, b_star = value.params, value.sample.draws, value.p, value.b_star
+    log_norm = np.log(value.norm)
+    lo, hi = np.log(draws.min()), np.log(draws.max())
+    if not lo < hi:
+        return np.zeros(times.size)  # also for one draw: equal draws carry no sample error
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    nodes = chebyshev.chebpts1(SAMPLE_SE_DEGREE + 1)
+    log_h = np.zeros((nodes.size, times.size))
+    # log of e^{-lam t} (share of the paths in H_t) / N, per time
+    log_scale = np.full(times.size, -np.inf)
+    for k in range(times.size):
+        paths = z[:, k][z[:, k] <= b_star] if star else z[:, k]
+        if paths.size:
+            terms = np.exp(p * np.log(paths + np.exp(mid + half * nodes)[:, None]))
+            log_h[:, k] = np.log(terms.mean(axis=1))
+            log_scale[k] = -params.lam * times[k] + np.log(paths.size / z.shape[0])
+    coef = np.linalg.solve(polynomial.polyvander(nodes, SAMPLE_SE_DEGREE), log_h)
+    coef[0] += log_scale - log_norm
+    with_c = not (star and params.c > b_star)
+    # Rows d_1..d_K (over N) and (b*+I)^p / N of one block; their sums and Gram matrix.
+    sums, gram = np.zeros(times.size + 1), np.zeros((times.size + 1, times.size + 1))
+    step = max(1, POWER_MEAN_BUDGET // (times.size + 1))
+    for start in range(0, draws.size, step):
+        y = draws[start : start + step]
+        x = (np.log(y) - mid) / half
+        rows = np.empty((times.size + 1, y.size))
+        d = rows[:-1]
+        np.multiply.outer(coef[-1], x, out=d)  # Horner's rule, in place
+        for a in coef[-2:0:-1]:
+            d += a[:, None]
+            d *= x
+        d += coef[0][:, None]
+        np.exp(d, out=d)
+        if with_c:
+            d -= np.exp(p * np.log(params.c + y) - log_norm)
+        rows[-1] = np.exp(p * np.log(b_star + y) - log_norm)
+        sums += rows.sum(axis=1)
+        gram += rows @ rows.T
+    # sum_i (d_i - beta n_i) = 0 at beta = mean d / mean n, so its squares give the variance.
+    beta = sums[:-1] / sums[-1]
+    var = np.diag(gram)[:-1] - 2.0 * beta * gram[:-1, -1] + beta**2 * gram[-1, -1]
+    return b_star * np.sqrt(np.maximum(var, 0.0) / ((draws.size - 1) * draws.size))
 
 
 def _discounted_value_check(curve, times, z, *, star: bool) -> DiscountedValueCheck:
@@ -422,12 +481,13 @@ def _discounted_value_check(curve, times, z, *, star: bool) -> DiscountedValueCh
     params = value.params
     times = np.asarray(times, dtype=float)
     cols = (np.exp(-params.lam * times)[None, :] * (curve.star(z) if star else curve.tilde(z))).T
+    estimates = tuple(map(MomentEstimate.of, cols))
+    sample_se = _shared_sample_errors(value, times, z, star=star)
     # Above b*, V*(c) = c exactly: the payoff of stopping at once.
-    exact = star and params.c > value.b_star
     return DiscountedValueCheck(
-        tuple(times), tuple(map(MomentEstimate.of, cols)),
-        reference=params.c if exact else value.at_c,
-        reference_se=0.0 if exact else value.se_at_c,
+        tuple(times), estimates,
+        reference=params.c if star and params.c > value.b_star else value.at_c,
+        combined_se=tuple(math.hypot(e.std_error, se) for e, se in zip(estimates, sample_se)),
         decrements=tuple(MomentEstimate.of(a - b) for a, b in zip(cols, cols[1:])),
     )
 

@@ -69,13 +69,19 @@ def materialised_run_sums(engine, keys, weights) -> np.ndarray:
     return np.bincount(table.run, weights=weights(table), minlength=len(keys))
 
 
-# --- the batched samplers as they were: one rng call per uniform row ---------------
-# The package draws each rejection round's uniforms in one call and keeps the
-# lifetime integrals' state in one array; these must match it bit for bit,
-# generator state included.
+# --- the batched samplers as they were ------------------------------------------------
+# The jump sampler drew tilted jumps by rejection from the physical law, with
+# one rng call per uniform row, and the lifetime integrals kept one array per
+# field.  Physical draws and the walk's state must match the package bit for
+# bit, generator state included; tilted draws must match it in law.
 
 def rowwise_sample_jump(model, kappa: float, n: int, rng) -> np.ndarray:
-    """`levy.sample_jump`, with one rng.random(m) call per uniform of a round."""
+    """Jumps by rejection rounds, one rng.random(m) call per uniform of a round.
+
+    Each round draws at least 1024 candidates: a split, a pick, and for
+    kappa > 0 an acceptance uniform against pick^kappa.  At kappa = 0, and
+    for the point family, the draws are `levy.sample_jump`'s bit for bit.
+    """
     if isinstance(model, levy.BinaryPoint):
         return levy.sample_jump(model, kappa, n, rng)
     out = np.empty(n)
@@ -96,8 +102,12 @@ def rowwise_sample_jump(model, kappa: float, n: int, rng) -> np.ndarray:
     return -np.log(out)
 
 
-def fieldwise_I_infty(model, params, rng, n: int, rel_tol: float = 1e-6) -> np.ndarray:
-    """`pathsim.simulate_I_infty` with one array per field, recomputing each segment's weight."""
+def fieldwise_I_infty(model, params, rng, n: int, rel_tol: float = 1e-6,
+                      sample_jump=levy.sample_jump) -> np.ndarray:
+    """`pathsim.simulate_I_infty` with one array per field, recomputing each segment's weight.
+
+    Its jumps come from `sample_jump`, which takes `levy.sample_jump`'s arguments.
+    """
     gamma, theta, kappa = params.gamma, params.theta, params.kappa
     m1 = pathsim.moment_recursion(model, params, 1)
     out = np.empty(n)
@@ -106,13 +116,35 @@ def fieldwise_I_infty(model, params, rng, n: int, rel_tol: float = 1e-6) -> np.n
     while live.size:
         w = rng.exponential(scale, live.size)
         acc += pathsim.segment_exp_integral(y, w, gamma, theta)
-        y += rowwise_sample_jump(model, kappa, live.size, rng) - theta * w
+        y += sample_jump(model, kappa, live.size, rng) - theta * w
         weight = np.exp(gamma * y)
         done = weight < rel_tol * acc
         if done.any():
             out[live[done]] = acc[done] + weight[done] * m1
             keep = ~done
             live, y, acc = live[keep], y[keep], acc[keep]
+    return out
+
+
+@np.errstate(over="ignore")
+def gathered_walk_Z(model, params, targets, n, rng, horizon, reached, value) -> np.ndarray:
+    """`pathsim._walk_Z` as it found each step's new targets: a live x targets gather of `out`."""
+    targets = np.asarray(targets, dtype=float)
+    out = np.full((n, targets.size), math.inf)
+    live = np.arange(n)
+    t = np.zeros(n)
+    z = np.full(n, params.c)
+    while live.size:
+        w = pathsim._holding_times(model, live.size, rng)
+        z_end = pathsim.z_advance(z, w, params.gt)
+        reach = reached(t, w, z_end)
+        rows, cols = np.nonzero(np.isinf(out[live]) & (targets <= reach[:, None]))
+        out[live[rows], cols] = value(t[rows], z[rows], targets[cols])
+        t = t + w
+        keep = (reach < targets[-1]) & (t <= horizon)
+        live, t, z_end = live[keep], t[keep], z_end[keep]
+        if live.size:
+            z = z_end * np.exp(-params.gamma * levy.sample_jump(model, 0.0, live.size, rng))
     return out
 
 

@@ -147,13 +147,11 @@ def test_criterion_06_martingale_and_supermartingale():
         times = (0.5, 1.0, 2.0)
         mart = path_average_check(stopsolve.martingale_check, REF_MODEL, REF_PARAMS, sample, b,
                                   times, 20_000, substream(ACC_SEED, "mart"))
-        for t, est in zip(mart.times, mart.estimates):
-            se = math.hypot(est.std_error, mart.reference_se)
+        for t, est, se in zip(mart.times, mart.estimates, mart.combined_se):
             assert abs(est.value - mart.reference) <= 3.0 * se, f"t = {t}"
         sup = path_average_check(stopsolve.supermartingale_check, REF_MODEL, REF_PARAMS, sample,
                                  b, times, 20_000, substream(ACC_SEED, "sup"))
-        for t, est in zip(sup.times, sup.estimates):
-            se = math.hypot(est.std_error, sup.reference_se)
+        for t, est, se in zip(sup.times, sup.estimates, sup.combined_se):
             assert est.value <= sup.reference + 3.0 * se, f"t = {t}"
         for dec in sup.decrements:
             assert dec.value >= -3.0 * dec.std_error

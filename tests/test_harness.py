@@ -242,6 +242,22 @@ class TestSolveCommand:
         assert proc.stdout == ""
         assert json.loads(proc.stderr)["type"] == error_type
 
+    def test_extreme_tilt_solves_quietly(self, tmp_path):
+        # At gamma = 1000, q = 4000 the tilt leaves 4e-4 of the jump rate: the
+        # rejection sampler it once used warned of its acceptance rate on a
+        # run that exits 0, and took half a minute at 100,000 draws.  A child
+        # process keeps a regression from hanging the suite.
+        cfg = tmp_path / "tilt.cfg"
+        text = with_key(with_key(with_key(REF_CFG, "gamma", 1000), "q", 4000), "samples", 4096)
+        cfg.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "fragstop.cli", "solve", "--config", str(cfg)],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": str(Path(harness.__file__).resolve().parents[1])},
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert math.isfinite(json.loads(proc.stdout)["b_star"])
+
     @pytest.mark.parametrize("shape", ["1e7", "1e14", "1e16", "1e20"])
     def test_huge_beta_shape_is_config_error(self, shape, tmp_path):
         # Past shape 1e6 phi's lgamma difference loses precision: at 1e14 the
@@ -639,8 +655,7 @@ class TestStartSweep:
         params = first.params()
         sample = harness._shared_sample(first, first.model(), params)
         calls["f_of_b"] = 0
-        stopsolve.solve_b_star(first.model(), params, sample, rel_tol_b=cfg.bisect_rel_tol,
-                               diagnostics=False)
+        stopsolve.bisect_b_star(params, sample, rel_tol_b=cfg.bisect_rel_tol)
         assert in_sweep == {"draw_shared_sample": 1, "kappa_root": 1, "f_of_b": calls["f_of_b"]}
 
     @pytest.mark.parametrize("grid,code,error_type,message", [

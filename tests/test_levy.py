@@ -236,14 +236,6 @@ class TestTilt:
         se = math.sqrt(0.75 * 0.25 / n)
         assert abs(frac - 0.75) <= 3.0 * se
 
-    def test_low_acceptance_warns(self, rng):
-        # The lifetime-integral sampler warns when its tilted jump rate
-        # rate - phi(kappa) is below 1% of the physical rate.
-        model = BinaryUniform(1.0)
-        params = levy.make_params(model, gamma=1.0, theta=1.0, q=250.0, c=1.0)
-        with pytest.warns(RuntimeWarning, match="below 1%"):
-            pathsim.simulate_I_infty(model, params, rng, 1)
-
 
 JUMP_MODELS = [
     BinaryUniform(1.0), BinaryPoint(1.0, 0.7), BinaryBeta(1.0, 0.5), BinaryBeta(1.0, 3.0),
@@ -287,13 +279,27 @@ class TestJumpLaws:
     @pytest.mark.parametrize("n", [0, 1, 700, 1024, 5000])
     @pytest.mark.parametrize("model", JUMP_MODELS, ids=JUMP_IDS)
     def test_bit_equal_to_rowwise_draws(self, model, n):
-        # One rng.random((k, m)) call per round draws what k rng.random(m)
-        # calls drew, and leaves the generator where they left it.
-        for kappa in (*self._kappas(model), 0.4):
+        # Physical draws: one rng.random((2, m)) call draws what two
+        # rng.random(m) calls drew, and leaves the generator where they left
+        # it.  Point families reweight their atoms under any tilt.
+        point = isinstance(model, BinaryPoint)
+        for kappa in (*self._kappas(model), 0.4) if point else (0.0,):
             new, old = (np.random.default_rng(n), np.random.default_rng(n))
             assert np.array_equal(levy.sample_jump(model, kappa, n, new),
                                   rowwise_sample_jump(model, kappa, n, old))
             assert new.exponential(1.0, 3).tolist() == old.exponential(1.0, 3).tolist()
+
+    @pytest.mark.parametrize("model", [m for m in JUMP_MODELS if not isinstance(m, BinaryPoint)],
+                             ids=[i for i in JUMP_IDS if i != "point"])
+    def test_tilted_moments_match_rowwise_draws(self, model):
+        # The exact tilted law against the rejection rounds it replaced.
+        for i, kappa in enumerate((self._kappas(model)[1], 0.4)):
+            new = levy.sample_jump(model, kappa, self.N, substream(42, "exact-jump", i))
+            old = rowwise_sample_jump(model, kappa, self.N, substream(42, "rowwise-jump", i))
+            for k in (1, 2):
+                a, b = new**k, old**k
+                se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(self.N)
+                assert abs(a.mean() - b.mean()) <= 4.0 * se, (kappa, k, a.mean(), b.mean(), se)
 
     @pytest.mark.parametrize("model", JUMP_MODELS, ids=JUMP_IDS)
     def test_split_quantile_inverts_split_law(self, model):

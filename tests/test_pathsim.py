@@ -10,8 +10,8 @@ from fragstop.levy import AssumptionError, BinaryBeta, BinaryPoint, BinaryUnifor
 from fragstop.streams import substream
 
 from conftest import (
-    ZState, fieldwise_I_infty, scalar_first_passage, scalar_jump, scalar_tagged_mass_passage,
-    scalar_Z_at_times, simulate_Z_path,
+    ZState, fieldwise_I_infty, gathered_walk_Z, rowwise_sample_jump, scalar_first_passage,
+    scalar_jump, scalar_tagged_mass_passage, scalar_Z_at_times, simulate_Z_path,
 )
 
 
@@ -153,6 +153,29 @@ class TestZPath:
         assert np.all(np.isfinite(tau))
 
 
+@pytest.mark.parametrize(
+    "model", [BinaryUniform(1.0), BinaryPoint(1.0, 0.7), BinaryBeta(1.0, 0.5)],
+    ids=["uniform", "point", "beta0.5"],
+)
+def test_next_target_index_keeps_bits(model, monkeypatch):
+    # Each path keeps the index of its next target; the walk once gathered
+    # the live x targets block of its output every step to find them.  The
+    # levels include one below c, a repeat, and some the short horizon misses.
+    params = levy.make_params(model, gamma=1.0, theta=1.0, q=1.0, c=0.25)
+    levels, times = [0.1, 0.3, 0.5, 0.5, 1.0, 3.0, 20.0], [0.2, 0.5, 1.0, 2.0, 2.0, 8.0]
+
+    def walks():
+        return (pathsim.simulate_Z_first_passage(model, params, levels, 3000,
+                                                 substream(14, "next"), horizon=5.0),
+                pathsim.simulate_Z_at_times(model, params, times, 3000, substream(14, "next")))
+
+    new = walks()
+    monkeypatch.setattr(pathsim, "_walk_Z", gathered_walk_Z)
+    for a, b in zip(new, walks()):
+        assert np.array_equal(a, b)
+    assert np.isinf(new[0][:, -1]).any() and np.isfinite(new[0][:, -1]).any()
+
+
 def scalar_I_infty(model, params, m1, rng, rel_tol=1e-6, max_steps=1_000_000):
     """One lifetime-integral draw under the kappa tilt, by the per-jump loop (reference sampler).
 
@@ -236,12 +259,24 @@ class TestLifetimeIntegral:
         params = levy.make_params(model, gamma=gamma, theta=1.0, q=q, c=0.25)
         for n in (1, 1500):
             new, old = (substream(32, "bits", n), substream(32, "bits", n))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)  # low acceptance at q = 5
-                assert np.array_equal(pathsim.simulate_I_infty(model, params, new, n,
-                                                               rel_tol=rel_tol),
-                                      fieldwise_I_infty(model, params, old, n, rel_tol))
+            assert np.array_equal(pathsim.simulate_I_infty(model, params, new, n, rel_tol=rel_tol),
+                                  fieldwise_I_infty(model, params, old, n, rel_tol))
             assert new.random(3).tolist() == old.random(3).tolist()
+
+    @pytest.mark.parametrize(
+        "model",
+        [BinaryUniform(1.0), BinaryPoint(1.0, 0.7), BinaryBeta(1.0, 0.5), BinaryBeta(1.0, 3.0)],
+        ids=["uniform", "point", "beta0.5", "beta3"],
+    )
+    def test_means_match_rejection_sampled_jumps(self, model):
+        # The exact tilted jump law against the rejection rounds it replaced.
+        params = levy.make_params(model, gamma=1.0, theta=1.0, q=1.0, c=0.25)
+        n = 20_000
+        new = pathsim.simulate_I_infty(model, params, substream(33, "exact"), n)
+        old = fieldwise_I_infty(model, params, substream(33, "rowwise"), n,
+                                sample_jump=rowwise_sample_jump)
+        se = math.hypot(new.std(ddof=1), old.std(ddof=1)) / math.sqrt(n)
+        assert abs(new.mean() - old.mean()) <= 4.0 * se
 
 
 class TestTaggedMassPassage:

@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -173,7 +174,8 @@ def assert_path_averages_agree(reference_curve):
         new, old = (path_average_check(check, model, params, sample, b_star, times,
                                        cfg.runs, substream(cfg.seed, label), curve_type)
                     for curve_type in (stopsolve.TildeCurve, reference_curve))
-        assert (new.reference, new.reference_se) == (old.reference, old.reference_se)
+        assert new.reference == old.reference
+        assert new.combined_se == pytest.approx(old.combined_se, rel=1e-3)
         for a, b in zip(new.estimates + new.decrements, old.estimates + old.decrements):
             assert abs(a.value - b.value) <= 1e-3 * b.std_error
             assert a.std_error == pytest.approx(b.std_error, rel=1e-3)
@@ -405,9 +407,10 @@ class TestPathAverages:
         model, params, sample = make_degen(c=1.0)
         chk = path_average_check(stopsolve.martingale_check, model, params, sample, 1.0,
                                  (0.0, 0.5, 1.0), 5, rng)
-        for est in chk.estimates:
+        for est, se in zip(chk.estimates, chk.combined_se):
             assert est.value == pytest.approx(chk.reference, rel=1e-9)
             assert est.std_error == pytest.approx(0.0, abs=1e-12)
+            assert se == pytest.approx(0.0, abs=1e-12)
 
     def test_time_zero_is_reference(self, ref_model, ref_params, ref_sample, ref_solved, rng):
         chk = path_average_check(
@@ -421,9 +424,35 @@ class TestPathAverages:
             stopsolve.martingale_check, ref_model, ref_params, ref_sample, ref_solved.b_star,
             (0.5, 1.0, 2.0), 20_000, substream(23, "mart"),
         )
-        for est in chk.estimates:
-            tol = 3.0 * math.hypot(est.std_error, chk.reference_se)
-            assert abs(est.value - chk.reference) <= tol
+        for est, se in zip(chk.estimates, chk.combined_se):
+            assert abs(est.value - chk.reference) <= 3.0 * se
+
+    @pytest.mark.parametrize("star,c_mult", [(False, None), (True, None), (True, 2.0)],
+                             ids=["candidate", "optimal", "optimal-start-above-b*"])
+    def test_sample_error_is_the_direct_delta_method(self, ref_model, ref_params, ref_sample,
+                                                      ref_solved, star, c_mult):
+        # The path side's power mean H_t(y) summed over every (draw, path) pair,
+        # against the degree-5 fit the checks carry to the draws.
+        b = ref_solved.b_star
+        params = ref_params if c_mult is None else levy.make_params(
+            ref_model, gamma=1.0, theta=1.0, q=1.0, c=c_mult * b)
+        draws = ref_sample.draws[:3000]
+        value = stopsolve.ValueFunction(params, replace(ref_sample, draws=draws), b)
+        times = np.array([0.0, 0.5, 1.0, 2.0])
+        z = pathsim.simulate_Z_at_times(ref_model, params, times, 400, substream(27, "se"))
+        p, norm_i = value.p, (b + draws) ** value.p
+        expected = []
+        for k, t in enumerate(times):
+            paths = z[:, k][z[:, k] <= b] if star else z[:, k]
+            h = ((paths[None, :] + draws[:, None]) ** p).sum(axis=1) / z.shape[0]
+            d = math.exp(-params.lam * t) * h
+            if not (star and params.c > b):
+                d -= (params.c + draws) ** p
+            influence = b / value.norm * (d - d.mean() / value.norm * norm_i)
+            expected.append(influence.std(ddof=1) / math.sqrt(draws.size))
+        got = stopsolve._shared_sample_errors(value, times, z, star=star)
+        # At t = 0 the difference is exactly 0; the fit leaves about 1e-6 of the other times.
+        np.testing.assert_allclose(got, expected, rtol=1e-3, atol=1e-5 * max(expected))
 
     def test_supermartingale_decreasing(self, ref_model, ref_params, ref_sample, ref_solved):
         chk = path_average_check(
@@ -431,8 +460,8 @@ class TestPathAverages:
             ref_solved.b_star, (0.0, 0.5, 1.0, 2.0), 10_000, substream(24, "sup"),
         )
         assert chk.estimates[0].value == pytest.approx(chk.reference, rel=1e-7)
-        for est in chk.estimates:
-            assert est.value <= chk.reference + 3.0 * math.hypot(est.std_error, chk.reference_se)
+        for est, se in zip(chk.estimates, chk.combined_se):
+            assert est.value <= chk.reference + 3.0 * se
         for dec in chk.decrements:
             assert dec.value >= -3.0 * dec.std_error
 
