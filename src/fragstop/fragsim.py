@@ -330,9 +330,9 @@ def _children(model, params, parents, t, u_share, h):
 
 
 def evolve_to_time(model: DislocationModel, params: ModelParams, t: float,
-                   keys: np.ndarray) -> FrozenBlocks:
+                   keys: np.ndarray, **engine) -> FrozenBlocks:
     """The blocks alive at time t, in generation order: the FixedTime(t) line, no dust floor."""
-    return run_stopping_line(model, params, FixedTime(t), keys, dust_floor=0.0)
+    return run_stopping_line(model, params, FixedTime(t), keys, dust_floor=0.0, **engine)
 
 
 def _in_chunks(engine, keys: np.ndarray):
@@ -431,18 +431,19 @@ def many_to_one_fixed_time(
     t: float,
     n_runs: int,
     master_seed: int,
+    **engine,
 ) -> ManyToOneResult:
     """Block-average identity at a fixed time.
 
     lhs: Monte Carlo mean of sum_blocks mass^(1+p) with p the power named by
     f_id (identity / square), over the blocks alive at t in runs
-    keyed by run_key(master_seed, "m21-fixed-<f_id>", n_runs).  rhs: the
-    closed-form lineage value exp(-t * phi(p)).
+    keyed by run_key(master_seed, "m21-fixed-<f_id>", n_runs) and engine
+    keywords `engine`.  rhs: the closed-form lineage value exp(-t * phi(p)).
     """
     if f_id not in _FIXED_TIME_FUNCTIONALS:
         raise InvalidModelError(f"unknown test functional {f_id!r}")
     p = _FIXED_TIME_FUNCTIONALS[f_id]
-    vals = _run_sums(functools.partial(evolve_to_time, model, params, t),
+    vals = _run_sums(functools.partial(evolve_to_time, model, params, t, **engine),
                      run_key(master_seed, f"m21-fixed-{f_id}", n_runs),
                      lambda alive: alive.mass ** (1.0 + p))
     rhs = MomentEstimate(math.exp(-t * levy.phi(model, p)), 0.0, 0)
@@ -455,21 +456,24 @@ def many_to_one_stopping_line(
     a: float,
     n_runs: int,
     master_seed: int,
+    **engine,
 ) -> ManyToOneResult:
     """Block-average identity over the first-passage-of-mass stopping line.
 
     The tested functional is f(accrued, l) = e^{-q l} * min(accrued, LINE_CAP)
     (capped so it is bounded, as the identity requires).  lhs runs the full
-    cascade with the line mass <= a; rhs follows a single size-biased
-    lineage to the same passage.
+    cascade with the line mass <= a and engine keywords `engine`; rhs
+    follows a single size-biased lineage to the same passage.  Both stop at
+    the engine's `horizon`, so the two sides keep one stopping line.
     """
     if not 0.0 < a <= 1.0:
         raise InvalidModelError(f"mass threshold must be in (0, 1], got {a}")
     lhs_vals = _run_sums(
-        functools.partial(run_stopping_line, model, params, MassBelow(a)),
+        functools.partial(run_stopping_line, model, params, MassBelow(a), **engine),
         run_key(master_seed, "m21-line-frag", n_runs),
         lambda b: b.mass * np.exp(-params.q * b.frozen_at) * np.minimum(b.accrued, LINE_CAP))
     ell, acc = pathsim.simulate_tagged_mass_passage(
-        model, params, a, n_runs, substream(master_seed, "m21-line-tag"))
+        model, params, a, n_runs, substream(master_seed, "m21-line-tag"),
+        engine.get("horizon", math.inf))
     rhs_vals = np.exp(-params.q * ell) * np.minimum(acc, LINE_CAP)
     return ManyToOneResult(MomentEstimate.of(lhs_vals), MomentEstimate.of(rhs_vals))

@@ -249,15 +249,23 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
         raise ConfigError(f"--corrupt-bstar must be finite and > 0, got {corrupt_bstar}")
     model = cfg.model()
     params = cfg.params()
+    times = (0.5, 1.0, 2.0)
+    # No Z path drifts above its jump-free bound (c + 1/gt) e^{gt t} - 1/gt.
+    if not max(params.gt * times[-1] + math.log(params.c + 1.0 / params.gt),
+               params.lam * times[-1]) < expfun.LOG_FLOAT_MAX:
+        raise ConfigError(f"verify's path checks need Z and e^(-lam t) in the float range up to "
+                          f"t = {times[-1]}, but gamma*theta = {params.gt}, lam = {params.lam}")
     sample = _shared_sample(cfg, model, params)
     b_star = stopsolve.bisect_b_star(params, sample, rel_tol_b=cfg.bisect_rel_tol) * corrupt_bstar
-    p = params.kappa / params.gamma
-    with np.errstate(over="ignore", divide="ignore"):  # the value's errors divide by E[(b+I)^p]^4
+    with np.errstate(over="ignore", divide="ignore"):  # the checks' errors divide by E[(b+I)^p]^4
         value = stopsolve.ValueFunction(params, sample, b_star)
-        if not 4.0 * np.log(value.norm) < expfun.LOG_FLOAT_MAX:
+        # Means grow with the shift b; the largest is b* or the Laplace checks' 2c.
+        b = max(b_star, 2.0 * params.c)
+        top = value.norm if b == b_star else float(np.mean((b + sample.draws) ** value.p))
+        if not 4.0 * np.log(top) < expfun.LOG_FLOAT_MAX:
             raise ConfigError(f"verify needs E[(b + I)^p]^4 finite for its standard errors, but "
-                              f"it overflows at b = {b_star} (b* times --corrupt-bstar "
-                              f"{corrupt_bstar})")
+                              f"it overflows at b = {b}, the larger of 2c and b* (b* times "
+                              f"--corrupt-bstar {corrupt_bstar})")
     floor = 1e-9
     checks = []
 
@@ -274,7 +282,6 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
         ))
 
     # Both path-average checks read one value curve spanning all their paths.
-    times = (0.5, 1.0, 2.0)
     z_mart = pathsim.simulate_Z_at_times(model, params, times, cfg.runs,
                                          substream(cfg.seed, "verify-mart"))
     z_sup = pathsim.simulate_Z_at_times(model, params, times, cfg.runs,
@@ -282,18 +289,11 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
     curve = stopsolve.TildeCurve(value, float(min(z_mart.min(), z_sup.min())),
                                  float(max(z_mart.max(), z_sup.max())))
     mart = stopsolve.martingale_check(curve, times, z_mart)
-    for t, est, se in zip(mart.times, mart.estimates, mart.combined_se):
-        checks.append(_check(
-            f"martingale_t={t}", est.value, 3.0 * se + floor,
-            target=mart.reference, std_error=se,
-        ))
     sup = stopsolve.supermartingale_check(curve, times, z_sup)
-    for t, est, se in zip(sup.times, sup.estimates, sup.combined_se):
-        checks.append(_check(
-            f"supermartingale_level_t={t}", est.value,
-            3.0 * se + floor, target=sup.reference, one_sided=True,
-            std_error=se,
-        ))
+    for tag, res, one_sided in (("martingale", mart, False), ("supermartingale_level", sup, True)):
+        for t, est, se in zip(res.times, res.estimates, res.combined_se):
+            checks.append(_check(f"{tag}_t={t}", est.value, 3.0 * se + floor,
+                                 target=res.reference, one_sided=one_sided, std_error=se))
     for k, dec in enumerate(sup.decrements):
         checks.append(_check(
             f"supermartingale_decrement_{k}", -dec.value,
@@ -312,7 +312,7 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
             std_error=res.std_error, x=x,
         ))
 
-    n_mom = 1 if p < 2.0 else 2
+    n_mom = 1 if value.p < 2.0 else 2
     for n in range(1, n_mom + 1):
         mc = expfun.estimate_moment(sample, 0.0, float(n))
         checks.append(_check(
@@ -326,9 +326,10 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
         model, params, [0.8 * b_star, b_star, 1.25 * b_star], max(cfg.runs, 10_000),
         substream(cfg.seed, "verify-sweep"), horizon=cfg.fp_horizon,
     )
-    center = sweep.discounts[:, 1] * sweep.thresholds[1]
+    # A threshold b <= c stops at once (tau_b = 0) with the payoff Z_0 = c.
+    pay = sweep.discounts * np.maximum(sweep.thresholds, params.c)
     for j, tag in ((0, "low"), (2, "high")):
-        diff = expfun.MomentEstimate.of(center - sweep.discounts[:, j] * sweep.thresholds[j])
+        diff = expfun.MomentEstimate.of(pay[:, 1] - pay[:, j])
         # pass requires the paired payoff margin to clear 3 standard errors
         checks.append(_check(
             f"threshold_dominance_{tag}", -diff.value, -3.0 * diff.std_error,
@@ -336,19 +337,15 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
         ))
 
     if not levy.is_degenerate(model):
-        for f_id in ("identity", "square"):
-            res = fragsim.many_to_one_fixed_time(model, params, f_id, 1.0, cfg.runs, cfg.seed)
-            checks.append(_check(
-                f"many_to_one_fixed_{f_id}", res.lhs.value,
-                3.0 * res.combined_se + floor, target=res.rhs.value,
-                std_error=res.combined_se,
-            ))
-        res = fragsim.many_to_one_stopping_line(model, params, 0.1, cfg.runs, cfg.seed)
-        checks.append(_check(
-            "many_to_one_line_mass=0.1", res.lhs.value,
-            3.0 * res.combined_se + floor, target=res.rhs.value,
-            std_error=res.combined_se,
-        ))
+        m21 = {f"many_to_one_fixed_{f_id}": fragsim.many_to_one_fixed_time(
+            model, params, f_id, 1.0, cfg.runs, cfg.seed, block_cap=cfg.block_cap)
+            for f_id in ("identity", "square")}
+        m21["many_to_one_line_mass=0.1"] = fragsim.many_to_one_stopping_line(
+            model, params, 0.1, cfg.runs, cfg.seed, block_cap=cfg.block_cap,
+            dust_floor=cfg.dust_floor, horizon=cfg.horizon)
+        for name, res in m21.items():
+            checks.append(_check(name, res.lhs.value, 3.0 * res.combined_se + floor,
+                                 target=res.rhs.value, std_error=res.combined_se))
 
     ok = all(c["pass"] for c in checks)
     payload = {

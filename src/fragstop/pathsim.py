@@ -57,52 +57,65 @@ def segment_exp_integral(y0, dt, gamma: float, theta: float):
 
 # --- batched lineage walks -------------------------------------------------------
 
-def _holding_times(model: DislocationModel, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Holding times of m live paths; inf for the degenerate model, which never jumps."""
-    if model.rate == 0.0:
-        return np.full(m, math.inf)
-    return rng.exponential(1.0 / model.rate, m)
+def _walk(model, rate, kappa, state, segment, retired, rng, fail, *, retire_before_jump=False):
+    """Advance the paths whose states are the columns of `state` together until all retire.
+
+    A step draws the m live paths' holding times w at `rate` (inf at rate 0)
+    and their kappa-tilted jumps x; segment(live, state, w, x) advances each
+    path over its segment, which x ends, and the paths that retired(state)
+    marks leave once the step has yielded (live, state, their columns).  With
+    `retire_before_jump` the test runs first, only the paths still live draw
+    jumps, and x starts their next segment instead (0 at the first).  Raises
+    AssumptionError(fail(m)) if m paths are still live after MAX_STEPS steps.
+    """
+    live, x = np.arange(state.shape[1]), np.zeros(state.shape[1])
+    for _ in range(MAX_STEPS):
+        w = rng.exponential(1.0 / rate, live.size) if rate > 0.0 else np.full(live.size, math.inf)
+        if not retire_before_jump:
+            x = levy.sample_jump(model, kappa, live.size, rng)
+        segment(live, state, w, x)
+        done = retired(state)
+        keep = np.flatnonzero(~done)
+        if keep.size < live.size:
+            yield live, state, np.flatnonzero(done)
+            live, state = live[keep], np.take(state, keep, axis=1)
+        if live.size == 0:
+            return
+        if retire_before_jump:
+            x = levy.sample_jump(model, kappa, live.size, rng)
+    raise AssumptionError(fail(live.size))
 
 
 # Z that overflows to inf is past every level, so the overflow is silent.
 @np.errstate(over="ignore")
 def _walk_Z(model, params, targets, n, rng, horizon, reached, value) -> np.ndarray:
-    """Record one value per path and sorted target as n physical Z paths first reach it.
+    """Record value(t, z, target) from the segment's start as n physical Z paths reach each target.
 
-    All unfinished paths advance together, one jump per step: holding times
-    for the m live paths, then for every target the path reached within its
-    segment (reached(t, w, z_end) >= target) the closed-form value(t, z,
-    target), then the jumps of the paths still live.  A path retires once it
-    has reached its last target, or when its clock passes `horizon` at a
-    jump; targets it never reached keep inf.  The targets a path has reached
-    form a prefix of the sorted targets, so each live path keeps only the
-    index of its next one.
+    A segment reaches the sorted targets up to reached(t, w, z_end); reached
+    targets form a prefix, so a path keeps only their count.  It retires at
+    its last target or when its clock passes `horizon` at a jump.
     """
     targets = np.asarray(targets, dtype=float)
     out = np.full((n, targets.size), math.inf)
-    live = np.arange(n)
-    nxt = np.zeros(n, dtype=np.intp)
-    t = np.zeros(n)
-    z = np.full(n, params.c)
-    while live.size:
-        w = _holding_times(model, live.size, rng)
+
+    def segment(live, state, w, x):
+        t, z, count = state  # count: how many targets the path has reached
+        z *= np.exp(-params.gamma * x)
         z_end = z_advance(z, w, params.gt)
         reach = reached(t, w, z_end)
-        hit = np.flatnonzero(targets[nxt] <= reach)
-        if hit.size:
-            lo = nxt[hit]
-            count = targets.searchsorted(reach[hit], "right") - lo
-            rows, cols = hit.repeat(count), lo
-            if rows.size > hit.size:
-                # A path's new columns run lo, lo + 1, ..., lo + count - 1.
-                cols = np.arange(rows.size) + (lo - (count.cumsum() - count)).repeat(count)
-            out[live[rows], cols] = value(t[rows], z[rows], targets[cols])
-            nxt[hit] = lo + count
-        t = t + w
-        keep = (reach < targets[-1]) & (t <= horizon)
-        live, nxt, t, z_end = live[keep], nxt[keep], t[keep], z_end[keep]
-        if live.size:
-            z = z_end * np.exp(-params.gamma * levy.sample_jump(model, 0.0, live.size, rng))
+        for j, target in enumerate(targets):
+            rows = np.flatnonzero((count <= j) & (target <= reach))
+            out[live[rows], j] = value(t[rows], z[rows], target)
+            count[rows] = j + 1
+        t += w
+        z[:] = z_end
+
+    state = np.array([np.zeros(n), np.full(n, params.c), np.zeros(n)])
+    for _ in _walk(model, model.rate, 0.0, state, segment,  # the segments record every value
+                   lambda s: (s[2] == targets.size) | (s[0] > horizon), rng,
+                   fail=lambda m: f"{m} of {n} Z paths did not reach {targets[-1]} within "
+                                  f"{MAX_STEPS} jumps", retire_before_jump=True):
+        pass
     return out
 
 
@@ -121,10 +134,8 @@ def simulate_Z_first_passage(
     every level (common random numbers).  Since Z is skip-free upwards, the
     crossing value is exactly the level, and a level <= c is passed at 0.
     """
-    gt = params.gt
-    return _walk_Z(model, params, levels, n, rng, horizon,
-                   reached=lambda t, w, z_end: z_end,
-                   value=lambda t, z, b: t + z_crossing_dt(z, b, gt))
+    return _walk_Z(model, params, levels, n, rng, horizon, reached=lambda t, w, z_end: z_end,
+                   value=lambda t, z, b: t + z_crossing_dt(z, b, params.gt))
 
 
 def first_passage_payoff_sums(
@@ -155,10 +166,8 @@ def simulate_Z_at_times(
 
     Exact within segments; a time that falls on a jump gets the pre-jump value.
     """
-    gt = params.gt
-    return _walk_Z(model, params, times, n, rng, math.inf,
-                   reached=lambda t, w, z_end: t + w,
-                   value=lambda t, z, s: z_advance(z, s - t, gt))
+    return _walk_Z(model, params, times, n, rng, math.inf, reached=lambda t, w, z_end: t + w,
+                   value=lambda t, z, s: z_advance(z, s - t, params.gt))
 
 
 def moment_recursion(model: DislocationModel, params: ModelParams, n: int) -> float:
@@ -193,11 +202,8 @@ def simulate_I_infty(
 
     Tilted jumps arrive at rate - phi(kappa), and `levy.sample_jump` draws
     them from their exact tilted law, so a step costs the same however
-    strong the tilt.  All unfinished draws advance together, one jump per
-    step: each step draws the holding times of the m live draws, then their
-    m jumps, adds each segment integral in closed form, and retires the
-    draws whose integrand weight exp(gamma*Y) has dropped below rel_tol
-    times their accrued integral.  A retired draw gets
+    strong the tilt.  A draw retires at the jump that takes its integrand
+    weight exp(gamma*Y) below rel_tol times its accrued integral, and gets
     the exact conditional mean of its tail, exp(gamma*Y_T) * M1, with M1 =
     moment_recursion(..., 1).  Draws are mean-exact; moments of order > 1
     carry a bias of order rel_tol times the tail variance.
@@ -215,31 +221,23 @@ def simulate_I_infty(
         # the conditional tail mean restores 1/(gamma*theta) with no error.
         weight_at_stop = rel_tol / (gt + rel_tol)
         return np.full(n, 1.0 / (gt + rel_tol) + weight_at_stop * m1)
-    out = np.empty(n)
-    live = np.arange(n)
-    # One column per live draw: Y, the accrued integral, and the integrand
-    # weight exp(gamma*Y), which is also the next segment's starting weight.
-    state = np.zeros((3, n))
-    state[2] = 1.0
-    scale = 1.0 / jump_rate
-    for _ in range(MAX_STEPS):
+
+    def segment(live, state, w, x):
         y, acc, weight = state
-        w = rng.exponential(scale, live.size)
-        acc += weight * -np.expm1(-gt * w) / gt  # segment_exp_integral from the stored weight
-        y += levy.sample_jump(model, kappa, live.size, rng) - theta * w
+        acc += weight * np.expm1(-gt * w) / -gt  # segment_exp_integral from the stored weight
+        y += x - theta * w
         np.exp(gamma * y, out=weight)
-        done = weight < rel_tol * acc
-        retired = np.flatnonzero(done)
-        if retired.size:
-            out[live[retired]] = acc[retired] + weight[retired] * m1
-            keep = np.flatnonzero(~done)
-            live, state = live[keep], np.take(state, keep, axis=1)
-        if live.size == 0:
-            return out
-    raise AssumptionError(
-        f"{live.size} of {n} integrals failed to converge within {MAX_STEPS} jumps; "
-        "the tilted driver does not appear to drift downward"
-    )
+
+    # One column per draw: Y, the accrued integral, and the integrand weight
+    # exp(gamma*Y), which is also the next segment's starting weight.
+    state = np.array([np.zeros(n), np.zeros(n), np.ones(n)])
+    out = np.empty(n)
+    for live, (_, acc, weight), gone in _walk(
+            model, jump_rate, kappa, state, segment, lambda s: s[2] < rel_tol * s[1], rng,
+            fail=lambda m: f"{m} of {n} integrals failed to converge within {MAX_STEPS} jumps; "
+                           "the tilted process Y does not appear to drift downward"):
+        out[live[gone]] = acc[gone] + weight[gone] * m1
+    return out
 
 
 def simulate_tagged_mass_passage(
@@ -248,33 +246,33 @@ def simulate_tagged_mass_passage(
     a: float,
     n: int,
     rng: np.random.Generator,
+    horizon: float = math.inf,
 ) -> tuple[np.ndarray, np.ndarray]:
     """First times the lineage masses exp(-xi) of n paths drop to <= a, with the accrued premium.
 
     Returns arrays (ell, accrued) where accrued = integral_0^ell exp(gamma*Y_s) ds.
-    The paths advance together, one jump per step, and a path retires at
-    the jump that takes its mass to <= a (mass is piecewise constant), so
-    both values are exact.  Raises AssumptionError if a path is still above
-    a after MAX_STEPS steps.
+    A path retires at the jump that takes its mass to <= a (mass is
+    piecewise constant), so both values are exact, or at `horizon`, as the
+    cascade freezes a block alive past it.  Raises AssumptionError if a path
+    is still live after MAX_STEPS steps.
     """
-    ell, acc = np.zeros(n), np.zeros(n)
     if a >= 1.0:
-        return ell, acc
+        return np.zeros(n), np.zeros(n)
     if levy.is_degenerate(model):
         raise AssumptionError("the degenerate model never reduces the lineage mass")
-    gamma, theta = params.gamma, params.theta
     log_a = -math.log(a)
-    live = np.arange(n)
-    t, xi, acc_live = np.zeros(n), np.zeros(n), np.zeros(n)
-    for _ in range(MAX_STEPS):
-        w = _holding_times(model, live.size, rng)
-        acc_live += segment_exp_integral(xi - theta * t, w, gamma, theta)
+
+    def segment(live, state, w, x):
+        t, xi, acc = state
+        w = np.minimum(w, horizon - t)
+        acc += segment_exp_integral(xi - params.theta * t, w, params.gamma, params.theta)
         t += w
-        xi += levy.sample_jump(model, 0.0, live.size, rng)
-        done = xi >= log_a
-        ell[live[done]], acc[live[done]] = t[done], acc_live[done]
-        keep = ~done
-        live, t, xi, acc_live = live[keep], t[keep], xi[keep], acc_live[keep]
-        if live.size == 0:
-            return ell, acc
-    raise AssumptionError(f"{live.size} of {n} masses never reached {a} within {MAX_STEPS} jumps")
+        xi += x
+
+    ell, accrued = np.empty(n), np.empty(n)
+    for live, (t, _, acc), gone in _walk(
+            model, model.rate, 0.0, np.zeros((3, n)), segment,
+            lambda s: (s[1] >= log_a) | (s[0] >= horizon), rng,
+            fail=lambda m: f"{m} of {n} masses never reached {a} within {MAX_STEPS} jumps"):
+        ell[live[gone]], accrued[live[gone]] = t[gone], acc[gone]
+    return ell, accrued

@@ -126,16 +126,61 @@ def fieldwise_I_infty(model, params, rng, n: int, rel_tol: float = 1e-6,
     return out
 
 
+# --- the lineage walks as they were ----------------------------------------------------
+# Each walk had its own loop before one kernel, `pathsim._walk`, served them
+# all.  The package must match these bit for bit, generator state included.
+
+def holding_times(model, m: int, rng) -> np.ndarray:
+    """Holding times of m live paths; inf for the degenerate model, which never jumps."""
+    if model.rate == 0.0:
+        return np.full(m, math.inf)
+    return rng.exponential(1.0 / model.rate, m)
+
+
+@np.errstate(over="ignore")
+def indexed_walk_Z(model, params, targets, n, rng, horizon, reached, value) -> np.ndarray:
+    """The Z walk's own loop: a next-target index per path, boolean compaction, no step budget.
+
+    reached(t, w, z_end) is how far a segment got; value(t, z, target) is
+    computed from the segment's start.
+    """
+    targets = np.asarray(targets, dtype=float)
+    out = np.full((n, targets.size), math.inf)
+    live = np.arange(n)
+    nxt = np.zeros(n, dtype=np.intp)
+    t = np.zeros(n)
+    z = np.full(n, params.c)
+    while live.size:
+        w = holding_times(model, live.size, rng)
+        z_end = pathsim.z_advance(z, w, params.gt)
+        reach = reached(t, w, z_end)
+        hit = np.flatnonzero(targets[nxt] <= reach)
+        if hit.size:
+            lo = nxt[hit]
+            count = targets.searchsorted(reach[hit], "right") - lo
+            rows, cols = hit.repeat(count), lo
+            if rows.size > hit.size:
+                cols = np.arange(rows.size) + (lo - (count.cumsum() - count)).repeat(count)
+            out[live[rows], cols] = value(t[rows], z[rows], targets[cols])
+            nxt[hit] = lo + count
+        t = t + w
+        keep = (reach < targets[-1]) & (t <= horizon)
+        live, nxt, t, z_end = live[keep], nxt[keep], t[keep], z_end[keep]
+        if live.size:
+            z = z_end * np.exp(-params.gamma * levy.sample_jump(model, 0.0, live.size, rng))
+    return out
+
+
 @np.errstate(over="ignore")
 def gathered_walk_Z(model, params, targets, n, rng, horizon, reached, value) -> np.ndarray:
-    """`pathsim._walk_Z` as it found each step's new targets: a live x targets gather of `out`."""
+    """`indexed_walk_Z` as it found each step's new targets: a live x targets gather of `out`."""
     targets = np.asarray(targets, dtype=float)
     out = np.full((n, targets.size), math.inf)
     live = np.arange(n)
     t = np.zeros(n)
     z = np.full(n, params.c)
     while live.size:
-        w = pathsim._holding_times(model, live.size, rng)
+        w = holding_times(model, live.size, rng)
         z_end = pathsim.z_advance(z, w, params.gt)
         reach = reached(t, w, z_end)
         rows, cols = np.nonzero(np.isinf(out[live]) & (targets <= reach[:, None]))
@@ -146,6 +191,66 @@ def gathered_walk_Z(model, params, targets, n, rng, horizon, reached, value) -> 
         if live.size:
             z = z_end * np.exp(-params.gamma * levy.sample_jump(model, 0.0, live.size, rng))
     return out
+
+
+def walk_Z_first_passage(walk, model, params, levels, n, rng, horizon=1e4) -> np.ndarray:
+    """`pathsim.simulate_Z_first_passage` on `walk`, one of the Z walks above."""
+    return walk(model, params, levels, n, rng, horizon, reached=lambda t, w, z_end: z_end,
+                value=lambda t, z, b: t + pathsim.z_crossing_dt(z, b, params.gt))
+
+
+def walk_Z_at_times(walk, model, params, times, n, rng) -> np.ndarray:
+    """`pathsim.simulate_Z_at_times` on `walk`, one of the Z walks above."""
+    return walk(model, params, times, n, rng, math.inf, reached=lambda t, w, z_end: t + w,
+                value=lambda t, z, s: pathsim.z_advance(z, s - t, params.gt))
+
+
+def columnwise_I_infty(model, params, rng, n: int, rel_tol: float = 1e-6) -> np.ndarray:
+    """The lifetime-integral sampler's own loop: state columns compacted by index."""
+    gamma, theta, gt, kappa = params.gamma, params.theta, params.gt, params.kappa
+    jump_rate = model.rate - (levy.phi(model, kappa) if kappa > 0.0 else 0.0)
+    m1 = pathsim.moment_recursion(model, params, 1)
+    out = np.empty(n)
+    live = np.arange(n)
+    state = np.zeros((3, n))
+    state[2] = 1.0
+    scale = 1.0 / jump_rate
+    while True:
+        y, acc, weight = state
+        w = rng.exponential(scale, live.size)
+        acc += weight * -np.expm1(-gt * w) / gt
+        y += levy.sample_jump(model, kappa, live.size, rng) - theta * w
+        np.exp(gamma * y, out=weight)
+        done = weight < rel_tol * acc
+        retired = np.flatnonzero(done)
+        if retired.size:
+            out[live[retired]] = acc[retired] + weight[retired] * m1
+            keep = np.flatnonzero(~done)
+            live, state = live[keep], np.take(state, keep, axis=1)
+        if live.size == 0:
+            return out
+
+
+def masked_tagged_mass_passage(model, params, a: float, n: int, rng):
+    """The tagged-mass walk's own loop: one array per field, boolean compaction."""
+    ell, acc = np.zeros(n), np.zeros(n)
+    if a >= 1.0:
+        return ell, acc
+    gamma, theta = params.gamma, params.theta
+    log_a = -math.log(a)
+    live = np.arange(n)
+    t, xi, acc_live = np.zeros(n), np.zeros(n), np.zeros(n)
+    while True:
+        w = holding_times(model, live.size, rng)
+        acc_live += pathsim.segment_exp_integral(xi - theta * t, w, gamma, theta)
+        t += w
+        xi += levy.sample_jump(model, 0.0, live.size, rng)
+        done = xi >= log_a
+        ell[live[done]], acc[live[done]] = t[done], acc_live[done]
+        keep = ~done
+        live, t, xi, acc_live = live[keep], t[keep], xi[keep], acc_live[keep]
+        if live.size == 0:
+            return ell, acc
 
 
 # --- scalar reference walks: one path, one scalar jump at a time -------------------

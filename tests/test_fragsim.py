@@ -331,6 +331,20 @@ class TestManyToOne:
         with pytest.raises(InvalidModelError):
             fragsim.many_to_one_fixed_time(ref_model, ref_params, "cube", 1.0, 5, 7)
 
+    def test_engine_keywords_reach_the_cascade(self, ref_model, ref_params):
+        # verify passes the config's block cap, dust floor and horizon through.
+        with pytest.raises(fragsim.BlockCapError, match="block budget 2 exceeded"):
+            fragsim.many_to_one_fixed_time(ref_model, ref_params, "identity", 1.0, 50, 31,
+                                           block_cap=2)
+        with pytest.raises(fragsim.BlockCapError, match="block budget 2 exceeded"):
+            fragsim.many_to_one_stopping_line(ref_model, ref_params, 0.1, 50, 11, block_cap=2)
+        full = fragsim.many_to_one_stopping_line(ref_model, ref_params, 0.1, 4000, 13)
+        short = fragsim.many_to_one_stopping_line(ref_model, ref_params, 0.1, 4000, 13,
+                                                  horizon=0.5, dust_floor=0.0)
+        assert short.lhs.value != full.lhs.value and short.rhs.value != full.rhs.value
+        # The tagged lineage stops at the horizon too, so the identity still holds.
+        assert abs(short.lhs.value - short.rhs.value) <= 3.0 * short.combined_se
+
     def test_line_threshold_one_trivial(self, ref_model, ref_params):
         res = fragsim.many_to_one_stopping_line(ref_model, ref_params, 1.0, 50, 11)
         assert res.lhs.value == 0.0 and res.rhs.value == 0.0

@@ -330,6 +330,83 @@ class TestVerifyCommand:
         payload = json.loads(capsys.readouterr().out)
         assert not payload["all_pass"]
 
+    def test_dominance_pays_c_at_thresholds_below_it(self, tmp_path, capsys):
+        # For b <= c the threshold stops at once, tau_b = 0, and pays Z_0 = c.  At
+        # c = 3 > 1.25 b* every swept threshold does, so both margins are exactly
+        # 0; the checks once paid b there and failed a correct program.
+        cfg = tmp_path / "c3.cfg"
+        cfg.write_text(with_key(REF_CFG, "c", 3))
+        main(["verify", "--config", str(cfg), "--samples", "2000", "--runs", "50"])
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        for tag in ("low", "high"):
+            check = checks[f"threshold_dominance_{tag}"]
+            assert check["pass"] and check["margin"] == 0.0 and check["std_error"] == 0.0
+
+    @pytest.mark.parametrize("c", ["1e30", "1e80"])
+    def test_far_start_rejected(self, c, tmp_path, capsys):
+        # The Laplace checks' standard errors divide by E[(2c + I)^p]^4, which
+        # overflows at these starts; they once died with an OverflowError.
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(with_key(REF_CFG, "c", c))
+        assert main(["verify", "--config", str(cfg), "--samples", "2000", "--runs", "50"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "config" and f"b = {2.0 * float(c)}, the larger of 2c" in err["message"]
+
+    @pytest.mark.parametrize("key,value", [("theta", 400), ("q", 400)])
+    def test_path_checks_out_of_float_range_rejected(self, key, value, tmp_path):
+        # By t = 2, Z overflows at gamma*theta = 400 and e^{-lam t} underflows
+        # at lam = 401: the path checks once read nan, with RuntimeWarnings on
+        # stderr.  Only the error line may reach stderr.
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text(with_key(REF_CFG, key, value))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fragstop.cli", "verify", "--config", str(cfg),
+             "--samples", "3000", "--runs", "500"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(harness.__file__).resolve().parents[1])},
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        (line,) = proc.stderr.splitlines()
+        err = json.loads(line)
+        assert err["type"] == "ConfigError" and "float range up to t = 2.0" in err["message"]
+
+    def test_block_cap_bounds_the_cascade_checks(self, tmp_path):
+        # The many-to-one checks once ran the engine at its default cap of
+        # 1,000,000 blocks, whatever the config's block_cap said.
+        cfg = tmp_path / "cap.cfg"
+        cfg.write_text(REF_CFG + "block_cap = 5\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "fragstop.cli", "verify", "--config", str(cfg),
+             "--samples", "2000", "--runs", "50"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(harness.__file__).resolve().parents[1])},
+        )
+        assert (proc.returncode, proc.stdout) == (5, "")
+        err = json.loads(proc.stderr)
+        assert err["type"] == "BlockCapError" and "block budget 5 exceeded" in err["message"]
+
+    def test_lineages_past_the_horizon_end_quickly(self, tmp_path):
+        # Nearly every split of this beta family keeps almost all the mass, so
+        # lineages outlive the horizon; the line check's tagged lineage stops
+        # there as the cascade's blocks do.  The check once grew runs to the
+        # block cap (exit 5 after 54 s at the default sizes), or walked the
+        # lineage toward MAX_STEPS jumps once the cascade stopped at the
+        # horizon.  A child process keeps a regression from hanging the suite.
+        cfg = tmp_path / "beta.cfg"
+        cfg.write_text("family = beta\nrate = 1e-9\nshape = 1e-6\ngamma = 0.1\ntheta = 1.0\n"
+                       "q = 0.1\nc = 3\nseed = 12345\nblock_cap = 200000\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "fragstop.cli", "verify", "--config", str(cfg),
+             "--samples", "2000", "--runs", "500"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(harness.__file__).resolve().parents[1])},
+        )
+        assert proc.returncode in (0, 4), proc.stderr
+        checks = {c["name"]: c for c in json.loads(proc.stdout)["checks"]}
+        assert checks["many_to_one_line_mass=0.1"]["pass"]
+
     def test_one_value_curve_per_verify(self, ref_cfg_path, monkeypatch, capsys):
         builds = []
 

@@ -10,8 +10,10 @@ from fragstop.levy import AssumptionError, BinaryBeta, BinaryPoint, BinaryUnifor
 from fragstop.streams import substream
 
 from conftest import (
-    ZState, fieldwise_I_infty, gathered_walk_Z, rowwise_sample_jump, scalar_first_passage,
-    scalar_jump, scalar_tagged_mass_passage, scalar_Z_at_times, simulate_Z_path,
+    ZState, columnwise_I_infty, fieldwise_I_infty, gathered_walk_Z, indexed_walk_Z,
+    masked_tagged_mass_passage, rowwise_sample_jump, scalar_first_passage, scalar_jump,
+    scalar_tagged_mass_passage, scalar_Z_at_times, simulate_Z_path, walk_Z_at_times,
+    walk_Z_first_passage,
 )
 
 
@@ -80,6 +82,12 @@ class TestFirstPassage:
                                                substream(12, "levels"))
         np.testing.assert_array_equal(tau[:, -1], top[:, 0])
 
+    def test_step_budget_exhausted(self, ref_model, ref_params, rng, monkeypatch):
+        # The Z walks once had no step budget; now they stop as the other walks do.
+        monkeypatch.setattr(pathsim, "MAX_STEPS", 1)
+        with pytest.raises(AssumptionError, match="Z paths did not reach 5.0 within 1 jumps"):
+            pathsim.simulate_Z_first_passage(ref_model, ref_params, [0.5, 5.0], 64, rng)
+
     def test_horizon_misses_discount_to_zero(self, ref_model, ref_params):
         # A path whose clock passes the horizon at a jump before it reaches a
         # level misses it: inf passage time, discount exactly 0.
@@ -121,6 +129,11 @@ class TestZPath:
                 seg_end = pathsim.z_advance(a.z, b.t - a.t, ref_params.gt)
                 assert b.z <= seg_end + 1e-12
 
+    def test_step_budget_exhausted(self, ref_model, ref_params, rng, monkeypatch):
+        monkeypatch.setattr(pathsim, "MAX_STEPS", 1)
+        with pytest.raises(AssumptionError, match="Z paths did not reach 2.0 within 1 jumps"):
+            pathsim.simulate_Z_at_times(ref_model, ref_params, [0.5, 2.0], 64, rng)
+
     def test_grid_sampling_matches_path(self, ref_model, ref_params):
         times = np.array([0.5, 1.0, 2.0])
         zs = pathsim.simulate_Z_at_times(ref_model, ref_params, times, 4, substream(3, "grid"))
@@ -153,27 +166,73 @@ class TestZPath:
         assert np.all(np.isfinite(tau))
 
 
+# The levels include one below c, a repeat, and some the short horizon misses.
+LEVELS, TIMES = [0.1, 0.3, 0.5, 0.5, 1.0, 3.0, 20.0], [0.2, 0.5, 1.0, 2.0, 2.0, 8.0]
+
+
 @pytest.mark.parametrize(
     "model", [BinaryUniform(1.0), BinaryPoint(1.0, 0.7), BinaryBeta(1.0, 0.5)],
     ids=["uniform", "point", "beta0.5"],
 )
-def test_next_target_index_keeps_bits(model, monkeypatch):
+def test_next_target_index_keeps_bits(model):
     # Each path keeps the index of its next target; the walk once gathered
-    # the live x targets block of its output every step to find them.  The
-    # levels include one below c, a repeat, and some the short horizon misses.
+    # the live x targets block of its output every step to find them.
     params = levy.make_params(model, gamma=1.0, theta=1.0, q=1.0, c=0.25)
-    levels, times = [0.1, 0.3, 0.5, 0.5, 1.0, 3.0, 20.0], [0.2, 0.5, 1.0, 2.0, 2.0, 8.0]
+    new = pathsim.simulate_Z_first_passage(model, params, LEVELS, 3000, substream(14, "next"),
+                                           horizon=5.0)
+    old = walk_Z_first_passage(gathered_walk_Z, model, params, LEVELS, 3000,
+                               substream(14, "next"), horizon=5.0)
+    assert np.array_equal(new, old)
+    assert np.isinf(new[:, -1]).any() and np.isfinite(new[:, -1]).any()
+    assert np.array_equal(
+        pathsim.simulate_Z_at_times(model, params, TIMES, 3000, substream(14, "next")),
+        walk_Z_at_times(gathered_walk_Z, model, params, TIMES, 3000, substream(14, "next")))
 
-    def walks():
-        return (pathsim.simulate_Z_first_passage(model, params, levels, 3000,
-                                                 substream(14, "next"), horizon=5.0),
-                pathsim.simulate_Z_at_times(model, params, times, 3000, substream(14, "next")))
 
-    new = walks()
-    monkeypatch.setattr(pathsim, "_walk_Z", gathered_walk_Z)
-    for a, b in zip(new, walks()):
-        assert np.array_equal(a, b)
-    assert np.isinf(new[0][:, -1]).any() and np.isfinite(new[0][:, -1]).any()
+@pytest.mark.parametrize(
+    "model",
+    [BinaryUniform(1.0), BinaryPoint(1.0, 0.7), BinaryBeta(1.0, 0.5), BinaryBeta(1.0, 3.0)],
+    ids=["uniform", "point", "beta0.5", "beta3"],
+)
+class TestOneWalkKernel:
+    """Every walk on `pathsim._walk` against its own former loop, bit for bit.
+
+    Each pair of calls starts from one seed and must leave the generator in
+    one state, so every walk draws exactly what its loop drew.
+    """
+
+    @staticmethod
+    def _same(new, old, new_rng, old_rng):
+        for a, b in zip(new, old):
+            assert np.array_equal(a, b)
+        assert new_rng.random(3).tolist() == old_rng.random(3).tolist()
+
+    @pytest.mark.parametrize("n", [1, 3000])
+    def test_Z_walks(self, model, n):
+        params = levy.make_params(model, gamma=1.0, theta=1.0, q=1.0, c=0.25)
+        rngs = substream(15, "kernel", n), substream(15, "kernel", n)
+        new = (pathsim.simulate_Z_first_passage(model, params, LEVELS, n, rngs[0], horizon=5.0),
+               pathsim.simulate_Z_at_times(model, params, TIMES, n, rngs[0]))
+        old = (walk_Z_first_passage(indexed_walk_Z, model, params, LEVELS, n, rngs[1],
+                                    horizon=5.0),
+               walk_Z_at_times(indexed_walk_Z, model, params, TIMES, n, rngs[1]))
+        self._same(new, old, *rngs)
+
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-3])
+    @pytest.mark.parametrize("n", [1, 1500])
+    def test_lifetime_integrals(self, model, n, rel_tol):
+        params = levy.make_params(model, gamma=0.5, theta=1.0, q=0.1, c=0.25)
+        rngs = substream(16, "kernel", n), substream(16, "kernel", n)
+        self._same([pathsim.simulate_I_infty(model, params, rngs[0], n, rel_tol=rel_tol)],
+                   [columnwise_I_infty(model, params, rngs[1], n, rel_tol)], *rngs)
+
+    @pytest.mark.parametrize("a", [0.6, 1e-4])
+    @pytest.mark.parametrize("n", [1, 3000])
+    def test_tagged_mass_passage(self, model, n, a):
+        params = levy.make_params(model, gamma=1.0, theta=1.0, q=1.0, c=0.25)
+        rngs = substream(17, "kernel", n), substream(17, "kernel", n)
+        self._same(pathsim.simulate_tagged_mass_passage(model, params, a, n, rngs[0]),
+                   masked_tagged_mass_passage(model, params, a, n, rngs[1]), *rngs)
 
 
 def scalar_I_infty(model, params, m1, rng, rel_tol=1e-6, max_steps=1_000_000):
@@ -286,6 +345,16 @@ class TestTaggedMassPassage:
         model = BinaryPoint(1.0, 0.5)
         params = levy.make_params(model, gamma=1.0, theta=1.0, q=1.0, c=1.0)
         ell, acc = pathsim.simulate_tagged_mass_passage(model, params, 0.6, 50, rng)
+        np.testing.assert_allclose(acc, -np.expm1(-ell), rtol=1e-12)
+
+    def test_horizon_stops_the_lineage(self, rng):
+        # With halving splits and a = 0.6 the first jump is the passage; a path
+        # whose first jump comes after the horizon stops there, with the
+        # premium accrued by then, as the cascade freezes such a block.
+        model = BinaryPoint(1.0, 0.5)
+        params = levy.make_params(model, gamma=1.0, theta=1.0, q=1.0, c=1.0)
+        ell, acc = pathsim.simulate_tagged_mass_passage(model, params, 0.6, 200, rng, horizon=0.3)
+        assert np.all(ell <= 0.3) and np.any(ell == 0.3) and np.any(ell < 0.3)
         np.testing.assert_allclose(acc, -np.expm1(-ell), rtol=1e-12)
 
     def test_threshold_one_fires_immediately(self, ref_model, ref_params, rng):
