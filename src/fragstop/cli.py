@@ -40,8 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--samples", type=int, default=None, help="override shared-sample size")
         p.add_argument("--runs", type=int, default=None, help="override path/run counts")
-        p.add_argument("--workers", type=int, default=None,
-                       help="accepted for old configs and scripts; has no effect")
         p.add_argument("--out", default=None, help="write the primary output to this path")
 
     p_solve = sub.add_parser("solve", help="compute the optimal threshold and value")
@@ -72,17 +70,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out}: {exc}") from exc
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = harness.parse_config(args.config)
-        cfg = harness.with_overrides(
-            cfg, seed=args.seed, samples=args.samples, runs=args.runs, workers=args.workers
-        )
+        cfg = harness.with_overrides(cfg, seed=args.seed, samples=args.samples, runs=args.runs)
         if args.command == "solve":
             _emit(harness.dumps_json(harness.cmd_solve(cfg)), args.out)
             return EXIT_OK

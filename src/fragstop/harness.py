@@ -7,8 +7,8 @@ arrive as overrides: silent typos in stochastic experiments are costly.
 
 Every output carries a schema string.  Outputs contain no timestamps or
 environment echoes, so a rerun with the same config and seed is
-byte-identical.  The `workers` key is still parsed and range-checked, so
-existing configs keep working, but it has no effect.
+byte-identical.  Ensembles run in one process: a `workers` key, which
+older configs set, is skipped with a one-line JSON warning on stderr.
 
 Exit-code taxonomy (used by the CLI): 0 ok, 2 config error, 3 assumption
 violation, 4 verification failure, 5 resource cap hit.
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -68,7 +69,6 @@ class RunConfig:
     samples: int = 100_000
     runs: int = 10_000
     seed: int = 0
-    workers: int = 1
     rel_tol: float = 1e-6
     bisect_rel_tol: float = 1e-6
     block_cap: int = 1_000_000
@@ -123,7 +123,7 @@ def _validated(raw: dict) -> RunConfig:
         raise ConfigError("s0 is only valid for family = point")
     if family != "beta" and raw["shape"] is not None:
         raise ConfigError("shape is only valid for family = beta")
-    for key in ("samples", "runs", "workers", "block_cap"):
+    for key in ("samples", "runs", "block_cap"):
         if raw[key] < 1:
             raise ConfigError(f"{key} must be >= 1, got {raw[key]}")
     for key in ("rel_tol", "bisect_rel_tol"):
@@ -154,6 +154,11 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
+        if key == "workers":  # older configs set it; ensembles run in one process
+            sys.stderr.write(json.dumps({"schema": SCHEMA, "warning": "config", "message": f"line "
+                f"{lineno}: key 'workers' is ignored: ensembles run in one process"},
+                sort_keys=True) + "\n")
+            continue
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
@@ -177,8 +182,8 @@ def parse_config_text(text: str) -> RunConfig:
 
 def parse_config(path: str | Path) -> RunConfig:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import Chebyshev, chebyshev, legendre, polynomial
@@ -224,13 +224,13 @@ def solve_b_star(
 ) -> SolverResult:
     """`bisect_b_star`'s threshold with the value at c, f(b*) and, if asked, its diagnostics."""
     b_star = bisect_b_star(params, sample, rel_tol_b=rel_tol_b)
+    value = ValueFunction(params, sample, b_star)
 
     diag: dict = {}
     if diagnostics:
         gaps = pasting_check(params, sample, b_star)
         diag["pasting"] = {"value_gap": gaps.value_gap, "slope_gap": gaps.slope_gap}
         grid = [0.2 * b_star, 0.5 * b_star, 0.9 * b_star]
-        value = ValueFunction(params, sample, b_star)
         diag["generator_residual"] = {
             "continuation": {f"{x:.6g}": generator_residual(model, params, value.tilde, x)
                              for x in grid},
@@ -240,7 +240,7 @@ def solve_b_star(
     return SolverResult(
         b_star=b_star,
         kappa=params.kappa,
-        value_at_c=value_star(params, sample, b_star, params.c),
+        value_at_c=value.star(params.c),
         f_at_b_star=expfun.f_of_b(sample, params, b_star),
         sample_meta=sample.meta(),
         diagnostics=diag,
@@ -270,20 +270,25 @@ def pasting_check(params: ModelParams, sample: SharedSample, b_star: float) -> P
 _GL_NODES, _GL_WEIGHTS = legendre.leggauss(JUMP_NODES)  # on [-1, 1]
 
 
-def _jump_term(model: DislocationModel, params: ModelParams, value_fn, x: float, fx: float,
-               kink: float | None = None) -> float:
-    """integral of (f(e^{-gamma y} x) - f(x)) against the lineage jump measure.
+def generator_rule(model: DislocationModel, params: ModelParams, x: float,
+                   kink: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes z and weights w with (L - lam) f(x) = w @ f(z) for every f.
 
-    The jump measure is the push-forward of the split law through the two
-    branches y = -log(s) and y = -log(1-s) with size-biased weights, so the
-    integral reduces to one over s in [1/2, 1) against the split density
-    2 (s(1-s))^(a-1) / B(a, a) (uniform: a = 1), or to a two-term sum for
-    point families.  In v, where 1 - s = v^4/2, the integrand is smooth
-    enough for a fixed JUMP_NODES-point Gauss-Legendre rule, split where
-    s^gamma x or (1-s)^gamma x crosses the kink of value_fn, if it has one.
+    L f(x) = (1 + gamma*theta*x) f'(x) plus the integral of f(e^{-gamma y} x) - f(x)
+    against the lineage jump measure.  The derivative is a central difference
+    with step h = FD_STEP_REL * x, on x - h, x, x + h.  The jump measure pushes
+    the split law through y = -log(s) and y = -log(1-s) with size-biased
+    weights, so the integral is one over s in [1/2, 1) against the split
+    density 2 (s(1-s))^(a-1) / B(a, a) (uniform: a = 1), or a two-term sum for
+    point families.  In v, where 1 - s = v^4/2, the integrand is smooth enough
+    for a fixed JUMP_NODES-point Gauss-Legendre rule on the nodes s^gamma x and
+    (1-s)^gamma x, split where one crosses `kink`, if given.  The integral's
+    -f(x) and the -lam f(x) fold into the weight of x.
     """
+    if x <= 0.0:
+        raise DomainError(f"x must be > 0, got {x}")
     if isinstance(model, levy.BinaryPoint):
-        s, t, weights = np.array([model.s0]), np.array([1.0 - model.s0]), model.rate
+        s, t, weights = np.array([model.s0]), np.array([1.0 - model.s0]), np.array([model.rate])
     else:
         edges = [0.0, 1.0]
         if kink is not None:
@@ -297,59 +302,49 @@ def _jump_term(model: DislocationModel, params: ModelParams, value_fn, x: float,
         # rule weight * ds/dv (2 v^3) * split density; zero at rate 0
         weights = (model.rate * (0.5 * (hi - lo) * _GL_WEIGHTS).ravel() * 4.0 * v**3 * np.exp(
             (a - 1.0) * np.log(s * t) + math.lgamma(2.0 * a) - 2.0 * math.lgamma(a)))
-    vals = value_fn(np.concatenate([s**params.gamma * x, t**params.gamma * x])) - fx
-    return float(np.sum(weights * (s * vals[: s.size] + t * vals[s.size :])))
-
-
-def generator_residual(
-    model: DislocationModel,
-    params: ModelParams,
-    value_fn,
-    x: float,
-    *,
-    kink: float | None = None,
-) -> float:
-    """(L - lam) value_fn at x, with L the integro-differential generator.
-
-    L f(x) = (1 + gamma*theta*x) f'(x) + jump term; the derivative uses a
-    central difference with step FD_STEP_REL * x.  For the candidate value the
-    residual is zero in expectation at every x > 0; for the optimal value it
-    is nonpositive above b*.  value_fn takes arrays, and kinks at `kink`, if given.
-    """
-    if x <= 0.0:
-        raise DomainError(f"x must be > 0, got {x}")
     h = FD_STEP_REL * x
-    fm, fx, fp = map(float, value_fn(np.array([x - h, x, x + h])))
-    jump = _jump_term(model, params, value_fn, x, fx, kink)
-    return (1.0 + params.gt * x) * ((fp - fm) / (2.0 * h)) + jump - params.lam * fx
+    slope = (1.0 + params.gt * x) / (2.0 * h)
+    jump = np.concatenate([weights * s, weights * t])
+    z = np.concatenate([[x - h, x, x + h], s**params.gamma * x, t**params.gamma * x])
+    w = np.concatenate([[-slope, -params.lam - jump.sum(), slope], jump])
+    return z, w
 
 
-def generator_residual_estimate(
-    model: DislocationModel,
-    params: ModelParams,
-    sample: SharedSample,
-    b_star: float,
-    x: float,
-    *,
-    kind: str = "tilde",
-) -> MomentEstimate:
-    """Generator residual with a batch-means standard error.
+def generator_residual(model: DislocationModel, params: ModelParams, value_fn, x: float, *,
+                       kink: float | None = None) -> float:
+    """(L - lam) value_fn at x, one dot product over `generator_rule`'s nodes.
 
-    The shared sample is split into interleaved batches; the residual is
-    recomputed on each batch's sub-sample (b* held fixed) and the spread of
-    the batch values propagates every Monte Carlo source through the
-    derivative, the quadrature and the normalization at once.
+    For the candidate value the residual is zero in expectation at every
+    x > 0; for the optimal value it is nonpositive above b*.  value_fn takes
+    arrays, and kinks at `kink`, if given.
+    """
+    z, w = generator_rule(model, params, x, kink)
+    return float(w @ value_fn(z))
+
+
+def generator_residual_estimate(model: DislocationModel, params: ModelParams,
+                                sample: SharedSample, b_star: float, x: float, *,
+                                kind: str = "tilde") -> MomentEstimate:
+    """Generator residual of the candidate (kind "tilde") or optimal value, with a batch-means error.
+
+    The shared sample is split into interleaved batches, b* held fixed.
+    Row k of one table holds batch k's power means at the rule's nodes and
+    at b*, its normalization, so batch k's residual is b* (row @ weights) /
+    normalization, plus the exact part of the nodes above b*, where the
+    optimal value is z.  The spread of the batch residuals propagates every
+    Monte Carlo source through the derivative, the quadrature and the
+    normalization at once.
     """
     if kind not in ("tilde", "star"):
         raise ValueError(f"unknown kind {kind!r}")
-    vals = []
-    for k in range(RESIDUAL_BATCHES):
-        sub = replace(sample, draws=sample.draws[k::RESIDUAL_BATCHES])
-        value = ValueFunction(params, sub, b_star)
-        fn = value.star if kind == "star" else value.tilde
-        vals.append(generator_residual(model, params, fn, x,
-                                       kink=b_star if kind == "star" else None))
-    return MomentEstimate.of(np.asarray(vals))
+    z, w = generator_rule(model, params, x, kink=b_star if kind == "star" else None)
+    tilde = z <= b_star if kind == "star" else np.ones(z.size, dtype=bool)
+    nodes = np.append(z[tilde], b_star)
+    p = params.kappa / params.gamma
+    table = np.array([_power_mean_many(sample.draws[k::RESIDUAL_BATCHES], nodes, p)
+                      for k in range(RESIDUAL_BATCHES)])
+    stopped = w[~tilde] @ z[~tilde]
+    return MomentEstimate.of(b_star * (table[:, :-1] @ w[tilde]) / table[:, -1] + stopped)
 
 
 # --- first-passage Laplace identity --------------------------------------------

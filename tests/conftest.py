@@ -1,6 +1,6 @@
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -251,6 +251,55 @@ def masked_tagged_mass_passage(model, params, a: float, n: int, rng):
         live, t, xi, acc_live = live[keep], t[keep], xi[keep], acc_live[keep]
         if live.size == 0:
             return ell, acc
+
+
+# --- the generator residual as it was ------------------------------------------------
+# Before `stopsolve.generator_rule` wrote the generator as one set of nodes and
+# weights, the jump term called the value function on its own nodes, the
+# derivative was a finite difference of its own, and each batch of the
+# residual's error rebuilt a ValueFunction on a strided copy of the sample.
+# The package must match these to rounding.
+
+def difference_jump_term(model, params, value_fn, x: float, fx: float, kink=None) -> float:
+    """The jump term of (L - lam) f(x) on the package's Gauss-Legendre nodes, f(x) = fx given."""
+    if isinstance(model, levy.BinaryPoint):
+        s, t, weights = np.array([model.s0]), np.array([1.0 - model.s0]), model.rate
+    else:
+        edges = [0.0, 1.0]
+        if kink is not None:
+            r = (kink / x) ** (1.0 / params.gamma)
+            edges[1:1] = [(2.0 * tk) ** 0.25 for tk in (r, 1.0 - r) if 0.0 < tk < 0.5]
+        lo, hi = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
+        v = (0.5 * (hi - lo) * stopsolve._GL_NODES + 0.5 * (hi + lo)).ravel()
+        t = 0.5 * v**4
+        s = 1.0 - t
+        a = model.shape if isinstance(model, levy.BinaryBeta) else 1.0
+        weights = (model.rate * (0.5 * (hi - lo) * stopsolve._GL_WEIGHTS).ravel() * 4.0 * v**3
+                   * np.exp((a - 1.0) * np.log(s * t) + math.lgamma(2.0 * a)
+                            - 2.0 * math.lgamma(a)))
+    vals = value_fn(np.concatenate([s**params.gamma * x, t**params.gamma * x])) - fx
+    return float(np.sum(weights * (s * vals[: s.size] + t * vals[s.size :])))
+
+
+def difference_generator_residual(model, params, value_fn, x: float, *, kink=None) -> float:
+    """(L - lam) value_fn at x: a central difference plus `difference_jump_term` minus lam f(x)."""
+    h = stopsolve.FD_STEP_REL * x
+    fm, fx, fp = map(float, value_fn(np.array([x - h, x, x + h])))
+    jump = difference_jump_term(model, params, value_fn, x, fx, kink)
+    return (1.0 + params.gt * x) * ((fp - fm) / (2.0 * h)) + jump - params.lam * fx
+
+
+def rebuilt_residual_estimate(model, params, sample, b_star: float, x: float, *,
+                              kind: str = "tilde") -> expfun.MomentEstimate:
+    """Batch means of `difference_generator_residual`, one ValueFunction per interleaved batch."""
+    vals = []
+    for k in range(stopsolve.RESIDUAL_BATCHES):
+        sub = replace(sample, draws=sample.draws[k::stopsolve.RESIDUAL_BATCHES])
+        value = stopsolve.ValueFunction(params, sub, b_star)
+        fn = value.star if kind == "star" else value.tilde
+        vals.append(difference_generator_residual(model, params, fn, x,
+                                                  kink=b_star if kind == "star" else None))
+    return expfun.MomentEstimate.of(np.asarray(vals))
 
 
 # --- scalar reference walks: one path, one scalar jump at a time -------------------

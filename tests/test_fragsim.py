@@ -249,13 +249,13 @@ class TestPayoff:
 
 class TestEnsembles:
     def test_reproducible_and_worker_independent(self, ref_model, ref_params):
-        # Ensembles run in-process; the `workers` key is accepted and changes nothing.
+        # Ensembles run in-process; a `workers` key is skipped and changes nothing.
         line = OptimalStatistic(0.78)
         a = fragsim.ensemble_payoffs(ref_model, ref_params, line, 300, 5)
         b = fragsim.ensemble_payoffs(ref_model, ref_params, line, 300, 5)
         assert np.array_equal(a.payoffs, b.payoffs)
-        assert simulate_bytes("optimal:0.78", runs=50, workers=3) == simulate_bytes(
-            "optimal:0.78", runs=50)
+        assert simulate_bytes("optimal:0.78", text=README_CFG + "workers = 3\n",
+                              runs=50) == simulate_bytes("optimal:0.78", runs=50)
 
     def test_common_cascade_across_lines(self, ref_model, ref_params):
         # Same seed, different thresholds: runs share the cascade, so the
@@ -482,8 +482,8 @@ seed = 12345
 """
 
 
-def simulate_bytes(line, literal=False, **overrides) -> str:
-    cfg = harness.with_overrides(harness.parse_config_text(README_CFG), **overrides)
+def simulate_bytes(line, literal=False, text=README_CFG, **overrides) -> str:
+    cfg = harness.with_overrides(harness.parse_config_text(text), **overrides)
     csv_text, summary = harness.cmd_simulate(cfg, line, literal)
     return csv_text + harness.dumps_json(summary)
 
@@ -506,9 +506,13 @@ class TestInvariants:
         assert np.max(np.abs(mass - 1.0)) <= 1e-12
 
     @pytest.mark.parametrize("line,literal,overrides", LINES)
-    def test_workers_byte_identical(self, line, literal, overrides):
-        assert simulate_bytes(line, literal, **overrides) == simulate_bytes(
-            line, literal, **overrides, workers=2)
+    def test_workers_byte_identical(self, line, literal, overrides, capsys):
+        # A config that sets `workers` warns once on stderr and gives the
+        # bytes of the same config without it.
+        ignored = simulate_bytes(line, literal, README_CFG + "workers = 2\n", **overrides)
+        warning = json.loads(capsys.readouterr().err)
+        assert warning["warning"] == "config" and "'workers' is ignored" in warning["message"]
+        assert ignored == simulate_bytes(line, literal, **overrides)
 
     @pytest.mark.parametrize("line,literal,overrides", LINES)
     def test_chunking_byte_identical(self, line, literal, overrides, monkeypatch):
@@ -893,7 +897,7 @@ GOLDEN_SIMULATE = [
     pytest.param("fixed:2.0", False, {"runs": 60},
                  "abfe28ec0b3c3410035195209b13b8d496ddcc5e566ab8f739b4b2058902a5d8",
                  id="fixed"),
-    pytest.param("mass:0.01", False, {"runs": 20, "workers": 2},
+    pytest.param("mass:0.01", False, {"runs": 20, "text": README_CFG + "workers = 2\n"},
                  "87c1a0e3f91d844e7bf62435f73ad5fb8d1c64fe8752eb2196e78a37840220e8",
                  id="mass-workers2"),
     # dust and horizon branches: 26 dust blocks, 106 partial
@@ -935,27 +939,31 @@ GOLDEN_SIMULATE = [
 # checks began to report the shared-sample error of the difference they test
 # (only their `std_error` and `tolerance` entries move on point splits, whose
 # tilted atoms keep their bits).  The many-to-one and simulate digests did not
-# move: physical jumps keep their bits.
+# move: physical jumps keep their bits.  The four solve digests and both
+# verify digests were re-recorded once more when every generator residual
+# became one dot product over `stopsolve.generator_rule`'s nodes and weights:
+# only the generator-residual entries moved, by rounding: at most 3e-12
+# absolute, and 3e-10 relative except on the none family, whose exact
+# residuals are 0 and read as rounding noise on both sides.
 GOLDEN_SIZES = {"samples": 3000, "runs": 300}
 SWEEP_C_GRID = [0.1, 0.25, 0.5, 1.0]
-GOLDEN_SOLVE = "bd188d6e6e1491980c2fea7321dbe16e172b25da3160cace2c04e364e14b9dad"
+GOLDEN_SOLVE = "e20a495e42f254f9802c8a884b323b6fcc2d6a4a9707c146cf4be3dc7bc892f3"
 GOLDEN_SWEEP_C = "987fe4a6858e24349e29ff99f35f2710b7b980b3bc49d5e6a84221d6dead0cdb"
-GOLDEN_VERIFY = "f41874477cdc4d4e4121df10583820baf6728643d6ca240b7db33eb31dc9a57e"
+GOLDEN_VERIFY = "fee054c605e50abf7e98dc26c3fb79a699e4651579fa642a2df323a79b45e183"
 # The same `verify` with point splits (s0 = 0.7), the second config of the
 # verify-ref benchmark.
-GOLDEN_VERIFY_POINT = "4136e327e418e0af39b068b6c7197d3e2acaff9f2de5c1598dd71aa054e463ae"
+GOLDEN_VERIFY_POINT = "10d51f870b630983b12410c584ce685c5df7329090346ff43c4484d70172c523"
 
 # sha256 of the `solve` JSON per family at the same sizes: the README model,
-# then its family lines replaced.  The point and none digests were recorded
-# while the kappa tilt still had its own dynamics object in levy.
+# then its family lines replaced.
 GOLDEN_SOLVE_FAMILIES = [
     pytest.param("family = uniform\nrate = 1.0", GOLDEN_SOLVE, id="uniform"),
     pytest.param("family = point\nrate = 1.0\ns0 = 0.7",
-                 "d740b149b35d92ede86f57c42c12d298f049e7beedd8af3b762914cf3d8d141c", id="point"),
+                 "1faf1531a9ecd2d4aa3e7698116ce2f988f208c51468a48c8ff39c98bc8813df", id="point"),
     pytest.param("family = beta\nrate = 1.0\nshape = 0.5",
-                 "facbea594b3f49fdd35978c0218ff6da696768439274dc915aabc4b219a34b6f", id="beta"),
+                 "2acc4779e839349b37bcb1e2c8c469c14a9ec710ee948d9c0693c960cbf6d0a3", id="beta"),
     pytest.param("family = none",
-                 "fbed47766e7f4d7deb133d07e716eeff6f0c48fb4be10cb1b030b83cb1700e6d", id="none"),
+                 "f7debfbc7145464f4f01904b43c35244eb1d3bfc66e457f3aaba64ccf0d83147", id="none"),
 ]
 
 

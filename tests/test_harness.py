@@ -56,7 +56,6 @@ class TestConfigParsing:
     def test_defaults_and_comments(self):
         cfg = parse_config_text(DEGEN_CFG + "\n# trailing comment\n")
         assert cfg.family == "none"
-        assert cfg.workers == 1
         assert cfg.rel_tol == 1e-6
         assert cfg.rate == 0.0
 
@@ -89,7 +88,7 @@ class TestConfigParsing:
 # a traceback or a solve that does not return.  DEGEN_CFG is family = none,
 # so any positive rate is a family mismatch.
 BAD_VALUES = [
-    ("samples", 0), ("samples", -3), ("runs", 0), ("workers", 0), ("block_cap", 0),
+    ("samples", 0), ("samples", -3), ("runs", 0), ("block_cap", 0),
     ("rel_tol", 0.0), ("rel_tol", -1.0), ("rel_tol", float("nan")), ("rel_tol", float("inf")),
     ("bisect_rel_tol", 0.0), ("bisect_rel_tol", -1.0), ("bisect_rel_tol", float("nan")),
     ("bisect_rel_tol", float("inf")), ("rate", 0.5),
@@ -120,8 +119,7 @@ class TestConfigRanges:
             harness.with_overrides(cfg, **{key: value})
 
     @pytest.mark.parametrize(
-        "flag,value", [("--samples", "-1"), ("--samples", "0"), ("--runs", "0"), ("--workers", "0"),
-                       ("--seed", "-1")]
+        "flag,value", [("--samples", "-1"), ("--samples", "0"), ("--runs", "0"), ("--seed", "-1")]
     )
     def test_rejected_as_cli_override(self, flag, value, degen_cfg_path, capsys):
         assert main(["solve", "--config", degen_cfg_path, flag, value]) == 2
@@ -193,6 +191,31 @@ class TestSolveCommand:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(DEGEN_CFG + "zzz = 1\n")
         assert main(["solve", "--config", str(cfg)]) == 2
+
+    def test_workers_key_is_ignored_with_a_warning(self, degen_cfg_path, tmp_path, capsys):
+        # Ensembles run in one process.  A config that still sets `workers`
+        # runs, warns in one line and gives the bytes of the same file without it.
+        cfg = tmp_path / "workers.cfg"
+        cfg.write_text(DEGEN_CFG + "workers = 2\n")
+        assert main(["solve", "--config", str(cfg)]) == 0
+        out, err = capsys.readouterr()
+        assert err.count("\n") == 1 and "'workers' is ignored" in json.loads(err)["message"]
+        assert main(["solve", "--config", degen_cfg_path]) == 0
+        assert capsys.readouterr() == (out, "")
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "utf16.cfg"
+        cfg.write_bytes(b"\xff\xfe" + DEGEN_CFG.encode("utf-16-le"))
+        assert main(["solve", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "config"
+
+    def test_unwritable_out_is_config_error(self, degen_cfg_path, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert main(["solve", "--config", degen_cfg_path, "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.count("\n") == 1
+        assert json.loads(err)["error"] == "config" and str(out) in json.loads(err)["message"]
 
     @pytest.mark.parametrize("c", ["1e-30", "1e20"])
     def test_far_start_solves(self, c, tmp_path, capsys):

@@ -11,7 +11,8 @@ from fragstop import expfun, harness, levy, pathsim, stopsolve
 from fragstop.levy import AssumptionError, BinaryUniform, DomainError
 from fragstop.streams import substream
 
-from conftest import degenerate_sample, path_average_check, sweep_argmax, sweep_payoffs
+from conftest import (degenerate_sample, difference_generator_residual, path_average_check,
+                      rebuilt_residual_estimate, sweep_argmax, sweep_payoffs)
 
 
 def make_degen(q=1.0, c=0.25, gamma=1.0, theta=1.0):
@@ -283,8 +284,10 @@ class TestGenerator:
                                        levy.BinaryBeta(1.0, 3.0)],
                              ids=["uniform", "beta0.5", "beta3"])
     def test_jump_term_matches_quad_reference(self, model, gamma):
-        # Candidate points below b*, and optimal-value points above it, where
-        # the integrand kinks at s^gamma x = b* or (1-s)^gamma x = b*.
+        # The whole residual against a central difference plus the quad jump
+        # term minus lam f(x), at candidate points below b* and at
+        # optimal-value points above it, where the integrand kinks at
+        # s^gamma x = b* or (1-s)^gamma x = b*.
         params = levy.make_params(model, gamma=gamma, theta=1.0, q=1.0, c=0.25)
         sample = expfun.draw_shared_sample(model, params, 3000, seed=12345)
         b = stopsolve.solve_b_star(model, params, sample, diagnostics=False).b_star
@@ -292,9 +295,35 @@ class TestGenerator:
             value = stopsolve.ValueFunction(params, sample, b)
             fn = value.tilde if kink is None else value.star
             for x in (m * b for m in mults):
-                fx = fn(x)
-                new = stopsolve._jump_term(model, params, fn, x, fx, kink)
-                assert abs(new - quad_jump_term(model, params, fn, x, fx, kink)) <= QUAD_TOL
+                h = stopsolve.FD_STEP_REL * x
+                fm, fx, fp = fn(np.array([x - h, x, x + h]))
+                ref = ((1.0 + params.gt * x) * (fp - fm) / (2.0 * h) - params.lam * fx
+                       + quad_jump_term(model, params, fn, x, fx, kink))
+                new = stopsolve.generator_residual(model, params, fn, x, kink=kink)
+                assert abs(new - ref) <= QUAD_TOL
+
+    @pytest.mark.parametrize("model", [BinaryUniform(1.0), levy.BinaryPoint(1.0, 0.7),
+                                       levy.BinaryBeta(1.0, 0.5), levy.BinaryBeta(1.0, 3.0)],
+                             ids=["uniform", "point", "beta0.5", "beta3"])
+    def test_rule_matches_difference_reference(self, model):
+        # One dot product over the rule's nodes, and the batch table, against
+        # the finite difference plus jump term and the per-batch rebuilds.
+        params = levy.make_params(model, gamma=1.0, theta=1.0, q=1.0, c=0.25)
+        sample = expfun.draw_shared_sample(model, params, 3000, seed=12345)
+        b = stopsolve.bisect_b_star(params, sample)
+        value = stopsolve.ValueFunction(params, sample, b)
+        for x, kind in ((0.2 * b, "tilde"), (0.5 * b, "tilde"), (0.9 * b, "tilde"),
+                        (1.5 * b, "star"), (2.0 * b, "star"), (4.0 * b, "star")):
+            fn, kink = (value.tilde, None) if kind == "tilde" else (value.star, b)
+            new = stopsolve.generator_residual(model, params, fn, x, kink=kink)
+            ref = difference_generator_residual(model, params, fn, x, kink=kink)
+            assert abs(new - ref) <= 1e-9 * abs(ref)
+            est = stopsolve.generator_residual_estimate(model, params, sample, b, x, kind=kind)
+            ref_est = rebuilt_residual_estimate(model, params, sample, b, x, kind=kind)
+            assert abs(est.value - ref_est.value) <= 1e-9 * abs(ref_est.value)
+            # On point splits at 4 b* every node lies above b*, where the value
+            # is exact: the error is 0, and the reference's is its rounding.
+            assert abs(est.std_error - ref_est.std_error) <= 1e-9 * ref_est.std_error + 1e-15
 
     def test_identity_function_residual(self):
         model, params, _ = make_degen(q=1.0)
