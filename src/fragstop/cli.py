@@ -28,8 +28,15 @@ from .levy import AssumptionError, DomainError, InvalidModelError
 from .stopsolve import DivergenceError
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors are config errors, reported as one JSON line."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fragstop",
         description="Threshold solver and exact simulator for fragmentation stopping problems",
     )
@@ -78,8 +85,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = harness.parse_config(args.config)
         cfg = harness.with_overrides(cfg, seed=args.seed, samples=args.samples, runs=args.runs)
         if args.command == "solve":

@@ -50,7 +50,9 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-_FAMILIES = ("uniform", "point", "beta", "none")
+# family -> (model class, the keys its constructor takes after rate); none is uniform at rate 0
+_FAMILIES = {"uniform": (levy.BinaryUniform, ()), "point": (levy.BinaryPoint, ("s0",)),
+             "beta": (levy.BinaryBeta, ("shape",)), "none": (levy.BinaryUniform, ())}
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -77,11 +79,8 @@ class RunConfig:
     fp_horizon: float = 1e4
 
     def model(self) -> DislocationModel:
-        if self.family == "point":
-            return levy.BinaryPoint(self.rate, self.s0)
-        if self.family == "beta":
-            return levy.BinaryBeta(self.rate, self.shape)
-        return levy.BinaryUniform(self.rate)  # family none has rate 0
+        cls, keys = _FAMILIES[self.family]
+        return cls(self.rate, *(getattr(self, k) for k in keys))
 
     def params(self) -> ModelParams:
         return levy.make_params(
@@ -97,10 +96,7 @@ class RunConfig:
         }
         if self.family != "none":
             out["rate"] = self.rate
-        if self.family == "point":
-            out["s0"] = self.s0
-        if self.family == "beta":
-            out["shape"] = self.shape
+        out.update((key, getattr(self, key)) for key in _FAMILIES[self.family][1])
         return out
 
 
@@ -108,21 +104,20 @@ def _validated(raw: dict) -> RunConfig:
     """RunConfig from a complete key -> value mapping, after every range and family check."""
     family = raw["family"]
     if family not in _FAMILIES:
-        raise ConfigError(f"family must be one of {_FAMILIES}, got {family!r}")
+        raise ConfigError(f"family must be one of {tuple(_FAMILIES)}, got {family!r}")
     if family == "none":
         if raw["rate"] not in (None, 0.0):
             raise ConfigError("family = none admits no rate (or rate = 0)")
         raw["rate"] = 0.0
     elif raw["rate"] is None:
         raise ConfigError(f"family = {family} requires a rate")
-    if family == "point" and raw["s0"] is None:
-        raise ConfigError("family = point requires s0")
-    if family == "beta" and raw["shape"] is None:
-        raise ConfigError("family = beta requires shape")
-    if family != "point" and raw["s0"] is not None:
-        raise ConfigError("s0 is only valid for family = point")
-    if family != "beta" and raw["shape"] is not None:
-        raise ConfigError("shape is only valid for family = beta")
+    for key in _FAMILIES[family][1]:
+        if raw[key] is None:
+            raise ConfigError(f"family = {family} requires {key}")
+    for owner, (_, keys) in _FAMILIES.items():
+        for key in keys:
+            if owner != family and raw[key] is not None:
+                raise ConfigError(f"{key} is only valid for family = {owner}")
     for key in ("samples", "runs", "block_cap"):
         if raw[key] < 1:
             raise ConfigError(f"{key} must be >= 1, got {raw[key]}")
@@ -266,7 +261,7 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
         value = stopsolve.ValueFunction(params, sample, b_star)
         # Means grow with the shift b; the largest is b* or the Laplace checks' 2c.
         b = max(b_star, 2.0 * params.c)
-        top = value.norm if b == b_star else float(np.mean((b + sample.draws) ** value.p))
+        top = value.norm if b == b_star else float(value.power_mean(b)[0])
         if not 4.0 * np.log(top) < expfun.LOG_FLOAT_MAX:
             raise ConfigError(f"verify needs E[(b + I)^p]^4 finite for its standard errors, but "
                               f"it overflows at b = {b}, the larger of 2c and b* (b* times "
@@ -305,15 +300,15 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
             3.0 * dec.std_error + floor, one_sided=True, std_error=dec.std_error,
         ))
 
-    gaps = stopsolve.pasting_check(params, sample, b_star)
+    gaps = stopsolve.pasting_check(value)
     checks.append(_check("pasting_value_gap", gaps.value_gap, 1e-6 * b_star + floor))
     checks.append(_check("pasting_slope_gap", gaps.slope_gap, 0.02))
 
-    for x, kind, one_sided in ((0.5 * b_star, "tilde", False), (2.0 * b_star, "star", True)):
-        res = stopsolve.generator_residual_estimate(model, params, sample, b_star, x, kind=kind)
+    for x, kind, star in ((0.5 * b_star, "tilde", False), (2.0 * b_star, "star", True)):
+        res = stopsolve.generator_residual_estimate(model, value, x, star=star)
         checks.append(_check(
             f"generator_residual_{kind}", res.value,
-            3.0 * res.std_error + 1e-6 * (1.0 + x), one_sided=one_sided,
+            3.0 * res.std_error + 1e-6 * (1.0 + x), one_sided=star,
             std_error=res.std_error, x=x,
         ))
 

@@ -68,12 +68,16 @@ class ValueFunction:
     def __init__(self, params: ModelParams, sample: SharedSample, b_star: float):
         self.params, self.sample, self.b_star = params, sample, b_star
         self.p = params.kappa / params.gamma
-        self.norm = float(np.mean((b_star + sample.draws) ** self.p))
+        self.norm = float(self.power_mean(b_star)[0])
+
+    def power_mean(self, z) -> np.ndarray:
+        """E[(z + I)^p] on the sample, for each z of a scalar or array."""
+        return _power_mean_many(self.sample.draws, np.atleast_1d(np.asarray(z, dtype=float)),
+                                self.p)
 
     def tilde(self, z):
         """The candidate value at z (scalar or array); defined for every z > 0, also above b*."""
-        zs = np.atleast_1d(np.asarray(z, dtype=float))
-        out = self.b_star * _power_mean_many(self.sample.draws, zs, self.p) / self.norm
+        out = self.b_star * self.power_mean(z) / self.norm
         return float(out[0]) if np.ndim(z) == 0 else out
 
     def star(self, z):
@@ -228,7 +232,7 @@ def solve_b_star(
 
     diag: dict = {}
     if diagnostics:
-        gaps = pasting_check(params, sample, b_star)
+        gaps = pasting_check(value)
         diag["pasting"] = {"value_gap": gaps.value_gap, "slope_gap": gaps.slope_gap}
         grid = [0.2 * b_star, 0.5 * b_star, 0.9 * b_star]
         diag["generator_residual"] = {
@@ -255,10 +259,11 @@ class PastingGaps:
     slope_gap: float   # central-difference tilde'(b*) - 1
 
 
-def pasting_check(params: ModelParams, sample: SharedSample, b_star: float) -> PastingGaps:
-    """Continuous and smooth pasting gaps of the candidate value at b*."""
+def pasting_check(value: ValueFunction) -> PastingGaps:
+    """Continuous and smooth pasting gaps of the candidate value at its b*."""
+    b_star = value.b_star
     h = FD_STEP_REL * b_star
-    v = value_tilde(params, sample, b_star, np.array([b_star - h, b_star, b_star + h]))
+    v = value.tilde(np.array([b_star - h, b_star, b_star + h]))
     return PastingGaps(
         value_gap=float(v[1] - b_star),
         slope_gap=float((v[2] - v[0]) / (2.0 * h) - 1.0),
@@ -322,10 +327,9 @@ def generator_residual(model: DislocationModel, params: ModelParams, value_fn, x
     return float(w @ value_fn(z))
 
 
-def generator_residual_estimate(model: DislocationModel, params: ModelParams,
-                                sample: SharedSample, b_star: float, x: float, *,
-                                kind: str = "tilde") -> MomentEstimate:
-    """Generator residual of the candidate (kind "tilde") or optimal value, with a batch-means error.
+def generator_residual_estimate(model: DislocationModel, value: ValueFunction, x: float, *,
+                                star: bool = False) -> MomentEstimate:
+    """Generator residual of the candidate or, if star, the optimal value, with a batch-means error.
 
     The shared sample is split into interleaved batches, b* held fixed.
     Row k of one table holds batch k's power means at the rule's nodes and
@@ -335,13 +339,11 @@ def generator_residual_estimate(model: DislocationModel, params: ModelParams,
     Monte Carlo source through the derivative, the quadrature and the
     normalization at once.
     """
-    if kind not in ("tilde", "star"):
-        raise ValueError(f"unknown kind {kind!r}")
-    z, w = generator_rule(model, params, x, kink=b_star if kind == "star" else None)
-    tilde = z <= b_star if kind == "star" else np.ones(z.size, dtype=bool)
+    b_star = value.b_star
+    z, w = generator_rule(model, value.params, x, kink=b_star if star else None)
+    tilde = z <= b_star if star else np.ones(z.size, dtype=bool)
     nodes = np.append(z[tilde], b_star)
-    p = params.kappa / params.gamma
-    table = np.array([_power_mean_many(sample.draws[k::RESIDUAL_BATCHES], nodes, p)
+    table = np.array([_power_mean_many(value.sample.draws[k::RESIDUAL_BATCHES], nodes, value.p)
                       for k in range(RESIDUAL_BATCHES)])
     stopped = w[~tilde] @ z[~tilde]
     return MomentEstimate.of(b_star * (table[:, :-1] @ w[tilde]) / table[:, -1] + stopped)
@@ -451,17 +453,10 @@ def _shared_sample_errors(value: ValueFunction, times: np.ndarray, z: np.ndarray
     for start in range(0, draws.size, step):
         y = draws[start : start + step]
         x = (np.log(y) - mid) / half
-        rows = np.empty((times.size + 1, y.size))
-        d = rows[:-1]
-        np.multiply.outer(coef[-1], x, out=d)  # Horner's rule, in place
-        for a in coef[-2:0:-1]:
-            d += a[:, None]
-            d *= x
-        d += coef[0][:, None]
-        np.exp(d, out=d)
+        d = np.exp(polynomial.polyval(x, coef))
         if with_c:
             d -= np.exp(p * np.log(params.c + y) - log_norm)
-        rows[-1] = np.exp(p * np.log(b_star + y) - log_norm)
+        rows = np.vstack([d, np.exp(p * np.log(b_star + y) - log_norm)])
         sums += rows.sum(axis=1)
         gram += rows @ rows.T
     # sum_i (d_i - beta n_i) = 0 at beta = mean d / mean n, so its squares give the variance.

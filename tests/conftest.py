@@ -290,15 +290,15 @@ def difference_generator_residual(model, params, value_fn, x: float, *, kink=Non
 
 
 def rebuilt_residual_estimate(model, params, sample, b_star: float, x: float, *,
-                              kind: str = "tilde") -> expfun.MomentEstimate:
+                              star: bool = False) -> expfun.MomentEstimate:
     """Batch means of `difference_generator_residual`, one ValueFunction per interleaved batch."""
     vals = []
     for k in range(stopsolve.RESIDUAL_BATCHES):
         sub = replace(sample, draws=sample.draws[k::stopsolve.RESIDUAL_BATCHES])
         value = stopsolve.ValueFunction(params, sub, b_star)
-        fn = value.star if kind == "star" else value.tilde
+        fn = value.star if star else value.tilde
         vals.append(difference_generator_residual(model, params, fn, x,
-                                                  kink=b_star if kind == "star" else None))
+                                                  kink=b_star if star else None))
     return expfun.MomentEstimate.of(np.asarray(vals))
 
 

@@ -162,7 +162,8 @@ def test_criterion_07_pasting_and_generator():
         sample = ref_sample()
         b = ref_solved().b_star
 
-        gaps = stopsolve.pasting_check(REF_PARAMS, sample, b)
+        value = stopsolve.ValueFunction(REF_PARAMS, sample, b)
+        gaps = stopsolve.pasting_check(value)
         assert abs(gaps.value_gap) <= 1e-6 * b
         assert abs(gaps.slope_gap) <= 0.02
 
@@ -173,21 +174,17 @@ def test_criterion_07_pasting_and_generator():
         for k in range(2):
             s1 = expfun.draw_shared_sample(REF_MODEL, REF_PARAMS, 100_000, seed=ACC_SEED + 10 + k)
             s4 = expfun.draw_shared_sample(REF_MODEL, REF_PARAMS, 400_000, seed=ACC_SEED + 20 + k)
-            g1 = abs(stopsolve.pasting_check(REF_PARAMS, s1, b).slope_gap)
-            g4 = abs(stopsolve.pasting_check(REF_PARAMS, s4, b).slope_gap)
+            g1 = abs(stopsolve.pasting_check(stopsolve.ValueFunction(REF_PARAMS, s1, b)).slope_gap)
+            g4 = abs(stopsolve.pasting_check(stopsolve.ValueFunction(REF_PARAMS, s4, b)).slope_gap)
             assert g1 <= 0.02
             gaps_small.append(g1)
             gaps_big.append(g4)
         assert np.mean(gaps_big) < np.mean(gaps_small), "gap did not shrink under 4x samples"
 
         for x in (0.2 * b, 0.5 * b, 0.9 * b):
-            est = stopsolve.generator_residual_estimate(
-                REF_MODEL, REF_PARAMS, sample, b, x, kind="tilde"
-            )
+            est = stopsolve.generator_residual_estimate(REF_MODEL, value, x)
             assert abs(est.value) <= 3.0 * est.std_error + 1e-6, f"x = {x}"
-        est = stopsolve.generator_residual_estimate(
-            REF_MODEL, REF_PARAMS, sample, b, 2.0 * b, kind="star"
-        )
+        est = stopsolve.generator_residual_estimate(REF_MODEL, value, 2.0 * b, star=True)
         assert est.value <= 3.0 * est.std_error + 1e-6
 
 
@@ -239,7 +236,7 @@ def test_criterion_10_negative_control_and_determinism(tmp_path, capsys):
         assert abs(sweep_argmax(sweep) - corrupt) > step
 
         # criterion 7's smooth pasting breaks
-        gaps = stopsolve.pasting_check(REF_PARAMS, sample, corrupt)
+        gaps = stopsolve.pasting_check(stopsolve.ValueFunction(REF_PARAMS, sample, corrupt))
         assert abs(gaps.slope_gap) > 0.02
 
         # criterion 9's dominance fails: the corrupted line loses to 0.8x

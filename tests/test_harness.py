@@ -306,6 +306,26 @@ class TestSolveCommand:
         assert main(["simulate", "--config", str(cfg), "--runs", "5", "--line", "mass:0.0001"]) == 5
 
 
+class TestCommandLine:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--config", "x", "--seed", "x"], ["frob"], ["solve"],
+        ["solve", "--config", "x", "--workers", "2"],
+    ], ids=["bad-int", "unknown-command", "no-config", "removed-flag"])
+    def test_bad_command_line_is_one_json_line(self, argv, capsys):
+        # A command line argparse rejects is a config error like any other:
+        # exit 2 and one JSON line on stderr, no usage text.
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert json.loads(captured.err)["error"] == "config" and "usage:" not in captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0 and "usage:" in capsys.readouterr().out
+
+
 class TestVerifyCommand:
     def test_degenerate_all_pass(self, degen_cfg_path, capsys):
         assert main(["verify", "--config", degen_cfg_path]) == 0
@@ -465,6 +485,34 @@ class TestVerifyCommand:
         laplace = [c for c in payload["checks"] if c["name"].startswith("laplace")]
         assert len(laplace) == 2
         assert all(0 < c["horizon_misses"] <= 300 for c in laplace)
+
+
+class TestOneValueFunction:
+    """Each command computes the normalization E[(b*+I)^p] once: one ValueFunction."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        calls = []
+        init = stopsolve.ValueFunction.__init__
+
+        def counting(self, *args):
+            calls.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(stopsolve.ValueFunction, "__init__", counting)
+        return calls
+
+    def test_solve_with_diagnostics(self, built):
+        cfg = parse_config_text(REF_CFG)
+        assert harness.cmd_solve(harness.with_overrides(cfg, samples=2000))["diagnostics"]
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("c", [0.25, 1.0], ids=["b*-above-2c", "2c-above-b*"])
+    def test_verify(self, c, built):
+        # The overflow guard reads the larger of b* and 2c (b* is about 0.77).
+        cfg = harness.with_overrides(parse_config_text(REF_CFG), samples=2000, runs=50, c=c)
+        harness.cmd_verify(cfg)
+        assert len(built) == 1
 
 
 class TestSweepCommand:

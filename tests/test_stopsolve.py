@@ -230,17 +230,19 @@ class TestPowerMeans:
 class TestPasting:
     def test_degenerate_gaps_vanish(self):
         model, params, sample = make_degen()
-        gaps = stopsolve.pasting_check(params, sample, 1.0)
+        gaps = stopsolve.pasting_check(stopsolve.ValueFunction(params, sample, 1.0))
         assert abs(gaps.value_gap) <= 1e-10
         assert abs(gaps.slope_gap) <= 1e-8
 
     def test_reference_gaps_small(self, ref_params, ref_sample, ref_solved):
-        gaps = stopsolve.pasting_check(ref_params, ref_sample, ref_solved.b_star)
+        gaps = stopsolve.pasting_check(
+            stopsolve.ValueFunction(ref_params, ref_sample, ref_solved.b_star))
         assert abs(gaps.value_gap) <= 1e-6 * ref_solved.b_star
         assert abs(gaps.slope_gap) <= 1e-4  # bisection-tolerance level on the solve sample
 
     def test_corrupted_threshold_breaks_smoothness(self, ref_params, ref_sample, ref_solved):
-        gaps = stopsolve.pasting_check(ref_params, ref_sample, 1.5 * ref_solved.b_star)
+        gaps = stopsolve.pasting_check(
+            stopsolve.ValueFunction(ref_params, ref_sample, 1.5 * ref_solved.b_star))
         assert abs(gaps.slope_gap) > 0.02
 
 
@@ -312,14 +314,14 @@ class TestGenerator:
         sample = expfun.draw_shared_sample(model, params, 3000, seed=12345)
         b = stopsolve.bisect_b_star(params, sample)
         value = stopsolve.ValueFunction(params, sample, b)
-        for x, kind in ((0.2 * b, "tilde"), (0.5 * b, "tilde"), (0.9 * b, "tilde"),
-                        (1.5 * b, "star"), (2.0 * b, "star"), (4.0 * b, "star")):
-            fn, kink = (value.tilde, None) if kind == "tilde" else (value.star, b)
+        for x, star in ((0.2 * b, False), (0.5 * b, False), (0.9 * b, False),
+                        (1.5 * b, True), (2.0 * b, True), (4.0 * b, True)):
+            fn, kink = (value.star, b) if star else (value.tilde, None)
             new = stopsolve.generator_residual(model, params, fn, x, kink=kink)
             ref = difference_generator_residual(model, params, fn, x, kink=kink)
             assert abs(new - ref) <= 1e-9 * abs(ref)
-            est = stopsolve.generator_residual_estimate(model, params, sample, b, x, kind=kind)
-            ref_est = rebuilt_residual_estimate(model, params, sample, b, x, kind=kind)
+            est = stopsolve.generator_residual_estimate(model, value, x, star=star)
+            ref_est = rebuilt_residual_estimate(model, params, sample, b, x, star=star)
             assert abs(est.value - ref_est.value) <= 1e-9 * abs(ref_est.value)
             # On point splits at 4 b* every node lies above b*, where the value
             # is exact: the error is 0, and the reference's is its rounding.
@@ -341,19 +343,17 @@ class TestGenerator:
         self, ref_model, ref_params, ref_sample, ref_solved
     ):
         b = ref_solved.b_star
+        value = stopsolve.ValueFunction(ref_params, ref_sample, b)
         for x in (0.2 * b, 0.5 * b, 0.9 * b):
-            est = stopsolve.generator_residual_estimate(
-                ref_model, ref_params, ref_sample, b, x, kind="tilde"
-            )
+            est = stopsolve.generator_residual_estimate(ref_model, value, x)
             assert abs(est.value) <= 3.0 * est.std_error + 1e-6
 
     def test_reference_stopping_region_nonpositive(
         self, ref_model, ref_params, ref_sample, ref_solved
     ):
         b = ref_solved.b_star
-        est = stopsolve.generator_residual_estimate(
-            ref_model, ref_params, ref_sample, b, 2.0 * b, kind="star"
-        )
+        value = stopsolve.ValueFunction(ref_params, ref_sample, b)
+        est = stopsolve.generator_residual_estimate(ref_model, value, 2.0 * b, star=True)
         assert est.value <= 3.0 * est.std_error
         assert est.value < -0.1  # strictly inside the stopping region
 
