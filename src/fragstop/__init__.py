@@ -12,7 +12,7 @@ from .levy import (
 )
 from .expfun import MomentEstimate, SharedSample, draw_shared_sample
 from .fragsim import FixedTime, MassBelow, OptimalStatistic
-from .stopsolve import SolverResult, solve_b_star, value_star, value_tilde
+from .stopsolve import SolverResult, solve_b_star, value_tilde
 
 __version__ = "0.1.0"
 
@@ -33,7 +33,6 @@ __all__ = [
     "draw_shared_sample",
     "make_params",
     "solve_b_star",
-    "value_star",
     "value_tilde",
     "__version__",
 ]

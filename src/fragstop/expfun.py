@@ -48,10 +48,20 @@ class MomentEstimate:
 
     @classmethod
     def of(cls, values: np.ndarray) -> MomentEstimate:
-        """Sample mean of `values` with its standard error (0 for one value)."""
+        """Sample mean of `values` with its standard error (0 for one value).
+
+        Finite values whose mean or squared deviations overflow are estimated
+        divided by their largest magnitude, and both results scaled back.
+        """
         n = values.size
-        se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        return cls(float(values.mean()), se, n)
+        with np.errstate(over="ignore"):
+            mean = float(values.mean())
+            se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        if not math.isfinite(mean + se) and n and np.isfinite(values).all():
+            scale = float(np.abs(values).max())
+            est = cls.of(values / scale)
+            return cls(est.value * scale, est.std_error * scale, n)
+        return cls(mean, se, n)
 
 
 @dataclass(frozen=True)

@@ -353,11 +353,12 @@ def _in_chunks(engine, keys: np.ndarray):
         start = runs.stop
 
 
-def _run_sums(engine, keys: np.ndarray, weights) -> np.ndarray:
-    """Per-run sums of weights(blocks), one chunk at a time, each run's in generation order."""
-    sums = np.empty(len(keys))
+def _run_sums(engine, keys: np.ndarray, *weights) -> np.ndarray:
+    """Per-run sums of each weights(blocks), one row each, chunk by chunk, in generation order."""
+    sums = np.empty((len(weights), len(keys)))
     for runs, blocks in _in_chunks(engine, keys):
-        sums[runs] = np.bincount(blocks.run, weights(blocks), runs.stop - runs.start)
+        for row, weight in zip(sums, weights):
+            row[runs] = np.bincount(blocks.run, weight(blocks), runs.stop - runs.start)
     return sums
 
 
@@ -408,12 +409,6 @@ def ensemble_payoffs(
 # Cap on the accrued premium in the stopping-line identity's test functional.
 LINE_CAP = 1e6
 
-_FIXED_TIME_FUNCTIONALS = {
-    "identity": 1.0,
-    "square": 2.0,
-}
-
-
 @dataclass(frozen=True)
 class ManyToOneResult:
     lhs: MomentEstimate
@@ -427,27 +422,25 @@ class ManyToOneResult:
 def many_to_one_fixed_time(
     model: DislocationModel,
     params: ModelParams,
-    f_id: str,
     t: float,
     n_runs: int,
     master_seed: int,
     **engine,
-) -> ManyToOneResult:
-    """Block-average identity at a fixed time.
+) -> tuple[ManyToOneResult, ManyToOneResult]:
+    """Block-average identities at a fixed time, for the powers p = 1 and p = 2.
 
-    lhs: Monte Carlo mean of sum_blocks mass^(1+p) with p the power named by
-    f_id (identity / square), over the blocks alive at t in runs
-    keyed by run_key(master_seed, "m21-fixed-<f_id>", n_runs) and engine
-    keywords `engine`.  rhs: the closed-form lineage value exp(-t * phi(p)).
+    lhs: Monte Carlo mean of sum_blocks mass^(1+p) over the blocks alive at
+    t in runs keyed by run_key(master_seed, "m21-fixed", n_runs) and engine
+    keywords `engine`; one cascade serves both powers.  rhs: the
+    closed-form lineage value exp(-t * phi(p)).
     """
-    if f_id not in _FIXED_TIME_FUNCTIONALS:
-        raise InvalidModelError(f"unknown test functional {f_id!r}")
-    p = _FIXED_TIME_FUNCTIONALS[f_id]
-    vals = _run_sums(functools.partial(evolve_to_time, model, params, t, **engine),
-                     run_key(master_seed, f"m21-fixed-{f_id}", n_runs),
-                     lambda alive: alive.mass ** (1.0 + p))
-    rhs = MomentEstimate(math.exp(-t * levy.phi(model, p)), 0.0, 0)
-    return ManyToOneResult(MomentEstimate.of(vals), rhs)
+    powers = (1.0, 2.0)
+    sums = _run_sums(functools.partial(evolve_to_time, model, params, t, **engine),
+                     run_key(master_seed, "m21-fixed", n_runs),
+                     *(lambda alive, p=p: alive.mass ** (1.0 + p) for p in powers))
+    return tuple(ManyToOneResult(MomentEstimate.of(vals),
+                                 MomentEstimate(math.exp(-t * levy.phi(model, p)), 0.0, 0))
+                 for p, vals in zip(powers, sums))
 
 
 def many_to_one_stopping_line(
@@ -468,7 +461,7 @@ def many_to_one_stopping_line(
     """
     if not 0.0 < a <= 1.0:
         raise InvalidModelError(f"mass threshold must be in (0, 1], got {a}")
-    lhs_vals = _run_sums(
+    lhs_vals, = _run_sums(
         functools.partial(run_stopping_line, model, params, MassBelow(a), **engine),
         run_key(master_seed, "m21-line-frag", n_runs),
         lambda b: b.mass * np.exp(-params.q * b.frozen_at) * np.minimum(b.accrued, LINE_CAP))

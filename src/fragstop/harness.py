@@ -269,27 +269,25 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
     floor = 1e-9
     checks = []
 
-    for i, b_mult in enumerate((1.5, 2.0)):
-        b = b_mult * params.c
-        lap = stopsolve.first_passage_laplace_check(
-            model, params, b, cfg.runs, substream(cfg.seed, "verify-laplace", i), sample,
-            horizon=cfg.fp_horizon,
-        )
+    # One walk serves both levels, one set of paths both path-average checks,
+    # and one cascade both fixed-time functionals.
+    b_mults = (1.5, 2.0)
+    laps = stopsolve.first_passage_laplace_check(
+        model, params, [m * params.c for m in b_mults], cfg.runs,
+        substream(cfg.seed, "verify-laplace"), sample, horizon=cfg.fp_horizon,
+    )
+    for b_mult, lap in zip(b_mults, laps):
         checks.append(_check(
             f"laplace_transform_b={b_mult}c", lap.mc.value,
             3.0 * lap.combined_se + floor, target=lap.analytic,
             std_error=lap.combined_se, horizon_misses=lap.horizon_misses,
         ))
 
-    # Both path-average checks read one value curve spanning all their paths.
-    z_mart = pathsim.simulate_Z_at_times(model, params, times, cfg.runs,
-                                         substream(cfg.seed, "verify-mart"))
-    z_sup = pathsim.simulate_Z_at_times(model, params, times, cfg.runs,
-                                        substream(cfg.seed, "verify-supermart"))
-    curve = stopsolve.TildeCurve(value, float(min(z_mart.min(), z_sup.min())),
-                                 float(max(z_mart.max(), z_sup.max())))
-    mart = stopsolve.martingale_check(curve, times, z_mart)
-    sup = stopsolve.supermartingale_check(curve, times, z_sup)
+    z = pathsim.simulate_Z_at_times(model, params, times, cfg.runs,
+                                    substream(cfg.seed, "verify-mart"))
+    curve = stopsolve.TildeCurve(value, float(z.min()), float(z.max()))
+    mart = stopsolve.martingale_check(curve, times, z)
+    sup = stopsolve.supermartingale_check(curve, times, z)
     for tag, res, one_sided in (("martingale", mart, False), ("supermartingale_level", sup, True)):
         for t, est, se in zip(res.times, res.estimates, res.combined_se):
             checks.append(_check(f"{tag}_t={t}", est.value, 3.0 * se + floor,
@@ -337,9 +335,9 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
         ))
 
     if not levy.is_degenerate(model):
-        m21 = {f"many_to_one_fixed_{f_id}": fragsim.many_to_one_fixed_time(
-            model, params, f_id, 1.0, cfg.runs, cfg.seed, block_cap=cfg.block_cap)
-            for f_id in ("identity", "square")}
+        m21 = dict(zip(("many_to_one_fixed_identity", "many_to_one_fixed_square"),
+                       fragsim.many_to_one_fixed_time(model, params, 1.0, cfg.runs, cfg.seed,
+                                                      block_cap=cfg.block_cap)))
         m21["many_to_one_line_mass=0.1"] = fragsim.many_to_one_stopping_line(
             model, params, 0.1, cfg.runs, cfg.seed, block_cap=cfg.block_cap,
             dust_floor=cfg.dust_floor, horizon=cfg.horizon)

@@ -101,11 +101,6 @@ def value_tilde(params: ModelParams, sample: SharedSample, b_star: float, c_quer
     return ValueFunction(params, sample, b_star).tilde(c_query)
 
 
-def value_star(params: ModelParams, sample: SharedSample, b_star: float, c_query):
-    """Optimal value: the candidate below b*, the stopped payoff c above."""
-    return ValueFunction(params, sample, b_star).star(c_query)
-
-
 def _power_mean_many(draws: np.ndarray, z: np.ndarray, p: float) -> np.ndarray:
     """mean((z_i + I)^p) for each z_i of a 1-d array, chunked to bound peak memory.
 
@@ -131,9 +126,9 @@ class TildeCurve:
     candidate is a smooth, nearly linear power mean down to z = 0; on the
     reference models the relative error is below 1e-10 for z in [0, 1000],
     far below the Monte Carlo errors it feeds into.  `verify` builds one
-    curve over the z-range of all its path-average checks, where evaluating
-    the full sample at every path point would be wasteful.  `value` is the
-    exact ValueFunction the curve was fitted to.
+    curve over the z-range of the paths both path-average checks read,
+    where evaluating the full sample at every path point would be
+    wasteful.  `value` is the exact ValueFunction the curve was fitted to.
     """
 
     def __init__(self, value: ValueFunction, z_min: float, z_max: float):
@@ -370,20 +365,22 @@ class LaplaceCheck:
 def first_passage_laplace_check(
     model: DislocationModel,
     params: ModelParams,
-    b: float,
+    levels,
     n_paths: int,
     rng: np.random.Generator,
     sample: SharedSample,
     horizon: float = 1e4,
-) -> LaplaceCheck:
-    """Compare path-simulated E[e^{-lam tau_b}] with the tilted moment ratio.
+) -> tuple[LaplaceCheck, ...]:
+    """Compare path-simulated E[e^{-lam tau_b}] with the tilted moment ratio, per sorted level b.
 
-    lam = params.lam; the sample must carry the matching tilt params.kappa,
-    and kappa > gamma.  A path still below b when its clock passes `horizon`
-    is a horizon miss and contributes a discount of 0.
+    One set of paths serves every level (common random numbers).  lam =
+    params.lam; the sample must carry the matching tilt params.kappa, and
+    kappa > gamma.  A path still below b when its clock passes `horizon` is
+    a horizon miss and contributes a discount of 0.
     """
-    if b < params.c:
-        raise DomainError(f"b = {b} must be >= c = {params.c}")
+    bs = sorted(levels)
+    if bs[0] < params.c:
+        raise DomainError(f"b = {bs[0]} must be >= c = {params.c}")
     kap = params.kappa
     if abs(sample.kappa - kap) > 1e-9 * max(1.0, kap):
         raise DomainError(
@@ -392,12 +389,12 @@ def first_passage_laplace_check(
     if not kap > params.gamma:
         raise AssumptionError(f"identity requires kappa(lam) = {kap} > gamma = {params.gamma}")
 
-    tau = pathsim.simulate_Z_first_passage(model, params, [b], n_paths, rng, horizon)[:, 0]
+    taus = pathsim.simulate_Z_first_passage(model, params, bs, n_paths, rng, horizon).T
     p = kap / params.gamma
-    analytic, analytic_se = expfun.ratio_of_power_means(sample, params.c, b, p)
-    return LaplaceCheck(b=b, lam=params.lam, mc=MomentEstimate.of(np.exp(-params.lam * tau)),
-                        analytic=analytic, analytic_se=analytic_se,
-                        horizon_misses=int(np.count_nonzero(np.isinf(tau))))
+    return tuple(LaplaceCheck(b, params.lam, MomentEstimate.of(np.exp(-params.lam * tau)),
+                              *expfun.ratio_of_power_means(sample, params.c, b, p),
+                              horizon_misses=int(np.count_nonzero(np.isinf(tau))))
+                 for b, tau in zip(bs, taus))
 
 
 # --- path-average checks --------------------------------------------------------

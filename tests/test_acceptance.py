@@ -79,12 +79,13 @@ def test_criterion_01_deterministic_oracle_suite():
         for c in (0.1, 0.25, 0.7, 1.0):
             tilde = stopsolve.value_tilde(params, sample, solved.b_star, c)
             assert tilde == pytest.approx(((c + 1.0) / 2.0) ** 2, abs=1e-8)
-        assert stopsolve.value_star(params, sample, solved.b_star, 2.0) == pytest.approx(
+        assert stopsolve.ValueFunction(params, sample, solved.b_star).star(2.0) == pytest.approx(
             2.0, abs=1e-8
         )
 
-        for b in (0.375, 0.5):
-            chk = stopsolve.first_passage_laplace_check(model, params, b, 10, rng, sample)
+        levels = (0.375, 0.5)
+        for b, chk in zip(levels, stopsolve.first_passage_laplace_check(
+                model, params, levels, 10, rng, sample)):
             exact = ((params.c + 1.0) / (b + 1.0)) ** 2
             assert chk.mc.value == pytest.approx(exact, abs=1e-8)
             assert chk.analytic == pytest.approx(exact, abs=1e-8)
@@ -117,11 +118,12 @@ def test_criterion_03_moment_oracle_agreement():
 def test_criterion_04_first_passage_laplace():
     with criterion(4, 60.0, "first-passage transform matches the moment ratio at 1e5 paths"):
         sample = ref_sample()
-        for i, mult in enumerate((1.5, 2.0)):
-            chk = stopsolve.first_passage_laplace_check(
-                REF_MODEL, REF_PARAMS, mult * REF_PARAMS.c, 100_000,
-                substream(ACC_SEED, "laplace", i), sample,
-            )
+        mults = (1.5, 2.0)
+        checks = stopsolve.first_passage_laplace_check(
+            REF_MODEL, REF_PARAMS, [mult * REF_PARAMS.c for mult in mults], 100_000,
+            substream(ACC_SEED, "laplace"), sample,
+        )
+        for mult, chk in zip(mults, checks):
             assert chk.horizon_misses == 0
             assert abs(chk.mc.value - chk.analytic) <= 3.0 * chk.combined_se, (
                 f"b = {mult}c: mc {chk.mc.value} vs analytic {chk.analytic}"
@@ -190,8 +192,8 @@ def test_criterion_07_pasting_and_generator():
 
 def test_criterion_08_many_to_one():
     with criterion(8, 120.0, "block-average identities, fixed time and stopping line"):
-        for f_id, p in (("identity", 1.0), ("square", 2.0)):
-            res = fragsim.many_to_one_fixed_time(REF_MODEL, REF_PARAMS, f_id, 1.0, 10_000, ACC_SEED)
+        fixed = fragsim.many_to_one_fixed_time(REF_MODEL, REF_PARAMS, 1.0, 10_000, ACC_SEED)
+        for (f_id, p), res in zip((("identity", 1.0), ("square", 2.0)), fixed):
             assert res.rhs.value == pytest.approx(math.exp(-levy.phi(REF_MODEL, p)), rel=1e-12)
             assert abs(res.lhs.value - res.rhs.value) <= 3.0 * res.combined_se, f_id
         res = fragsim.many_to_one_stopping_line(REF_MODEL, REF_PARAMS, 0.1, 10_000, ACC_SEED)

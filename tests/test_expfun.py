@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,23 @@ class TestEstimateMoment:
         )
         assert expfun.estimate_moment(sample, 0.0, 2.0).unstable_variance
         assert not expfun.estimate_moment(ref_sample, 0.0, 1.0).unstable_variance
+
+
+class TestMomentEstimateOf:
+    def test_large_finite_values_are_rescaled(self):
+        # Squared deviations of 1e199 overflow; the estimate must not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = expfun.MomentEstimate.of(np.array([1e199, 3e199, 2e199]))
+        unit = expfun.MomentEstimate.of(np.array([1.0, 3.0, 2.0]))
+        assert big.value == pytest.approx(1e199 * unit.value, rel=1e-15, abs=0.0)
+        assert big.std_error == pytest.approx(1e199 * unit.std_error, rel=1e-15, abs=0.0)
+        assert big.n_samples == 3
+
+    def test_infinite_values_stay_infinite(self):
+        with np.errstate(invalid="ignore"):  # inf - inf in the deviations
+            est = expfun.MomentEstimate.of(np.array([1.0, np.inf]))
+        assert est.value == np.inf and math.isnan(est.std_error)
 
 
 class TestMomentRecursion:

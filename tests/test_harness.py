@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fragstop import expfun, fragsim, harness, levy, stopsolve
+from fragstop import expfun, fragsim, harness, levy, pathsim, stopsolve
 from fragstop.cli import main
 from fragstop.harness import ConfigError, parse_config_text
 
@@ -515,6 +515,34 @@ class TestOneValueFunction:
         assert len(built) == 1
 
 
+class TestOneSimulationPerKind:
+    """verify simulates each kind of random object once: one walk of Z at times, one
+    first-passage walk for both Laplace levels (and one for the dominance sweep), and
+    one fixed-time cascade for both many-to-one functionals."""
+
+    def test_verify(self, monkeypatch):
+        calls = {}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in ((pathsim, "simulate_Z_at_times"),
+                             (pathsim, "simulate_Z_first_passage"),
+                             (fragsim, "evolve_to_time")):
+            counted(module, name)
+        # 3000 runs: two full chunks of CHUNK_RUNS and a partial one.
+        cfg = harness.with_overrides(parse_config_text(REF_CFG), samples=2000, runs=3000)
+        harness.cmd_verify(cfg)
+        assert calls == {"simulate_Z_at_times": 1, "simulate_Z_first_passage": 2,
+                         "evolve_to_time": math.ceil(cfg.runs / fragsim.CHUNK_RUNS)}
+
+
 class TestSweepCommand:
     def test_degenerate_q_sweep(self, degen_cfg_path, capsys):
         assert main(["sweep", "--config", degen_cfg_path, "--axis", "q",
@@ -620,6 +648,22 @@ class TestSimulateCommand:
         summary = json.loads(capsys.readouterr().out)
         assert summary["dust_frozen"] > 0
         assert math.isfinite(summary["mean_payoff"]) and math.isfinite(summary["std_error"])
+
+    def test_huge_start_gives_finite_error_quietly(self, tmp_path):
+        # At c = 1e200 every payoff is finite, but their squared deviations
+        # overflowed: numpy warned on stderr and std_error read Infinity.
+        cfg = tmp_path / "far_c.cfg"
+        cfg.write_text(with_key(REF_CFG, "c", "1e200"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fragstop.cli", "simulate", "--config", str(cfg),
+             "--line", "mass:0.5", "--runs", "5", "--out", str(tmp_path / "b.csv")],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": str(Path(harness.__file__).resolve().parents[1])},
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        summary = json.loads(proc.stdout)
+        assert math.isfinite(summary["mean_payoff"]) and math.isfinite(summary["std_error"])
+        assert summary["std_error"] > 0.0
 
     def test_seed_beyond_128_bits(self, ref_cfg_path, capsys):
         assert main(["simulate", "--config", ref_cfg_path, "--runs", "5",
@@ -777,8 +821,8 @@ class TestStartSweep:
         assert {float(row.split(",")[1]) for row in csv_text.splitlines()[2:]} == {b_star}
         assert summary["b_star_nonincreasing"] and summary["b_star_nondecreasing"]
         sample = harness._shared_sample(first, first.model(), first.params())
-        expected = [stopsolve.value_star(harness.with_overrides(cfg, c=c).params(), sample,
-                                         b_star, c) for c in BENCH_C_GRID]
+        expected = [stopsolve.ValueFunction(harness.with_overrides(cfg, c=c).params(), sample,
+                                            b_star).star(c) for c in BENCH_C_GRID]
         assert sweep_values(csv_text) == expected
 
     def test_one_sample_one_tilt_one_bisection(self, monkeypatch):

@@ -47,8 +47,9 @@ class TestSolveDegenerate:
         for c in (0.1, 0.5, 0.9):
             expected = b * ((c + 1.0) / (b + 1.0)) ** 2
             assert stopsolve.value_tilde(params, sample, b, c) == pytest.approx(expected, rel=1e-12)
-        assert stopsolve.value_star(params, sample, b, 2.0 * b) == 2.0 * b
-        assert stopsolve.value_star(params, sample, b, b) == pytest.approx(b, rel=1e-14)
+        value = stopsolve.ValueFunction(params, sample, b)
+        assert value.star(2.0 * b) == 2.0 * b
+        assert value.star(b) == pytest.approx(b, rel=1e-14)
 
     def test_kappa_le_gamma_rejected(self):
         model = BinaryUniform(0.0)
@@ -170,10 +171,9 @@ def assert_path_averages_agree(reference_curve):
     """
     cfg, model, params, sample, b_star = readme_solved("uniform")
     times = (0.5, 1.0, 2.0)
-    for check, label in ((stopsolve.martingale_check, "verify-mart"),
-                         (stopsolve.supermartingale_check, "verify-supermart")):
+    for check in (stopsolve.martingale_check, stopsolve.supermartingale_check):
         new, old = (path_average_check(check, model, params, sample, b_star, times,
-                                       cfg.runs, substream(cfg.seed, label), curve_type)
+                                       cfg.runs, substream(cfg.seed, "verify-mart"), curve_type)
                     for curve_type in (stopsolve.TildeCurve, reference_curve))
         assert new.reference == old.reference
         assert new.combined_se == pytest.approx(old.combined_se, rel=1e-3)
@@ -365,17 +365,18 @@ class TestGenerator:
 class TestLaplaceIdentity:
     def test_degenerate_exact(self, rng):
         model, params, sample = make_degen(c=1.0)
-        for mult in (1.5, 2.0):
-            b = mult * params.c
-            chk = stopsolve.first_passage_laplace_check(model, params, b, 50, rng, sample)
+        levels = [mult * params.c for mult in (1.5, 2.0)]
+        for b, chk in zip(levels, stopsolve.first_passage_laplace_check(
+                model, params, levels, 50, rng, sample)):
+            assert chk.b == b
             expected = ((params.c + 1.0) / (b + 1.0)) ** 2
             assert chk.mc.value == pytest.approx(expected, rel=1e-12)
             assert chk.analytic == pytest.approx(expected, rel=1e-12)
             assert chk.mc.std_error == pytest.approx(0.0, abs=1e-12)
 
     def test_boundary_threshold(self, ref_model, ref_params, ref_sample, rng):
-        chk = stopsolve.first_passage_laplace_check(
-            ref_model, ref_params, ref_params.c, 20, rng, ref_sample
+        chk, = stopsolve.first_passage_laplace_check(
+            ref_model, ref_params, [ref_params.c], 20, rng, ref_sample
         )
         assert chk.mc.value == 1.0
         assert chk.analytic == 1.0
@@ -383,20 +384,21 @@ class TestLaplaceIdentity:
     def test_threshold_below_start_rejected(self, ref_model, ref_params, ref_sample, rng):
         with pytest.raises(DomainError):
             stopsolve.first_passage_laplace_check(
-                ref_model, ref_params, 0.5 * ref_params.c, 10, rng, ref_sample
+                ref_model, ref_params, [2.0 * ref_params.c, 0.5 * ref_params.c], 10, rng,
+                ref_sample,
             )
 
     def test_reference_agreement(self, ref_model, ref_params, ref_sample):
         rng = substream(21, "laplace")
-        chk = stopsolve.first_passage_laplace_check(
-            ref_model, ref_params, 2.0 * ref_params.c, 20_000, rng, ref_sample
+        chk, = stopsolve.first_passage_laplace_check(
+            ref_model, ref_params, [2.0 * ref_params.c], 20_000, rng, ref_sample
         )
         assert abs(chk.mc.value - chk.analytic) <= 3.0 * chk.combined_se
 
     def test_horizon_misses_count_as_zero(self, ref_model, ref_params, ref_sample):
         b, n, horizon = 2.0 * ref_params.c, 2000, 0.05
-        chk = stopsolve.first_passage_laplace_check(
-            ref_model, ref_params, b, n, substream(27, "miss"), ref_sample, horizon=horizon
+        chk, = stopsolve.first_passage_laplace_check(
+            ref_model, ref_params, [b], n, substream(27, "miss"), ref_sample, horizon=horizon
         )
         tau = pathsim.simulate_Z_first_passage(ref_model, ref_params, [b], n,
                                                substream(27, "miss"), horizon)[:, 0]
@@ -413,8 +415,8 @@ class TestLaplaceIdentity:
         assert params_lam.lam == lam
         sample = expfun.draw_shared_sample(ref_model, params_lam, 20_000, seed=5)
         assert sample.kappa == levy.kappa_root(ref_model, ref_params.theta, lam)
-        chk = stopsolve.first_passage_laplace_check(
-            ref_model, params_lam, 2.0 * ref_params.c, 10_000,
+        chk, = stopsolve.first_passage_laplace_check(
+            ref_model, params_lam, [2.0 * ref_params.c], 10_000,
             substream(22, "laplace-gen"), sample,
         )
         assert chk.lam == lam
@@ -427,7 +429,7 @@ class TestLaplaceIdentity:
         )
         with pytest.raises(DomainError):
             stopsolve.first_passage_laplace_check(
-                ref_model, params_q0, 2.0 * ref_params.c, 10, rng, ref_sample
+                ref_model, params_q0, [2.0 * ref_params.c], 10, rng, ref_sample
             )
 
 
