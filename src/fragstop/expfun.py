@@ -68,9 +68,8 @@ class MomentEstimate:
 class SharedSample:
     """Frozen draws of the lifetime integral under one exponential tilt.
 
-    Immutable after construction; safe to share across concurrent
-    evaluations.  All f(b) evaluations within one solve must use the same
-    instance (common random numbers).
+    All f(b) evaluations within one solve must use the same instance
+    (common random numbers).
     """
 
     draws: np.ndarray
@@ -115,9 +114,17 @@ def draw_shared_sample(
     Chunk k of SAMPLE_CHUNK draws is simulated in one batch on the
     counter-derived substream ("shared-sample", k).  The last chunk is
     simulated in full and truncated, so a sample is the exact prefix of any
-    larger sample with the same seed, and the result is independent of any
-    worker scheduling.
+    larger sample with the same seed.  A sample whose chunks are predicted
+    to take more than pathsim.JUMP_BUDGET jumps raises AssumptionError
+    before drawing.
     """
+    simulated = -(-n_draws // SAMPLE_CHUNK) * SAMPLE_CHUNK
+    jumps = simulated * pathsim.predicted_jumps_per_draw(model, params, rel_tol)
+    if jumps > pathsim.JUMP_BUDGET:
+        raise levy.AssumptionError(
+            f"the sample's {simulated} simulated draws are predicted to take {jumps:.3g} jumps, "
+            f"past the budget of {pathsim.JUMP_BUDGET:.3g}: small gamma and q make each draw "
+            "long; raise gamma, q or rel_tol, or lower samples")
     # psi at the bisected root, which may differ from params.lam in the last digits.
     lam_eff = levy.psi(model, params.theta, params.kappa)
     draws = np.empty(n_draws)
@@ -173,7 +180,8 @@ def f_of_b(sample: SharedSample, params: ModelParams, b: float) -> float:
         raise levy.AssumptionError(f"f(b) requires kappa/gamma > 1, got {p}")
     _check_order(sample, p)
     top, bot = _power_pair_means(sample.draws, b, p)
-    return top / (b * bot)
+    # Once (b + I)^(p-1) underflows on every draw, f is 0/0: nan, as an overflow gives.
+    return top / (b * bot) if b * bot > 0.0 else math.nan
 
 
 def ratio_of_power_means(

@@ -43,7 +43,7 @@ from typing import Union
 import numpy as np
 
 from . import levy, pathsim
-from .levy import DislocationModel, InvalidModelError, ModelParams
+from .levy import DislocationModel, DomainError, InvalidModelError, ModelParams
 from .expfun import MomentEstimate
 from .streams import run_key, substream
 
@@ -210,7 +210,9 @@ def run_stopping_line(
     and counted as partial.  A literal statistic line may close a branch
     that can never fire; such a block is stored with frozen_at = inf and
     contributes zero payoff.  A run that creates more than block_cap blocks
-    raises BlockCapError.  The blocks come in generation order.
+    raises BlockCapError, and a frozen block whose accrued premium
+    overflowed (mass^(-gamma) past the float range, at large gamma) raises
+    DomainError.  The blocks come in generation order.
 
     Each live block is a column of one state array, with rows mass, birth
     time, accrued premium, e^{-gamma*theta*born} and, on statistic lines
@@ -236,8 +238,7 @@ def run_stopping_line(
         state[4] = params.c
     parts = []
     dust = partial = 0
-    # Blocks created in the chunk; per run only once the cap can bind.
-    total, created = n_runs, None
+    created = np.ones(n_runs, dtype=np.int64)  # blocks each run has made
     while run.size:
         u_hold, u_share = _block_stream(h, _DRAWS)
         mass, born = state[0], state[1]
@@ -263,10 +264,7 @@ def run_stopping_line(
         f = np.flatnonzero(freeze)
         # Rows mass, birth time (overwritten by the freeze time), accrued, e^{-gt*born}.
         frozen = np.take(state[:4], f, axis=1)
-        if np.ndim(line_t):
-            np.take(line_t, f, out=frozen[1])
-        else:
-            frozen[1] = line_t
+        frozen[1] = line_t[f] if np.ndim(line_t) else line_t
         gain = frozen[0] ** -gamma * (frozen[3] - np.exp(-gt * frozen[1])) / gt
         if rare:
             frozen[2] = np.where(is_dust[f], frozen[2],
@@ -277,22 +275,18 @@ def run_stopping_line(
 
         s = np.flatnonzero(~freeze)
         run = np.repeat(run[s], 2)
-        total += run.size
-        if total > block_cap:
-            if created is None:
-                # A run has made 2 * (its frozen and live blocks) - 1 blocks.
-                runs = np.concatenate([r for r, _ in parts] + [run])
-                created = 2 * np.bincount(runs, minlength=n_runs) - 1
-            else:
-                created += np.bincount(run, minlength=n_runs)
-            if created.max() > block_cap:
-                raise BlockCapError(f"block budget {block_cap} exceeded at t = {split_t[s].max()}")
-        if n_runs > 1 and total > BLOCK_BUDGET:
+        created += np.bincount(run, minlength=n_runs)
+        if run.size and created.max() > block_cap:
+            raise BlockCapError(f"block budget {block_cap} exceeded at t = {split_t[s].max()}")
+        if n_runs > 1 and created.sum() > BLOCK_BUDGET:
             raise _OverBudget
         state, h = _children(model, params, np.take(state, s, axis=1), split_t[s], u_share[s],
                              h[s])
     run = np.concatenate([r for r, _ in parts])
     mass, frozen_at, accrued = np.concatenate([b for _, b in parts], axis=1)
+    if not (np.isfinite(accrued) | np.isinf(frozen_at)).all():
+        raise DomainError(f"a block's accrued premium overflows: mass^(-gamma) passes the "
+                          f"float range at gamma = {gamma}, and its payoff would be nan")
     return FrozenBlocks(run, mass, accrued, frozen_at, dust, partial)
 
 
@@ -300,33 +294,24 @@ def _children(model, params, parents, t, u_share, h):
     """State and hashes of the children of blocks (state columns `parents`) split at times t.
 
     The children of parent j are columns 2j and 2j + 1, with shares
-    (share, 1 - share) from the split law at u_share.  Each is written
-    through a stride-2 view: broadcasting a parent against its two children
-    would run numpy's inner loops two elements at a time.
+    (share, 1 - share) from the split law at u_share.  Each child repeats
+    its parent's row of the split time, the accrued premium advanced to it,
+    e^{-gt*t} and, on statistic lines, zeta advanced to it; then the shares
+    scale the mass and share^gamma scales zeta.
     """
     gamma, gt = params.gamma, params.gt
     mass, born, acc, decay = parents[:4]
     share = levy.split_quantile(model, u_share)
-    shares = np.column_stack([share, 1.0 - share])
-    # Split time, accrued premium and e^{-gt*t}: the same for both children.
-    same = np.empty((3, t.size))
-    same[0] = t
-    np.exp(-gt * t, out=same[2])
-    np.add(acc, mass ** -gamma * (decay - same[2]) / gt, out=same[1])
-    kids = np.empty((len(parents), t.size, 2))
-    zeta = None
+    shares = np.column_stack([share, 1.0 - share]).ravel()
+    e = np.exp(-gt * t)
+    rows = [mass, t, acc + mass ** -gamma * (decay - e) / gt, e]
     if len(parents) > 4:
-        zeta = pathsim.z_advance(parents[4], t - born, gt)
-        scale = shares ** gamma
-    words = _block_words(h, _CHILDREN)
-    h = np.empty(2 * t.size, dtype=np.uint64)
-    for k in range(2):
-        kids[1:4, :, k] = same
-        np.multiply(mass, shares[:, k], out=kids[0, :, k])
-        if zeta is not None:
-            np.multiply(zeta, scale[:, k], out=kids[4, :, k])
-        h[k::2] = words[k]
-    return kids.reshape(len(parents), -1), h
+        rows.append(pathsim.z_advance(parents[4], t - born, gt))
+    kids = np.repeat(rows, 2, axis=1)
+    kids[0] *= shares
+    if len(parents) > 4:
+        kids[4] *= shares ** gamma
+    return kids, _block_words(h, _CHILDREN).T.ravel()
 
 
 def evolve_to_time(model: DislocationModel, params: ModelParams, t: float,

@@ -142,8 +142,6 @@ def phi(model: DislocationModel, p: float) -> float:
 def phi_prime0(model: DislocationModel) -> float:
     """Derivative of phi at 0+, i.e. the mean log-mass decay rate."""
     validate_model(model)
-    if is_degenerate(model):
-        return 0.0
     if isinstance(model, BinaryUniform):
         return model.rate / 2.0
     if isinstance(model, BinaryPoint):
@@ -199,11 +197,21 @@ def kappa_root(model: DislocationModel, theta: float, lam: float) -> float:
             f"bisection bracket failed: psi({hi}) = {f_hi + lam} < lam = {lam}; "
             "the model violates the standing drift assumptions"
         )
-    while hi - lo > KAPPA_TOL:
+    return bisect(lambda u: psi(model, theta, u) - lam < 0.0, lo, hi,
+                  lambda lo, hi: hi - lo > KAPPA_TOL)
+
+
+def bisect(below, lo: float, hi: float, wide) -> float:
+    """Midpoint of the bracket [lo, hi] halved toward a root while wide(lo, hi) holds.
+
+    below(x) is true where x lies below the root.  The halving also stops
+    once the bracket is one ulp wide, where no midpoint lies strictly inside.
+    """
+    while wide(lo, hi):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
-        if psi(model, theta, mid) - lam < 0.0:
+        if below(mid):
             lo = mid
         else:
             hi = mid
@@ -264,10 +272,7 @@ def sample_jump(model: DislocationModel, kappa: float, n: int, rng: np.random.Ge
         v = rng.beta(model.shape, model.shape, size=m)
         s, u = np.maximum(v, 1.0 - v), rng.random(m)
     else:
-        # A PCG64 double takes one raw word, so row 1 of rng.random((2, m)) is
-        # what a second rng.random(m) call would draw.
-        u = rng.random((2, m))
-        s, u = split_quantile(model, u[0]), u[1]
+        s, u = split_quantile(model, rng.random(m)), rng.random(m)
     picks = np.where(u < s, s, 1.0 - s)
     return -np.log(picks[:n])
 
@@ -278,8 +283,7 @@ def sample_jump(model: DislocationModel, kappa: float, n: int, rng: np.random.Ge
 class ModelParams:
     """Validated problem constants and the derived discount/tilt quantities.
 
-    lam = q + theta*gamma and kappa solves psi(kappa) = lam.  Immutable, so
-    instances are safe to share across concurrent workers.
+    lam = q + theta*gamma and kappa solves psi(kappa) = lam.
     """
 
     gamma: float

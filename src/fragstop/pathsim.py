@@ -18,6 +18,7 @@ given, so it is pure given that generator and the number of paths.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -27,6 +28,9 @@ from .levy import AssumptionError, DislocationModel, DomainError, ModelParams
 
 # Steps after which a batched walk that still has unfinished paths gives up.
 MAX_STEPS = 1_000_000
+# Predicted jump draws past which a shared sample is refused before drawing
+# (about 30 s of sampling on the uniform family, on 2 shared Xeon cores).
+JUMP_BUDGET = 1e9
 
 
 # --- closed-form segment arithmetic (elementwise over arrays) ------------------
@@ -188,6 +192,26 @@ def moment_recursion(model: DislocationModel, params: ModelParams, n: int) -> fl
             raise DomainError(f"E[I^{k}] is infinite: nonpositive recursion denominator")
         m = k * m / denom
     return m
+
+
+def predicted_jumps_per_draw(model: DislocationModel, params: ModelParams,
+                             rel_tol: float) -> float:
+    """Jumps that a `simulate_I_infty` draw takes, predicted before drawing.
+
+    A draw takes its first jump, then retires once exp(gamma*Y) falls below
+    rel_tol times its integral, of mean M1 = moment_recursion(..., 1).  Under
+    the tilt Y drifts down at psi'(kappa) between jumps at nu = rate -
+    phi(kappa), so that takes about nu log(1/(rel_tol max(M1, 1))) /
+    (gamma psi'(kappa)) more.  psi = theta*u - rate (1 - split_power_mean) is
+    written out, and psi' is a central difference, so the prediction adds no
+    `levy.phi` calls to the sampler's own.
+    """
+    mean = functools.partial(levy.split_power_mean, model)
+    kappa, h = params.kappa, 1e-5 * (1.0 + params.kappa)
+    slope = params.theta + model.rate * (mean(kappa + h) - mean(kappa - h)) / (2.0 * h)
+    m1 = 1.0 / (params.gt - model.rate * (mean(kappa - params.gamma) - mean(kappa)))
+    log_ratio = max(-math.log(rel_tol * max(m1, 1.0)), 0.0)
+    return 1.0 + model.rate * mean(kappa) * log_ratio / (params.gamma * slope)
 
 
 def simulate_I_infty(

@@ -80,6 +80,8 @@ class ValueFunction:
         out = self.b_star * self.power_mean(z) / self.norm
         return float(out[0]) if np.ndim(z) == 0 else out
 
+    # Far above b* the candidate may overflow to inf; z is kept there.
+    @np.errstate(over="ignore")
     def star(self, z):
         """The optimal value: the candidate below b*, the stopped payoff z above."""
         zs = np.atleast_1d(np.asarray(z, dtype=float))
@@ -144,9 +146,7 @@ class TildeCurve:
         # Clipped to the fitted interval: the series diverges outside it.
         return np.exp(self._log_value(np.clip(np.log(z + self._shift), *self._log_value.domain)))
 
-    def star(self, z):
-        z = np.asarray(z, dtype=float)
-        return np.where(z > self.b_star, z, self.tilde(z))
+    star = ValueFunction.star
 
 
 # --- solving ------------------------------------------------------------------
@@ -172,6 +172,8 @@ def threshold_exponent(params: ModelParams) -> float:
     return p
 
 
+# f(b) overflows, silently, to inf or nan where the bracket cannot close; that is reported.
+@np.errstate(over="ignore", invalid="ignore")
 def bisect_b_star(params: ModelParams, sample: SharedSample, *, rel_tol_b: float = 1e-6) -> float:
     """b* alone: the root of f(b) = kappa/gamma, by bisection on the samplewise-monotone f.
 
@@ -186,8 +188,7 @@ def bisect_b_star(params: ModelParams, sample: SharedSample, *, rel_tol_b: float
         return expfun.f_of_b(sample, params, b) - p
 
     lo = hi = params.c
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        g0 = g(params.c)
+    g0 = g(params.c)
     if not math.isfinite(g0):
         raise DivergenceError(_NO_START.format(params.c))
     if g0 > 0.0:
@@ -202,15 +203,7 @@ def bisect_b_star(params: ModelParams, sample: SharedSample, *, rel_tol_b: float
             lo, hi = 0.5 * lo, lo
         if lo == 0.0:
             raise DivergenceError(f"no lower bracket for f(b) = {p}: halving from c reached 0")
-    while hi - lo > rel_tol_b * hi:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return levy.bisect(lambda b: g(b) > 0.0, lo, hi, lambda lo, hi: hi - lo > rel_tol_b * hi)
 
 
 def solve_b_star(

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fragstop import expfun, levy
+from fragstop import expfun, levy, pathsim, stopsolve
 from fragstop.levy import BinaryUniform, DomainError
 
 
@@ -133,6 +133,17 @@ class TestFOfB:
         with pytest.raises(DomainError):
             expfun.f_of_b(ref_sample, ref_params, 0.0)
 
+    def test_underflow_is_nan_and_no_bracket(self):
+        # p = kappa/gamma is about 2,500 and every c + I is below 0.3, so
+        # (c + I)^(p-1) underflows on every draw: f(c) is 0/0, and bisection
+        # cannot start (it once raised ZeroDivisionError).
+        model = BinaryUniform(0.83)
+        params = levy.make_params(model, gamma=0.39, theta=100.0, q=1e5, c=0.24)
+        sample = expfun.draw_shared_sample(model, params, 100, seed=1)
+        assert math.isnan(expfun.f_of_b(sample, params, params.c))
+        with pytest.raises(stopsolve.DivergenceError, match="f\\(c\\) is not finite"):
+            stopsolve.bisect_b_star(params, sample)
+
 
 class TestRatioOfPowerMeans:
     def test_equal_shifts_give_one(self, ref_params, ref_sample):
@@ -167,3 +178,49 @@ class TestSharedSample:
             ref_model, ref_params, 5000, seed=ref_sample.seed
         )
         assert np.array_equal(again.draws, ref_sample.draws[:5000])
+
+
+def readme_params(model, gamma: float, q: float):
+    return levy.make_params(model, gamma=gamma, theta=1.0, q=q, c=0.25)
+
+
+class TestJumpBudget:
+    @pytest.mark.parametrize("model", [BinaryUniform(1.0), levy.BinaryPoint(1.0, 0.7),
+                                       levy.BinaryBeta(1.0, 3.0)],
+                             ids=["uniform", "point0.7", "beta3"])
+    @pytest.mark.parametrize("q", [1.0, 1e-12])
+    def test_prediction_matches_counted_jumps(self, model, q, monkeypatch):
+        params = readme_params(model, 0.1, q)
+        calls = {"phi": 0, "jumps": 0}
+        phi, sample_jump = levy.phi, levy.sample_jump
+
+        def counted_phi(*args):
+            calls["phi"] += 1
+            return phi(*args)
+
+        def counted_jumps(model, kappa, n, rng):
+            calls["jumps"] += n
+            return sample_jump(model, kappa, n, rng)
+
+        monkeypatch.setattr(levy, "phi", counted_phi)
+        predicted = pathsim.predicted_jumps_per_draw(model, params, 1e-6)
+        assert calls["phi"] == 0
+        monkeypatch.setattr(levy, "sample_jump", counted_jumps)
+        pathsim.simulate_I_infty(model, params, np.random.default_rng(5), 4096)
+        assert predicted == pytest.approx(calls["jumps"] / 4096, rel=0.02)
+
+    def test_one_config_on_each_side_of_the_budget(self, monkeypatch):
+        # The README model at q = 1e-12 and 20 samples, one simulated chunk of
+        # 4096 draws: gamma = 1e-4 takes about 10 s, gamma = 1e-5 would take minutes.
+        def stub(model, params, rng, n, *, rel_tol):
+            return np.ones(n)
+
+        monkeypatch.setattr(pathsim, "simulate_I_infty", stub)
+        model = BinaryUniform(1.0)
+        under, over = readme_params(model, 1e-4, 1e-12), readme_params(model, 1e-5, 1e-12)
+        for params, total in ((under, 3.2e8), (over, 1.32e9)):
+            predicted = expfun.SAMPLE_CHUNK * pathsim.predicted_jumps_per_draw(model, params, 1e-6)
+            assert predicted == pytest.approx(total, rel=0.01)
+        assert expfun.draw_shared_sample(model, under, 20, seed=1).n == 20
+        with pytest.raises(levy.AssumptionError, match="past the budget of 1e"):
+            expfun.draw_shared_sample(model, over, 20, seed=1)

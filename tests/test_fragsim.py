@@ -17,7 +17,7 @@ from fragstop import fragsim, harness, levy, pathsim
 from fragstop.cli import main
 from fragstop.expfun import MomentEstimate
 from fragstop.fragsim import BlockCapError, FixedTime, FrozenBlocks, MassBelow, OptimalStatistic
-from fragstop.levy import BinaryBeta, BinaryPoint, BinaryUniform, InvalidModelError
+from fragstop.levy import BinaryBeta, BinaryPoint, BinaryUniform, DomainError, InvalidModelError
 from fragstop.streams import run_key
 
 from conftest import (materialised_run_sums, reference_run_key, scalar_first_passage,
@@ -154,6 +154,14 @@ class TestStoppingLines:
         with pytest.raises(BlockCapError) as masked:
             masked_stopping_line(ref_model, ref_params, line, keys, block_cap=cap)
         assert str(masked.value) == message
+
+    def test_overflowing_premium_is_a_domain_error(self):
+        # At gamma = 1000, mass^(-gamma) overflows on blocks lighter than about
+        # 0.49; such payoffs were inf * 0 = nan.
+        params = levy.make_params(BinaryUniform(1.0), gamma=1000.0, theta=1.0, q=1.0, c=0.25)
+        with pytest.raises(DomainError, match="accrued premium overflows"):
+            fragsim.run_stopping_line(BinaryUniform(1.0), params, MassBelow(0.05),
+                                      run_key(0, "test", 8))
 
     def test_block_cap_counts_each_run(self, ref_model, ref_params):
         # A run that split k times made 2k + 1 blocks: a cap at the largest

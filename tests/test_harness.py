@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +187,18 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert "A2" in err
+
+    def test_small_gamma_and_q_exit_3_before_drawing(self, tmp_path, capsys):
+        # Its one chunk of 4096 draws would take about 1.3e9 jumps, minutes of sampling.
+        cfg = tmp_path / "slow.cfg"
+        cfg.write_text(REF_CFG.replace("gamma = 1.0", "gamma = 1e-5")
+                       .replace("q = 1.0", "q = 1e-12"))
+        start = time.perf_counter()
+        assert main(["solve", "--config", str(cfg), "--samples", "20"]) == 3
+        assert time.perf_counter() - start < 2.0
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert json.loads(captured.err)["error"] == "assumption"
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

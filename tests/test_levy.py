@@ -202,6 +202,43 @@ class TestPsiKappa:
             prev = kap
 
 
+class TestBisect:
+    def test_returns_the_midpoint_once_wide_fails(self):
+        probes = []
+
+        def below(x):
+            probes.append(x)
+            return x < 0.3
+
+        wide = lambda lo, hi: hi - lo > 0.25  # noqa: E731
+        assert levy.bisect(below, 0.0, 1.0, wide) == 0.375
+        assert probes == [0.5, 0.25]
+
+    def test_stops_at_a_one_ulp_bracket(self):
+        brackets = []
+
+        def wide(lo, hi):
+            brackets.append((lo, hi))
+            return True
+
+        root = levy.bisect(lambda x: x < 1.0 / 3.0, 0.0, 1.0, wide)
+        lo, hi = brackets[-1]
+        assert math.nextafter(lo, math.inf) == hi and root in (lo, hi)
+        assert lo < 1.0 / 3.0 <= hi
+
+    # repr of kappa_root at the README constants (theta = 1, lam = q + theta*gamma = 2)
+    # before kappa_root and bisect_b_star shared one bisection.
+    README_KAPPA = [(BinaryUniform(1.0), "2.561552812808827"),
+                    (BinaryPoint(1.0, 0.7), "2.7237407078131355"),
+                    (BinaryBeta(1.0, 0.5), "2.4109420609132712"),
+                    (BinaryUniform(0.0), "1.9999999999995453")]
+
+    @pytest.mark.parametrize("model,kappa", README_KAPPA,
+                             ids=["uniform", "point0.7", "beta0.5", "none"])
+    def test_kappa_root_unchanged_at_the_readme_constants(self, model, kappa):
+        assert repr(levy.kappa_root(model, 1.0, 2.0)) == kappa
+
+
 class TestTilt:
     @pytest.mark.parametrize(
         "model", [BinaryUniform(1.0), BinaryPoint(1.0, 0.6), BinaryBeta(1.5, 2.0)]

@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -56,6 +57,25 @@ class TestSolveDegenerate:
         params = levy.make_params(model, gamma=1.0, theta=1.0, q=0.0, c=1.0, allow_q_zero=True)
         with pytest.raises(AssumptionError):
             stopsolve.solve_b_star(model, params, degenerate_sample(params))
+
+    def test_overflowing_bracket_is_reported_without_warnings(self):
+        # p = kappa/gamma = 121.4: (b + I)^p overflows once b + I passes 346.4,
+        # and the root b* = I/(p - 1) lies past that for the one draw I = 345.5.
+        _, params, _ = make_degen(q=0.567, c=0.1, gamma=0.001, theta=4.71)
+        sample = replace(degenerate_sample(params), draws=np.array([345.5]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(stopsolve.DivergenceError, match="no upper bracket"):
+                stopsolve.bisect_b_star(params, sample)
+
+    def test_optimal_value_far_above_threshold_is_quiet(self):
+        # p = kappa/gamma = 35.9, so the candidate b* ((z + I)/(b* + I))^p
+        # overflows at z = 1e6; the optimal value there is z itself.
+        _, params, sample = make_degen(q=1e5, c=1e6, gamma=1000.0, theta=2.87)
+        value = stopsolve.ValueFunction(params, sample, 1e-5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert value.star(1e6) == 1e6
 
 
 class TestSolveReference:
