@@ -80,12 +80,14 @@ class ValueFunction:
         out = self.b_star * self.power_mean(z) / self.norm
         return float(out[0]) if np.ndim(z) == 0 else out
 
-    # Far above b* the candidate may overflow to inf; z is kept there.
-    @np.errstate(over="ignore")
     def star(self, z):
-        """The optimal value: the candidate below b*, the stopped payoff z above."""
-        zs = np.atleast_1d(np.asarray(z, dtype=float))
-        out = np.where(zs > self.b_star, zs, self.tilde(zs))
+        """The optimal value: the candidate at z <= b*, the stopped payoff z above.
+
+        The candidate is evaluated at the points z <= b* only.
+        """
+        out = np.array(z, dtype=float, ndmin=1)
+        below = out <= self.b_star
+        out[below] = self.tilde(out[below])
         return float(out[0]) if np.ndim(z) == 0 else out
 
     @functools.cached_property
@@ -172,6 +174,12 @@ def threshold_exponent(params: ModelParams) -> float:
     return p
 
 
+# A bound on the relative rounding error of f(b) near b*, while its means are normal floats.
+# Each power (b + I)^p = exp(p log(b + I)) that is finite loses at most about 710 ulps
+# (1.6e-13); the two means and their ratio add a few ulps more.
+F_ROUNDING = 1e-12
+
+
 # f(b) overflows, silently, to inf or nan where the bracket cannot close; that is reported.
 @np.errstate(over="ignore", invalid="ignore")
 def bisect_b_star(params: ModelParams, sample: SharedSample, *, rel_tol_b: float = 1e-6) -> float:
@@ -181,6 +189,17 @@ def bisect_b_star(params: ModelParams, sample: SharedSample, *, rel_tol_b: float
     overflows to inf or underflows to 0 first.  Bisection stops at relative
     width rel_tol_b, or earlier once the bracket is one ulp wide.
     Requires kappa/gamma > 1, which holds whenever q > 0.
+
+    `levy.bisect` finds the float the plain halving of g = f - p finds,
+    starting from the values of g at the bracket's ends that the bracket
+    search computed.  Its margin is the band around b* where rounding may
+    give g either sign.  On a fixed sample f(b) = 1 + E_w[I]/b, with weights
+    w proportional to (b + I)^(p-1), and E_w[I] falls as b grows; so
+    |dg/d log b| >= f - 1 = p - 1 at b*, and two values of g that each err
+    by F_ROUNDING * p keep their order once their log b differ by
+    2 F_ROUNDING p / (p - 1).  With b* <= hi this is a margin of at most
+    that times hi.  F_ROUNDING is about 1,000 times the error seen on the
+    reference samples, where f rounds to within 1e-15.
     """
     p = threshold_exponent(params)
 
@@ -188,22 +207,23 @@ def bisect_b_star(params: ModelParams, sample: SharedSample, *, rel_tol_b: float
         return expfun.f_of_b(sample, params, b) - p
 
     lo = hi = params.c
-    g0 = g(params.c)
-    if not math.isfinite(g0):
+    g_lo = g_hi = g(params.c)
+    if not math.isfinite(g_lo):
         raise DivergenceError(_NO_START.format(params.c))
-    if g0 > 0.0:
+    if g_lo > 0.0:
         hi = 2.0 * params.c
-        while math.isfinite(hi) and not g(hi) <= 0.0:
-            lo, hi = hi, 2.0 * hi
+        while math.isfinite(hi) and not (g_hi := g(hi)) <= 0.0:
+            lo, g_lo, hi = hi, g_hi, 2.0 * hi
         if not math.isfinite(hi):
             raise DivergenceError(f"no upper bracket for f(b) = {p}: doubling from c overflowed")
-    elif g0 < 0.0:
+    elif g_lo < 0.0:
         lo = 0.5 * params.c
-        while lo > 0.0 and not g(lo) >= 0.0:
-            lo, hi = 0.5 * lo, lo
+        while lo > 0.0 and not (g_lo := g(lo)) >= 0.0:
+            lo, hi, g_hi = 0.5 * lo, lo, g_lo
         if lo == 0.0:
             raise DivergenceError(f"no lower bracket for f(b) = {p}: halving from c reached 0")
-    return levy.bisect(lambda b: g(b) > 0.0, lo, hi, lambda lo, hi: hi - lo > rel_tol_b * hi)
+    return levy.bisect(g, lo, hi, lambda lo, hi: hi - lo > rel_tol_b * hi, h_lo=g_lo, h_hi=g_hi,
+                       margin=2.0 * F_ROUNDING * p / (p - 1.0) * hi)
 
 
 def solve_b_star(
@@ -309,10 +329,15 @@ def generator_residual(model: DislocationModel, params: ModelParams, value_fn, x
 
     For the candidate value the residual is zero in expectation at every
     x > 0; for the optimal value it is nonpositive above b*.  value_fn takes
-    arrays, and kinks at `kink`, if given.
+    arrays, and kinks at `kink`, if given.  It is not called at nodes of
+    weight 0, such as every jump node of a family with rate 0; their terms
+    are 0.
     """
     z, w = generator_rule(model, params, x, kink)
-    return float(w @ value_fn(z))
+    weighted = w != 0.0
+    values = np.zeros(z.size)
+    values[weighted] = value_fn(z[weighted])
+    return float(w @ values)
 
 
 def generator_residual_estimate(model: DislocationModel, value: ValueFunction, x: float, *,
@@ -325,14 +350,18 @@ def generator_residual_estimate(model: DislocationModel, value: ValueFunction, x
     normalization, plus the exact part of the nodes above b*, where the
     optimal value is z.  The spread of the batch residuals propagates every
     Monte Carlo source through the derivative, the quadrature and the
-    normalization at once.
+    normalization at once.  Columns of nodes of weight 0 hold 0, not power
+    means.
     """
     b_star = value.b_star
     z, w = generator_rule(model, value.params, x, kink=b_star if star else None)
     tilde = z <= b_star if star else np.ones(z.size, dtype=bool)
     nodes = np.append(z[tilde], b_star)
-    table = np.array([_power_mean_many(value.sample.draws[k::RESIDUAL_BATCHES], nodes, value.p)
-                      for k in range(RESIDUAL_BATCHES)])
+    weighted = np.append(w[tilde] != 0.0, True)
+    table = np.zeros((RESIDUAL_BATCHES, nodes.size))
+    for k in range(RESIDUAL_BATCHES):
+        table[k, weighted] = _power_mean_many(value.sample.draws[k::RESIDUAL_BATCHES],
+                                              nodes[weighted], value.p)
     stopped = w[~tilde] @ z[~tilde]
     return MomentEstimate.of(b_star * (table[:, :-1] @ w[tilde]) / table[:, -1] + stopped)
 

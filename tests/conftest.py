@@ -46,6 +46,52 @@ def reference_c_sweep(cfg, grid) -> tuple[list[float], list[float]]:
     return [res.b_star for res in solved], [res.value_at_c for res in solved]
 
 
+def plain_bisect(below, lo: float, hi: float, wide) -> float:
+    """Midpoint of the bracket [lo, hi] halved toward a root while wide(lo, hi) holds.
+
+    This is how `levy.bisect` worked before it narrowed the bracket by
+    regula falsi first: below(x) is true where x lies below the root, and
+    the halving also stops once the bracket is one ulp wide.
+    """
+    while wide(lo, hi):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def plain_kappa_root(model, theta: float, lam: float) -> float:
+    """`levy.kappa_root` by the plain halving, as it worked before the replay."""
+    if lam == 0.0:
+        return 0.0
+    return plain_bisect(lambda u: levy.psi(model, theta, u) - lam < 0.0,
+                        0.0, (lam + model.rate) / theta, lambda lo, hi: hi - lo > levy.KAPPA_TOL)
+
+
+def plain_bisect_b_star(params, sample, rel_tol_b: float) -> float:
+    """`stopsolve.bisect_b_star` by the plain halving, for brackets it finds without raising."""
+    p = stopsolve.threshold_exponent(params)
+
+    def g(b: float) -> float:
+        return expfun.f_of_b(sample, params, b) - p
+
+    lo = hi = params.c
+    g0 = g(params.c)
+    if g0 > 0.0:
+        hi = 2.0 * params.c
+        while not g(hi) <= 0.0:
+            lo, hi = hi, 2.0 * hi
+    elif g0 < 0.0:
+        lo = 0.5 * params.c
+        while not g(lo) >= 0.0:
+            lo, hi = 0.5 * lo, lo
+    return plain_bisect(lambda b: g(b) > 0.0, lo, hi, lambda lo, hi: hi - lo > rel_tol_b * hi)
+
+
 def materialised_run_sums(engine, keys, weights) -> np.ndarray:
     """Per-run sums of weights(blocks) over one table of every run's frozen blocks.
 

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from fragstop import levy, pathsim
@@ -20,7 +22,7 @@ from fragstop.levy import (
 )
 from fragstop.streams import substream
 
-from conftest import rowwise_sample_jump, scalar_jump
+from conftest import plain_bisect, plain_kappa_root, rowwise_sample_jump, scalar_jump
 
 P_GRID = [0.1, 0.5, 1.0, 2.0, 3.0, 5.0]
 
@@ -211,20 +213,37 @@ class TestBisect:
             return x < 0.3
 
         wide = lambda lo, hi: hi - lo > 0.25  # noqa: E731
-        assert levy.bisect(below, 0.0, 1.0, wide) == 0.375
+        assert plain_bisect(below, 0.0, 1.0, wide) == 0.375
         assert probes == [0.5, 0.25]
+        evaluated = []
+
+        def h(x):
+            evaluated.append(x)
+            return 0.3 - x
+
+        assert levy.bisect(h, 0.0, 1.0, wide) == 0.375
+        # The narrowing closes [a, b] on the root 0.3 to one ulp, so the
+        # replay knows the sign at both plain probes and evaluates neither.
+        assert evaluated[:2] == [0.0, 1.0] and not set(evaluated) & set(probes)
 
     def test_stops_at_a_one_ulp_bracket(self):
-        brackets = []
+        brackets, probes, evaluated = [], [], []
 
         def wide(lo, hi):
             brackets.append((lo, hi))
             return True
 
-        root = levy.bisect(lambda x: x < 1.0 / 3.0, 0.0, 1.0, wide)
+        def h(x):
+            evaluated.append(x)
+            return 1.0 / 3.0 - x
+
+        root = levy.bisect(h, 0.0, 1.0, wide)
         lo, hi = brackets[-1]
         assert math.nextafter(lo, math.inf) == hi and root in (lo, hi)
         assert lo < 1.0 / 3.0 <= hi
+        assert root == plain_bisect(lambda x: probes.append(x) or x < 1.0 / 3.0, 0.0, 1.0,
+                                    lambda lo, hi: True)
+        assert len(evaluated) < len(probes) / 2
 
     # repr of kappa_root at the README constants (theta = 1, lam = q + theta*gamma = 2)
     # before kappa_root and bisect_b_star shared one bisection.
@@ -237,6 +256,120 @@ class TestBisect:
                              ids=["uniform", "point0.7", "beta0.5", "none"])
     def test_kappa_root_unchanged_at_the_readme_constants(self, model, kappa):
         assert repr(levy.kappa_root(model, 1.0, 2.0)) == kappa
+
+
+def _signed(shape: str, r: float, k: float):
+    """A function that decreases through r and rounds monotonically: h(x) > 0 below r."""
+    if shape == "linear":
+        return lambda x: k * (r - x)
+    if shape == "square":
+        return lambda x: k * (r - x) * abs(r - x)
+    if shape == "kinked":
+        return lambda x: (r - x) * (k if x < r else 1.0 / k)
+    return lambda x: k * (r - x) + (k if x < r else 0.0)  # a step at r
+
+
+def _noise(x: float) -> float:
+    """A fixed pseudo-random number in [-1, 1] for each float x."""
+    return (hash(x) % 2001 - 1000) / 1000.0
+
+
+_BRACKETS = st.tuples(st.floats(-1e3, 1e3), st.floats(-12.0, 4.0)).map(
+    lambda t: (t[0], t[0] + 10.0 ** t[1])).filter(lambda b: b[0] < b[1])
+_WIDE = st.one_of(
+    st.floats(-17.0, 0.0).map(lambda e: ("absolute", e)),
+    st.sampled_from([-16.0, -6.0, 3.0]).map(lambda e: ("relative", e)),
+    st.just(("never", 0.0)))
+
+
+def _wide(kind: str, e: float, lo: float, hi: float):
+    if kind == "absolute":
+        tol = (hi - lo) * 10.0 ** e
+        return lambda lo, hi: hi - lo > tol
+    if kind == "relative":
+        return lambda lo, hi: hi - lo > 10.0 ** e * max(abs(lo), abs(hi))
+    return lambda lo, hi: True
+
+
+def _replay_matches(h, lo, hi, wide, margin=0.0):
+    plain = plain_bisect(lambda x: h(x) > 0.0, lo, hi, wide)
+    assert levy.bisect(h, lo, hi, wide, margin=margin) == plain
+    assert levy.bisect(h, lo, hi, wide, h_lo=h(lo), h_hi=h(hi), margin=margin) == plain
+
+
+class TestBisectReplay:
+    """levy.bisect returns the float of the plain halving in tests/conftest.py."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(bracket=_BRACKETS, at=st.floats(-0.25, 1.25), k=st.floats(1e-3, 1e3),
+           shape=st.sampled_from(["linear", "square", "kinked", "step"]), wide=_WIDE)
+    def test_decreasing_h(self, bracket, at, k, shape, wide):
+        lo, hi = bracket
+        _replay_matches(_signed(shape, lo + at * (hi - lo), k), lo, hi, _wide(*wide, lo, hi))
+
+    @settings(max_examples=200, deadline=None)
+    @given(bracket=_BRACKETS, pick=st.floats(0.0, 1.0), k=st.floats(1e-3, 1e3), wide=_WIDE)
+    def test_root_at_a_midpoint_or_at_lo(self, bracket, pick, k, wide):
+        lo, hi = bracket
+        wide = _wide(*wide, lo, hi)
+        probes = [lo]
+        plain_bisect(lambda x: probes.append(x) or x < lo + 0.3 * (hi - lo), lo, hi, wide)
+        _replay_matches(_signed("linear", probes[int(pick * (len(probes) - 1))], k), lo, hi, wide)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bracket=_BRACKETS, at=st.floats(0.0, 1.0),
+           gaps=st.tuples(st.floats(-15.0, 0.0), st.floats(-15.0, 0.0)),
+           above=st.sampled_from([math.nan, -math.inf]), wide=_WIDE)
+    def test_h_not_finite_on_part_of_the_bracket(self, bracket, at, gaps, above, wide):
+        # +inf below the root, and nan or -inf above it, beyond gaps of 1e-15 to 1 of the way
+        # to the ends.
+        lo, hi = bracket
+        r = lo + at * (hi - lo)
+        below_at, above_at = r - 10.0 ** gaps[0] * (r - lo), r + 10.0 ** gaps[1] * (hi - r)
+        linear = _signed("linear", r, 1.0)
+
+        def h(x):
+            return math.inf if x < below_at else above if x > above_at else linear(x)
+
+        _replay_matches(h, lo, hi, _wide(*wide, lo, hi))
+
+    @settings(max_examples=200, deadline=None)
+    @given(bracket=_BRACKETS, at=st.floats(0.0, 1.0), k=st.floats(1e-3, 1e3),
+           noise=st.floats(-12.0, -2.0), wide=_WIDE)
+    def test_noisy_h_within_its_margin(self, bracket, at, k, noise, wide):
+        # h errs by up to delta, so its sign may flip within delta/k of the root.
+        lo, hi = bracket
+        r, delta = lo + at * (hi - lo), k * (hi - lo) * 10.0 ** noise
+        _replay_matches(lambda x: k * (r - x) + delta * _noise(x), lo, hi, _wide(*wide, lo, hi),
+                        margin=2.5 * delta / k)
+
+
+_FAMILIES = st.one_of(
+    st.floats(1e-3, 10.0).map(BinaryUniform),
+    st.tuples(st.floats(1e-3, 10.0), st.floats(0.5, 1.0, exclude_max=True)).map(
+        lambda t: BinaryPoint(*t)),
+    st.tuples(st.floats(1e-3, 10.0), st.floats(-3.0, 6.0)).map(
+        lambda t: BinaryBeta(t[0], 10.0 ** t[1])),
+    st.just(BinaryUniform(0.0)))
+
+
+class TestKappaRootReplay:
+    @settings(max_examples=300, deadline=None)
+    @given(model=_FAMILIES, theta_over=st.floats(-3.0, 2.0), lam=st.floats(-9.0, 4.0))
+    def test_equals_the_plain_halving(self, model, theta_over, lam):
+        theta = levy.phi_prime0(model) + 10.0 ** theta_over
+        lam = 10.0 ** lam
+        assert levy.kappa_root(model, theta, lam) == plain_kappa_root(model, theta, lam)
+
+    @pytest.mark.parametrize("model", [BinaryUniform(1.0), BinaryPoint(1.0, 0.7),
+                                       BinaryBeta(1.0, 0.5), BinaryBeta(1.0, 3.0)],
+                             ids=["uniform", "point0.7", "beta0.5", "beta3"])
+    def test_phi_calls_at_the_readme_constants(self, model, monkeypatch):
+        calls = []
+        phi = levy.phi
+        monkeypatch.setattr(levy, "phi", lambda *args: calls.append(args) or phi(*args))
+        levy.kappa_root(model, 1.0, 2.0)
+        assert len(calls) <= 12  # 43 by the plain halving
 
 
 class TestTilt:

@@ -13,7 +13,7 @@ from fragstop.levy import AssumptionError, BinaryUniform, DomainError
 from fragstop.streams import substream
 
 from conftest import (degenerate_sample, difference_generator_residual, path_average_check,
-                      rebuilt_residual_estimate, sweep_argmax, sweep_payoffs)
+                      plain_bisect_b_star, rebuilt_residual_estimate, sweep_argmax, sweep_payoffs)
 
 
 def make_degen(q=1.0, c=0.25, gamma=1.0, theta=1.0):
@@ -200,6 +200,72 @@ def assert_path_averages_agree(reference_curve):
         for a, b in zip(new.estimates + new.decrements, old.estimates + old.decrements):
             assert abs(a.value - b.value) <= 1e-3 * b.std_error
             assert a.std_error == pytest.approx(b.std_error, rel=1e-3)
+
+
+README_MODELS = {"uniform": BinaryUniform(1.0), "point": levy.BinaryPoint(1.0, 0.7),
+                 "beta": levy.BinaryBeta(1.0, 0.5), "none": BinaryUniform(0.0)}
+
+
+@functools.lru_cache(maxsize=None)
+def readme_solve(family: str, seed: int = 12345, n: int = 5000):
+    """(model, params, sample) of the README constants on `family`, q = 2 for `none`."""
+    model = README_MODELS[family]
+    params = levy.make_params(model, gamma=1.0, theta=1.0, q=2.0 if family == "none" else 1.0,
+                              c=0.25)
+    return model, params, expfun.draw_shared_sample(model, params, n, seed=seed)
+
+
+class TestReplayedBisection:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("family", list(README_MODELS))
+    def test_b_star_equals_the_plain_halving(self, family, seed):
+        _, params, sample = readme_solve(family, seed, 2000)
+        for rel_tol in (1e-16, 1e-6, 1e3):
+            assert (stopsolve.bisect_b_star(params, sample, rel_tol_b=rel_tol)
+                    == plain_bisect_b_star(params, sample, rel_tol))
+
+    def test_f_of_b_calls_at_the_readme_config(self, monkeypatch):
+        _, params, sample = readme_solve("uniform")
+        calls = []
+        f_of_b = expfun.f_of_b
+        monkeypatch.setattr(expfun, "f_of_b", lambda *args: calls.append(args) or f_of_b(*args))
+        stopsolve.bisect_b_star(params, sample)
+        assert len(calls) <= 12  # 23 by the plain halving
+
+    @staticmethod
+    def _power_mean_nodes(monkeypatch) -> list:
+        nodes = []
+        power_mean = stopsolve._power_mean_many
+
+        def counted(draws, z, p):
+            nodes.extend(z)
+            return power_mean(draws, z, p)
+
+        monkeypatch.setattr(stopsolve, "_power_mean_many", counted)
+        return nodes
+
+    def test_star_takes_no_power_mean_above_b_star(self, monkeypatch):
+        _, params, sample = readme_solve("uniform")
+        value = stopsolve.ValueFunction(params, sample, stopsolve.bisect_b_star(params, sample))
+        z = value.b_star * np.geomspace(0.1, 10.0, 29)
+        before = np.where(z > value.b_star, z, value.tilde(z))  # how star read the candidate
+        nodes = self._power_mean_nodes(monkeypatch)
+        assert value.star(z).tobytes() == before.tobytes()
+        assert nodes and max(nodes) <= value.b_star
+        assert value.star(2.0 * value.b_star) == 2.0 * value.b_star and max(nodes) <= value.b_star
+
+    def test_none_family_residuals_read_the_derivative_nodes_only(self, monkeypatch):
+        model, params, sample = readme_solve("none")
+        value = stopsolve.ValueFunction(params, sample, stopsolve.bisect_b_star(params, sample))
+        x = 0.5 * value.b_star
+        z, w = stopsolve.generator_rule(model, params, x)
+        before = float(w @ value.tilde(z))  # how the residual read the candidate
+        nodes = self._power_mean_nodes(monkeypatch)
+        assert stopsolve.generator_residual(model, params, value.tilde, x) == before
+        assert nodes == list(z[:3])
+        nodes.clear()
+        stopsolve.generator_residual_estimate(model, value, x)
+        assert len(nodes) == 4 * stopsolve.RESIDUAL_BATCHES  # and b* for the normalization
 
 
 class TestTildeCurve:

@@ -1,7 +1,7 @@
 """Run every command on seeded configs drawn over each key's range and its edges.
 
     python3 tools/fuzz_inputs.py [--configs 500] [--seed 0] [--timeout 60]
-                                 [--jobs 2]
+                                 [--jobs 2] [--base SRC]
 
 Config i is the i-th draw of one seeded generator, so a shorter run checks
 a prefix of a longer one.  Each config sets the required keys and some of
@@ -17,13 +17,17 @@ each run on it as `python -m fragstop.cli` in a subprocess, under
     `b_star` or `value_at_c` cell of a sweep's CSV;
   - its stderr holds anything but the one JSON error line of an exit
     2, 3 or 5 (warnings included);
-  - it runs past the time limit.
+  - it runs past the time limit;
+  - with --base SRC, the same command run again with the package imported
+    from SRC (say, the src directory of another checkout) differs in its
+    exit code, stdout, stderr or --out bytes.
 
 Each report line gives the config number, the command and what was seen;
 the config text follows.  The last line counts runs per command and exit
 code.  Exits 1 if anything was reported, else 0.  Run from the root of a
 checkout; the program is imported from ./src.  Not part of the test
-suite: 500 configs take about twenty minutes on 2 cores.
+suite: 500 configs take about twenty minutes on 2 cores, twice that with
+--base.
 """
 
 from __future__ import annotations
@@ -141,7 +145,19 @@ def _csv_nonfinite(text: str) -> bool:
     return any(not math.isfinite(float(cell)) for row in rows for cell in row[1:])
 
 
-def check_run(argv: list[str], config: str, timeout: float) -> tuple[int | str, list[str]]:
+def _run(cmd: list[str], src: Path, out: Path, timeout: float):
+    """(CompletedProcess, --out bytes or None) of one command, or None past the time limit."""
+    out.unlink(missing_ok=True)
+    try:
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=timeout,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+    except subprocess.TimeoutExpired:
+        return None
+    return proc, (out.read_bytes() if out.is_file() else None)
+
+
+def check_run(argv: list[str], config: str, timeout: float,
+              base: Path | None = None) -> tuple[int | str, list[str]]:
     """(exit code or "timeout", problems) of one command on one config."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "fuzz.cfg", Path(tmp) / "out"
@@ -149,12 +165,21 @@ def check_run(argv: list[str], config: str, timeout: float) -> tuple[int | str, 
         cmd = [sys.executable, "-m", "fragstop.cli", *argv, "--config", str(cfg)]
         if argv[0] in ("sweep", "simulate"):
             cmd += ["--out", str(out)]
-        try:
-            proc = subprocess.run(cmd, capture_output=True, text=True, timeout=timeout,
-                                  env={**os.environ, "PYTHONPATH": str(SRC)})
-        except subprocess.TimeoutExpired:
+        ran = _run(cmd, SRC, out, timeout)
+        if ran is None:
             return "timeout", [f"ran past the {timeout:g} s limit"]
+        proc, out_bytes = ran
         problems = []
+        if base is not None:
+            ran_base = _run(cmd, base, out, timeout)
+            if ran_base is None:
+                problems.append(f"the --base run ran past the {timeout:g} s limit")
+            else:
+                theirs, their_bytes = ran_base
+                problems += [f"differs from --base in its {name}" for name, mine, other in (
+                    ("exit code", proc.returncode, theirs.returncode),
+                    ("stdout", proc.stdout, theirs.stdout), ("stderr", proc.stderr, theirs.stderr),
+                    ("--out bytes", out_bytes, their_bytes)) if mine != other]
         if "Traceback" in proc.stderr:
             problems.append("traceback: " + proc.stderr.strip().splitlines()[-1])
         if proc.returncode not in OK_EXITS:
@@ -170,9 +195,11 @@ def check_run(argv: list[str], config: str, timeout: float) -> tuple[int | str, 
             try:
                 if _nonfinite(json.loads(proc.stdout)):
                     problems.append("nan or inf in the JSON output")
-                if argv[0] == "sweep" and _csv_nonfinite(out.read_text()):
+                if argv[0] == "sweep" and out_bytes is None:
+                    problems.append("unreadable output: the sweep wrote no CSV")
+                elif argv[0] == "sweep" and _csv_nonfinite(out_bytes.decode()):
                     problems.append("nan or inf in the sweep CSV")
-            except (ValueError, OSError) as exc:
+            except ValueError as exc:
                 problems.append(f"unreadable output: {exc}")
         return proc.returncode, problems
 
@@ -183,6 +210,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--timeout", type=float, default=60.0)
     parser.add_argument("--jobs", type=int, default=2)
+    parser.add_argument("--base", type=Path, default=None,
+                        help="also run each command with the package imported from this "
+                             "directory, and report any difference in its results")
     args = parser.parse_args(argv)
     if not 1 <= args.jobs <= 8:
         parser.error("--jobs must be between 1 and 8")
@@ -195,7 +225,7 @@ def main(argv=None) -> int:
 
     def one(run):
         _, config, cmd = run
-        return run, *check_run(cmd, config, args.timeout)
+        return run, *check_run(cmd, config, args.timeout, args.base)
 
     t0 = time.perf_counter()
     tally, reported = Counter(), 0
