@@ -25,7 +25,6 @@ from .harness import (
     ConfigError,
 )
 from .levy import AssumptionError, DomainError, InvalidModelError
-from .stopsolve import DivergenceError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,7 +111,7 @@ def main(argv=None) -> int:
     except (ConfigError, InvalidModelError) as exc:
         _fail("config", exc)
         return EXIT_CONFIG
-    except (AssumptionError, DomainError, DivergenceError) as exc:
+    except (AssumptionError, DomainError) as exc:
         _fail("assumption", exc)
         return EXIT_ASSUMPTION
     except BlockCapError as exc:

@@ -303,7 +303,7 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
     checks.append(_check("pasting_slope_gap", gaps.slope_gap, 0.02))
 
     for x, kind, star in ((0.5 * b_star, "tilde", False), (2.0 * b_star, "star", True)):
-        res = stopsolve.generator_residual_estimate(model, value, x, star=star)
+        res = stopsolve.generator_residual(model, value, x, star=star)
         checks.append(_check(
             f"generator_residual_{kind}", res.value,
             3.0 * res.std_error + 1e-6 * (1.0 + x), one_sided=star,

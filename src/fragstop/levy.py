@@ -131,11 +131,11 @@ def phi(model: DislocationModel, p: float) -> float:
 
     Strictly increasing and concave on (p_lower, inf) with phi(0) = 0.
     """
-    validate_model(model)
+    lower = p_lower(model)  # validates the model; -inf for the degenerate one
     if is_degenerate(model):
         return 0.0
-    if not p > p_lower(model):
-        raise DomainError(f"p = {p} is outside the domain (> {p_lower(model)})")
+    if not p > lower:
+        raise DomainError(f"p = {p} is outside the domain (> {lower})")
     return model.rate * (1.0 - split_power_mean(model, p))
 
 

@@ -38,7 +38,7 @@ POWER_MEAN_BUDGET = 1 << 16    # array elements per chunk in _power_mean_many (c
 SAMPLE_SE_DEGREE = 5        # degree of the path side's fit in _shared_sample_errors
 
 
-class DivergenceError(RuntimeError):
+class DivergenceError(AssumptionError):
     """Bracketing for the threshold equation failed to straddle the target."""
 
 
@@ -234,7 +234,11 @@ def solve_b_star(
     rel_tol_b: float = 1e-6,
     diagnostics: bool = True,
 ) -> SolverResult:
-    """`bisect_b_star`'s threshold with the value at c, f(b*) and, if asked, its diagnostics."""
+    """`bisect_b_star`'s threshold with the value at c, f(b*) and, if asked, its diagnostics.
+
+    The diagnostics' generator residuals are `generator_residual`'s one-batch
+    values: the candidate's at 0.2, 0.5 and 0.9 b*, the optimal value's at 2 b*.
+    """
     b_star = bisect_b_star(params, sample, rel_tol_b=rel_tol_b)
     value = ValueFunction(params, sample, b_star)
 
@@ -243,11 +247,10 @@ def solve_b_star(
         gaps = pasting_check(value)
         diag["pasting"] = {"value_gap": gaps.value_gap, "slope_gap": gaps.slope_gap}
         grid = [0.2 * b_star, 0.5 * b_star, 0.9 * b_star]
+        residual = functools.partial(generator_residual, model, value, batches=1)
         diag["generator_residual"] = {
-            "continuation": {f"{x:.6g}": generator_residual(model, params, value.tilde, x)
-                             for x in grid},
-            "stopping": {f"{2 * b_star:.6g}": generator_residual(model, params, value.star,
-                                                                 2.0 * b_star, kink=b_star)},
+            "continuation": {f"{x:.6g}": residual(x).value for x in grid},
+            "stopping": {f"{2 * b_star:.6g}": residual(2.0 * b_star, star=True).value},
         }
     return SolverResult(
         b_star=b_star,
@@ -296,7 +299,8 @@ def generator_rule(model: DislocationModel, params: ModelParams, x: float,
     point families.  In v, where 1 - s = v^4/2, the integrand is smooth enough
     for a fixed JUMP_NODES-point Gauss-Legendre rule on the nodes s^gamma x and
     (1-s)^gamma x, split where one crosses `kink`, if given.  The integral's
-    -f(x) and the -lam f(x) fold into the weight of x.
+    -f(x) and the -lam f(x) fold into the weight of x.  `generator_residual`
+    applies the rule to the value on the shared sample.
     """
     if x <= 0.0:
         raise DomainError(f"x must be > 0, got {x}")
@@ -323,44 +327,31 @@ def generator_rule(model: DislocationModel, params: ModelParams, x: float,
     return z, w
 
 
-def generator_residual(model: DislocationModel, params: ModelParams, value_fn, x: float, *,
-                       kink: float | None = None) -> float:
-    """(L - lam) value_fn at x, one dot product over `generator_rule`'s nodes.
+def generator_residual(model: DislocationModel, value: ValueFunction, x: float, *,
+                       star: bool = False, batches: int = RESIDUAL_BATCHES) -> MomentEstimate:
+    """(L - lam) of the candidate or, if star, the optimal value at x, with a batch-means error.
 
     For the candidate value the residual is zero in expectation at every
-    x > 0; for the optimal value it is nonpositive above b*.  value_fn takes
-    arrays, and kinks at `kink`, if given.  It is not called at nodes of
-    weight 0, such as every jump node of a family with rate 0; their terms
-    are 0.
-    """
-    z, w = generator_rule(model, params, x, kink)
-    weighted = w != 0.0
-    values = np.zeros(z.size)
-    values[weighted] = value_fn(z[weighted])
-    return float(w @ values)
-
-
-def generator_residual_estimate(model: DislocationModel, value: ValueFunction, x: float, *,
-                                star: bool = False) -> MomentEstimate:
-    """Generator residual of the candidate or, if star, the optimal value, with a batch-means error.
-
-    The shared sample is split into interleaved batches, b* held fixed.
-    Row k of one table holds batch k's power means at the rule's nodes and
-    at b*, its normalization, so batch k's residual is b* (row @ weights) /
+    x > 0; for the optimal value it is nonpositive above b*.  The shared
+    sample is split into `batches` interleaved batches, b* held fixed; at
+    batches = 1 the one batch is the whole sample, the residual `solve`
+    reports, with a standard error of 0.  Row k of one table holds batch
+    k's power means at `generator_rule`'s nodes and at b*, its
+    normalization, so batch k's residual is b* (row @ weights) /
     normalization, plus the exact part of the nodes above b*, where the
     optimal value is z.  The spread of the batch residuals propagates every
     Monte Carlo source through the derivative, the quadrature and the
-    normalization at once.  Columns of nodes of weight 0 hold 0, not power
-    means.
+    normalization at once.  Columns of nodes of weight 0, such as every
+    jump node of a family with rate 0, hold 0, not power means.
     """
     b_star = value.b_star
     z, w = generator_rule(model, value.params, x, kink=b_star if star else None)
     tilde = z <= b_star if star else np.ones(z.size, dtype=bool)
     nodes = np.append(z[tilde], b_star)
     weighted = np.append(w[tilde] != 0.0, True)
-    table = np.zeros((RESIDUAL_BATCHES, nodes.size))
-    for k in range(RESIDUAL_BATCHES):
-        table[k, weighted] = _power_mean_many(value.sample.draws[k::RESIDUAL_BATCHES],
+    table = np.zeros((batches, nodes.size))
+    for k in range(batches):
+        table[k, weighted] = _power_mean_many(value.sample.draws[k::batches],
                                               nodes[weighted], value.p)
     stopped = w[~tilde] @ z[~tilde]
     return MomentEstimate.of(b_star * (table[:, :-1] @ w[tilde]) / table[:, -1] + stopped)

@@ -184,9 +184,9 @@ def test_criterion_07_pasting_and_generator():
         assert np.mean(gaps_big) < np.mean(gaps_small), "gap did not shrink under 4x samples"
 
         for x in (0.2 * b, 0.5 * b, 0.9 * b):
-            est = stopsolve.generator_residual_estimate(REF_MODEL, value, x)
+            est = stopsolve.generator_residual(REF_MODEL, value, x)
             assert abs(est.value) <= 3.0 * est.std_error + 1e-6, f"x = {x}"
-        est = stopsolve.generator_residual_estimate(REF_MODEL, value, 2.0 * b, star=True)
+        est = stopsolve.generator_residual(REF_MODEL, value, 2.0 * b, star=True)
         assert est.value <= 3.0 * est.std_error + 1e-6
 
 

@@ -955,9 +955,13 @@ GOLDEN_SIMULATE = [
 # many-to-one functionals one cascade.  Only the Laplace, supermartingale and
 # fixed-time many-to-one entries moved, by Monte Carlo amounts; at these
 # sizes the martingale entries keep their bits.
+# The four solve digests were re-recorded once more when `solve`'s residuals
+# became the one-batch value of the batch table `verify` reads: only the
+# generator-residual entries moved, by rounding: at most 3.1e-12 absolute,
+# and 2.4e-10 relative except on the none family, whose exact residuals are 0.
 GOLDEN_SIZES = {"samples": 3000, "runs": 300}
 SWEEP_C_GRID = [0.1, 0.25, 0.5, 1.0]
-GOLDEN_SOLVE = "e20a495e42f254f9802c8a884b323b6fcc2d6a4a9707c146cf4be3dc7bc892f3"
+GOLDEN_SOLVE = "b42e631f346ddfb520f9962e9cdc3e42144feaa79767f12f26e042389d50b49d"
 GOLDEN_SWEEP_C = "987fe4a6858e24349e29ff99f35f2710b7b980b3bc49d5e6a84221d6dead0cdb"
 GOLDEN_VERIFY = "c11c02d6153b2a3162e44a8469643335e86dee6e65ddcc98b24a6787ab800d43"
 # The same `verify` with point splits (s0 = 0.7), the second config of the
@@ -969,11 +973,11 @@ GOLDEN_VERIFY_POINT = "d42c70302493918064b78f63fafee76adc0777f2657fb0b0b7f45e6e9
 GOLDEN_SOLVE_FAMILIES = [
     pytest.param("family = uniform\nrate = 1.0", GOLDEN_SOLVE, id="uniform"),
     pytest.param("family = point\nrate = 1.0\ns0 = 0.7",
-                 "1faf1531a9ecd2d4aa3e7698116ce2f988f208c51468a48c8ff39c98bc8813df", id="point"),
+                 "b5e80ddb17f3dd18f0b7bd116558389fecd1790bbc1f1c8e64cf12dbc315df48", id="point"),
     pytest.param("family = beta\nrate = 1.0\nshape = 0.5",
-                 "2acc4779e839349b37bcb1e2c8c469c14a9ec710ee948d9c0693c960cbf6d0a3", id="beta"),
+                 "037c8d510557a84c8747ee8a6c6d916e402536029345dd271619292ab3785b2a", id="beta"),
     pytest.param("family = none",
-                 "f7debfbc7145464f4f01904b43c35244eb1d3bfc66e457f3aaba64ccf0d83147", id="none"),
+                 "07504817a6c61c834db67cf5f3b6108865eb2e8e13e5a269d303f3abad56875b", id="none"),
 ]
 
 

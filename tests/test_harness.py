@@ -278,6 +278,14 @@ class TestSolveCommand:
         assert proc.stdout == ""
         assert json.loads(proc.stderr)["type"] == error_type
 
+    def test_unbracketed_sweep_is_an_assumption_error(self):
+        # The CLI and the benchmark's job loop catch the bracket's failure as
+        # an AssumptionError; its JSON type stays DivergenceError.
+        cfg = harness.with_overrides(parse_config_text(REF_CFG), q=10000.0, samples=100_000)
+        with pytest.raises(levy.AssumptionError) as info:
+            harness.cmd_sweep(cfg, "q", [1e300])
+        assert type(info.value) is stopsolve.DivergenceError
+
     def test_extreme_tilt_solves_quietly(self, tmp_path):
         # At gamma = 1000, q = 4000 the tilt leaves 4e-4 of the jump rate: the
         # rejection sampler it once used warned of its acceptance rate on a
@@ -554,6 +562,45 @@ class TestOneSimulationPerKind:
         harness.cmd_verify(cfg)
         assert calls == {"simulate_Z_at_times": 1, "simulate_Z_first_passage": 2,
                          "evolve_to_time": math.ceil(cfg.runs / fragsim.CHUNK_RUNS)}
+
+
+class TestOneGeneratorResidual:
+    """`stopsolve.generator_residual` is the one path to a generator residual: four
+    per solve with diagnostics, two per verify, and no call of `generator_rule`
+    outside it.  The traced metric `stopsolve.generator_residual.s` times it."""
+
+    @pytest.fixture()
+    def residuals(self, monkeypatch):
+        calls = {"generator_residual": 0, "generator_rule": 0, "rule_outside": 0}
+        inside = []
+        residual, rule = stopsolve.generator_residual, stopsolve.generator_rule
+
+        def counted_residual(*args, **kwargs):
+            calls["generator_residual"] += 1
+            inside.append(True)
+            try:
+                return residual(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def counted_rule(*args, **kwargs):
+            calls["generator_rule"] += 1
+            calls["rule_outside"] += not inside
+            return rule(*args, **kwargs)
+
+        monkeypatch.setattr(stopsolve, "generator_residual", counted_residual)
+        monkeypatch.setattr(stopsolve, "generator_rule", counted_rule)
+        return calls
+
+    def test_solve(self, residuals):
+        cfg = harness.with_overrides(parse_config_text(REF_CFG), samples=2000)
+        assert harness.cmd_solve(cfg)["diagnostics"]["generator_residual"]
+        assert residuals == {"generator_residual": 4, "generator_rule": 4, "rule_outside": 0}
+
+    def test_verify(self, residuals):
+        cfg = harness.with_overrides(parse_config_text(REF_CFG), samples=2000, runs=50)
+        harness.cmd_verify(cfg)
+        assert residuals == {"generator_residual": 2, "generator_rule": 2, "rule_outside": 0}
 
 
 class TestSweepCommand:

@@ -84,10 +84,20 @@ class TestPhi:
             )
 
     def test_domain_error_below_p_lower(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^p = -2.0 is outside the domain \(> -2.0\)$"):
             levy.phi(BinaryUniform(1.0), -2.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^p = -1.5 is outside the domain \(> -1.5\)$"):
             levy.phi(BinaryBeta(1.0, 0.5), -1.5)
+
+    @pytest.mark.parametrize("model", [BinaryUniform(1.0), BinaryPoint(1.0, 0.7),
+                                       BinaryBeta(1.0, 0.5), BinaryUniform(0.0)],
+                             ids=["uniform", "point", "beta", "none"])
+    def test_validates_once_per_call(self, model, monkeypatch):
+        calls = []
+        validate = levy.validate_model
+        monkeypatch.setattr(levy, "validate_model", lambda m: calls.append(m) or validate(m))
+        levy.phi(model, 1.0)
+        assert calls == [model]
 
     def test_invalid_models(self):
         with pytest.raises(InvalidModelError):

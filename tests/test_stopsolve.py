@@ -259,13 +259,16 @@ class TestReplayedBisection:
         value = stopsolve.ValueFunction(params, sample, stopsolve.bisect_b_star(params, sample))
         x = 0.5 * value.b_star
         z, w = stopsolve.generator_rule(model, params, x)
-        before = float(w @ value.tilde(z))  # how the residual read the candidate
+        terms = w * value.tilde(z)  # the rule over every node
         nodes = self._power_mean_nodes(monkeypatch)
-        assert stopsolve.generator_residual(model, params, value.tilde, x) == before
-        assert nodes == list(z[:3])
+        est = stopsolve.generator_residual(model, value, x, batches=1)
+        # The exact residual is 0: terms near 1e4 cancel, so the two sums agree
+        # to a few ulps of the terms, not of the result.
+        assert abs(est.value - terms.sum()) <= 1e-14 * np.abs(terms).sum()
+        assert nodes == [*z[:3], value.b_star]  # and b* for the normalization
         nodes.clear()
-        stopsolve.generator_residual_estimate(model, value, x)
-        assert len(nodes) == 4 * stopsolve.RESIDUAL_BATCHES  # and b* for the normalization
+        stopsolve.generator_residual(model, value, x)
+        assert len(nodes) == 4 * stopsolve.RESIDUAL_BATCHES
 
 
 class TestTildeCurve:
@@ -387,15 +390,19 @@ class TestGenerator:
                 fm, fx, fp = fn(np.array([x - h, x, x + h]))
                 ref = ((1.0 + params.gt * x) * (fp - fm) / (2.0 * h) - params.lam * fx
                        + quad_jump_term(model, params, fn, x, fx, kink))
-                new = stopsolve.generator_residual(model, params, fn, x, kink=kink)
-                assert abs(new - ref) <= QUAD_TOL
+                z, w = stopsolve.generator_rule(model, params, x, kink)
+                assert abs(w @ fn(z) - ref) <= QUAD_TOL
+                est = stopsolve.generator_residual(model, value, x, star=kink is not None,
+                                                   batches=1)
+                assert abs(est.value - ref) <= QUAD_TOL
 
     @pytest.mark.parametrize("model", [BinaryUniform(1.0), levy.BinaryPoint(1.0, 0.7),
                                        levy.BinaryBeta(1.0, 0.5), levy.BinaryBeta(1.0, 3.0)],
                              ids=["uniform", "point", "beta0.5", "beta3"])
     def test_rule_matches_difference_reference(self, model):
-        # One dot product over the rule's nodes, and the batch table, against
-        # the finite difference plus jump term and the per-batch rebuilds.
+        # One dot product over the rule's nodes, and the batch table at one
+        # batch and at RESIDUAL_BATCHES, against the finite difference plus
+        # jump term and the per-batch rebuilds.
         params = levy.make_params(model, gamma=1.0, theta=1.0, q=1.0, c=0.25)
         sample = expfun.draw_shared_sample(model, params, 3000, seed=12345)
         b = stopsolve.bisect_b_star(params, sample)
@@ -403,10 +410,12 @@ class TestGenerator:
         for x, star in ((0.2 * b, False), (0.5 * b, False), (0.9 * b, False),
                         (1.5 * b, True), (2.0 * b, True), (4.0 * b, True)):
             fn, kink = (value.star, b) if star else (value.tilde, None)
-            new = stopsolve.generator_residual(model, params, fn, x, kink=kink)
+            z, w = stopsolve.generator_rule(model, params, x, kink)
             ref = difference_generator_residual(model, params, fn, x, kink=kink)
-            assert abs(new - ref) <= 1e-9 * abs(ref)
-            est = stopsolve.generator_residual_estimate(model, value, x, star=star)
+            assert abs(w @ fn(z) - ref) <= 1e-9 * abs(ref)
+            one = stopsolve.generator_residual(model, value, x, star=star, batches=1)
+            assert abs(one.value - ref) <= 1e-9 * abs(ref)
+            est = stopsolve.generator_residual(model, value, x, star=star)
             ref_est = rebuilt_residual_estimate(model, params, sample, b, x, star=star)
             assert abs(est.value - ref_est.value) <= 1e-9 * abs(ref_est.value)
             # On point splits at 4 b* every node lies above b*, where the value
@@ -416,14 +425,17 @@ class TestGenerator:
     def test_identity_function_residual(self):
         model, params, _ = make_degen(q=1.0)
         for x in (0.5, 1.0, 3.0):
-            res = stopsolve.generator_residual(model, params, lambda z: z, x)
-            assert res == pytest.approx(1.0 - params.q * x, abs=1e-9)
+            z, w = stopsolve.generator_rule(model, params, x)
+            assert w @ z == pytest.approx(1.0 - params.q * x, abs=1e-9)
 
     def test_degenerate_candidate_residual_zero(self):
         model, params, sample = make_degen()
-        fn = lambda z: stopsolve.value_tilde(params, sample, 1.0, z)
+        value = stopsolve.ValueFunction(params, sample, 1.0)
         for x in (0.2, 0.5, 0.9):
-            assert stopsolve.generator_residual(model, params, fn, x) == pytest.approx(0.0, abs=1e-9)
+            z, w = stopsolve.generator_rule(model, params, x)
+            assert w @ value.tilde(z) == pytest.approx(0.0, abs=1e-9)
+            est = stopsolve.generator_residual(model, value, x, batches=1)
+            assert est.value == pytest.approx(0.0, abs=1e-9)
 
     def test_reference_candidate_residual_within_noise(
         self, ref_model, ref_params, ref_sample, ref_solved
@@ -431,7 +443,7 @@ class TestGenerator:
         b = ref_solved.b_star
         value = stopsolve.ValueFunction(ref_params, ref_sample, b)
         for x in (0.2 * b, 0.5 * b, 0.9 * b):
-            est = stopsolve.generator_residual_estimate(ref_model, value, x)
+            est = stopsolve.generator_residual(ref_model, value, x)
             assert abs(est.value) <= 3.0 * est.std_error + 1e-6
 
     def test_reference_stopping_region_nonpositive(
@@ -439,13 +451,16 @@ class TestGenerator:
     ):
         b = ref_solved.b_star
         value = stopsolve.ValueFunction(ref_params, ref_sample, b)
-        est = stopsolve.generator_residual_estimate(ref_model, value, 2.0 * b, star=True)
+        est = stopsolve.generator_residual(ref_model, value, 2.0 * b, star=True)
         assert est.value <= 3.0 * est.std_error
         assert est.value < -0.1  # strictly inside the stopping region
 
-    def test_rejects_nonpositive_x(self, ref_model, ref_params):
+    def test_rejects_nonpositive_x(self, ref_model, ref_params, ref_sample, ref_solved):
         with pytest.raises(DomainError):
-            stopsolve.generator_residual(ref_model, ref_params, lambda z: z, 0.0)
+            stopsolve.generator_rule(ref_model, ref_params, 0.0)
+        value = stopsolve.ValueFunction(ref_params, ref_sample, ref_solved.b_star)
+        with pytest.raises(DomainError):
+            stopsolve.generator_residual(ref_model, value, 0.0)
 
 
 class TestLaplaceIdentity:
