@@ -2,19 +2,21 @@
 
 The state is a finite set of blocks; each live block independently splits at
 the family rate into two fragments whose masses sum to the parent's exactly.
-Alongside its mass and birth time every block carries, exactly,
+Alongside its mass and birth time every block carries, exactly, its premium
 
-  accrued  -- the premium integral of e^{-gamma*theta*s} * mass(s)^(-gamma)
-              along its ancestral line, with e^{-gamma*theta*born}, where
-              its next accrual starts, and, on statistic lines only,
-  zeta     -- the per-block stopping statistic
-              e^{gamma*theta*t} * mass^gamma * (accrued + c),
+  eta = mass^gamma * (accrued + c),
 
-which between splits obeys the same linear ODE as the single-lineage premium
-process Z (d zeta/dt = 1 + gamma*theta*zeta) and at a split is multiplied by
-fragment_share^gamma.  Its advances and threshold crossings therefore are
-Z's closed forms, `pathsim.z_advance` and `pathsim.z_crossing_dt`, and the
-statistic along a size-biased lineage reproduces Z exactly.
+where accrued is the integral of e^{-gamma*theta*s} * mass(s)^(-gamma) along
+its ancestral line, and e^{-gamma*theta*born}, where its next accrual
+starts.  Between splits eta gains (e^{-gamma*theta*born} -
+e^{-gamma*theta*t}) / (gamma*theta), and at a split it is multiplied by
+fragment_share^gamma.  The stopping statistic is
+zeta = e^{gamma*theta*t} * eta, which obeys the linear ODE of the
+single-lineage premium process Z (d zeta/dt = 1 + gamma*theta*zeta); its
+threshold crossings therefore are Z's closed form `pathsim.z_crossing_dt`,
+and the statistic along a size-biased lineage reproduces Z exactly.  A
+frozen block pays mass * eta * e^{-q*l}, so no split, freeze or payoff
+raises a mass to a power; only `FrozenBlocks.accrued` does.
 
 Stopping lines freeze blocks at per-block times measurable with respect to
 the block's own history; both children of a split inherit the parent's
@@ -43,7 +45,7 @@ from typing import Union
 import numpy as np
 
 from . import levy, pathsim
-from .levy import DislocationModel, DomainError, InvalidModelError, ModelParams
+from .levy import DislocationModel, InvalidModelError, ModelParams
 from .expfun import MomentEstimate
 from .streams import run_key, substream
 
@@ -72,8 +74,9 @@ class OptimalStatistic:
 
     literal=False uses zeta (the statistic that equals Z along a tagged
     lineage).  literal=True drops the e^{gamma*theta*t} factor, i.e. uses
-    mass^gamma * (accrued + c); that variant may never fire on a branch, in
-    which case the branch contributes zero payoff and is closed exactly.
+    the premium eta = mass^gamma * (accrued + c) itself; that variant may
+    never fire on a branch, in which case the branch contributes zero payoff
+    and is closed exactly.
     """
 
     b: float
@@ -121,24 +124,36 @@ class FrozenBlocks:
     """The frozen blocks of a set of runs, from the engine in generation order.
 
     `grouped` sorts them by run, stably.  `run` indexes the keys the runs
-    started from.  A block that the literal statistic can never freeze has
-    frozen_at = inf and accrued = nan.
+    started from, and `premium` is each block's eta = mass^gamma *
+    (accrued + c) at its freeze.  A block that the literal statistic can
+    never freeze has frozen_at = inf.
     """
 
     run: np.ndarray
     mass: np.ndarray
-    accrued: np.ndarray
+    premium: np.ndarray
     frozen_at: np.ndarray
     dust_frozen: int
     partial: int
 
     def contributions(self, params: ModelParams) -> np.ndarray:
-        """Frozen payoffs (accrued + c) * mass^(1+gamma) * e^{-q*l}; 0 where the line never fired."""
+        """Frozen payoffs mass * eta * e^{-q*l}; 0 where the line never fired."""
         fired = np.isfinite(self.frozen_at)
         out = np.zeros(self.mass.size)
-        out[fired] = ((self.accrued[fired] + params.c) * self.mass[fired] ** (1.0 + params.gamma)
+        out[fired] = (self.mass[fired] * self.premium[fired]
                       * np.exp(-params.q * self.frozen_at[fired]))
         return out
+
+    def accrued(self, params: ModelParams) -> np.ndarray:
+        """Each block's premium integral eta * mass^(-gamma) - c.
+
+        It is inf where mass^(-gamma) passes the float range or mass is 0,
+        and nan where the line never fired.
+        """
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            scale = self.mass ** -params.gamma
+            accrued = np.where(np.isinf(scale), np.inf, self.premium * scale - params.c)
+        return np.where(np.isfinite(self.frozen_at), accrued, np.nan)
 
     @staticmethod
     def grouped(chunks) -> FrozenBlocks:
@@ -150,7 +165,7 @@ class FrozenBlocks:
         def cat(field):
             return np.concatenate([getattr(p, field) for _, p in parts])[order]
 
-        return FrozenBlocks(run[order], cat("mass"), cat("accrued"), cat("frozen_at"),
+        return FrozenBlocks(run[order], cat("mass"), cat("premium"), cat("frozen_at"),
                             sum(p.dust_frozen for _, p in parts), sum(p.partial for _, p in parts))
 
 
@@ -168,27 +183,27 @@ class _OverBudget(Exception):
 def _line_times(line: StoppingLine, params: ModelParams, state: np.ndarray):
     """Each live block's own line time: a float on a fixed-time line, else an array.
 
-    The literal statistic's time is inf on a branch it can never freeze:
-    eta(t) = e^{-gt t} zeta(t) increases toward the cap K = (zeta_birth + m)
-    e^{-gt born}, m = 1/gt, and caps only shrink at splits, so K <= b closes
-    the whole subtree exactly.
+    The statistic line's zeta at birth is eta / e^{-gt born}.  The literal
+    statistic eta is inf on a branch it can never freeze: eta(t) increases
+    toward the cap K = eta_birth + m e^{-gt born}, m = 1/gt, and caps only
+    shrink at splits, so K <= b closes the whole subtree exactly.
     """
     if isinstance(line, FixedTime):
         return line.t
-    mass, born = state[0], state[1]
+    mass, born, eta, decay = state
     if isinstance(line, MassBelow):
         return np.where(mass <= line.a, born, np.inf)
     gt = params.gt
     if not line.literal:
-        return born + pathsim.z_crossing_dt(state[4], line.b, gt)
-    m, decay = 1.0 / gt, state[3]
-    cap = (state[4] + m) * decay
-    return np.where(cap - m * decay >= line.b, born,
+        return born + pathsim.z_crossing_dt(eta / decay, line.b, gt)
+    m = 1.0 / gt
+    cap = eta + m * decay
+    return np.where(eta >= line.b, born,
                     np.where(cap <= line.b, np.inf, -np.log((cap - line.b) / m) / gt))
 
 
-# Overflow gives inf and 0 * inf gives nan silently, as with Python floats:
-# a statistic that overflows is beyond every threshold.
+# zeta = eta / e^{-gt born} is inf where e^{-gt born} underflows to 0, and
+# nan where eta does too; either is past every threshold, silently.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def run_stopping_line(
     model: DislocationModel,
@@ -210,32 +225,22 @@ def run_stopping_line(
     and counted as partial.  A literal statistic line may close a branch
     that can never fire; such a block is stored with frozen_at = inf and
     contributes zero payoff.  A run that creates more than block_cap blocks
-    raises BlockCapError, and a frozen block whose accrued premium
-    overflowed (mass^(-gamma) past the float range, at large gamma) raises
-    DomainError.  The blocks come in generation order.
+    raises BlockCapError.  The blocks come in generation order.
 
-    Each live block is a column of one state array, with rows mass, birth
-    time, accrued premium, e^{-gamma*theta*born} and, on statistic lines
-    only, zeta.  Between splits the premium accrues as
-    mass^(-gamma) * (e^{-gt*born} - e^{-gt*t}) / gt; a split computes
-    e^{-gt*t} once, and it becomes both children's e^{-gt*born}.  Both
-    children inherit the parent's accrued premium; zeta is advanced to the
-    split and scaled by each child's share^gamma.
+    Each live block is a column of one state array, with the same rows on
+    every line: mass, birth time, eta and e^{-gamma*theta*born}.  A split
+    computes e^{-gt*t} once, and it becomes both children's e^{-gt*born}.
     """
     if levy.is_degenerate(model):
         raise InvalidModelError("the fragmentation simulator requires rate > 0")
     if isinstance(line, FixedTime) and line.t > horizon:
         raise InvalidModelError(f"line time {line.t} exceeds the horizon {horizon}")
-    statistic = isinstance(line, OptimalStatistic)
-    literal = statistic and line.literal
-    gamma, gt = params.gamma, params.gt
+    literal = isinstance(line, OptimalStatistic) and line.literal
+    gt = params.gt
     n_runs = len(keys)
     run = np.arange(n_runs)
     h = np.asarray(keys, dtype=np.uint64)
-    state = np.zeros((5 if statistic else 4, n_runs))
-    state[[0, 3]] = 1.0
-    if statistic:
-        state[4] = params.c
+    state = np.repeat([[1.0], [0.0], [params.c], [1.0]], n_runs, axis=1)
     parts = []
     dust = partial = 0
     created = np.ones(n_runs, dtype=np.int64)  # blocks each run has made
@@ -262,15 +267,10 @@ def run_stopping_line(
             freeze = line_t <= split_t
 
         f = np.flatnonzero(freeze)
-        # Rows mass, birth time (overwritten by the freeze time), accrued, e^{-gt*born}.
-        frozen = np.take(state[:4], f, axis=1)
+        # Rows mass, birth time (overwritten by the freeze time), eta, e^{-gt*born}.
+        frozen = np.take(state, f, axis=1)
         frozen[1] = line_t[f] if np.ndim(line_t) else line_t
-        gain = frozen[0] ** -gamma * (frozen[3] - np.exp(-gt * frozen[1])) / gt
-        if rare:
-            frozen[2] = np.where(is_dust[f], frozen[2],
-                                 np.where(never[f], np.nan, frozen[2] + gain))
-        else:
-            frozen[2] += gain
+        frozen[2] += (frozen[3] - np.exp(-gt * frozen[1])) / gt
         parts.append((run[f], frozen[:3]))
 
         s = np.flatnonzero(~freeze)
@@ -283,11 +283,8 @@ def run_stopping_line(
         state, h = _children(model, params, np.take(state, s, axis=1), split_t[s], u_share[s],
                              h[s])
     run = np.concatenate([r for r, _ in parts])
-    mass, frozen_at, accrued = np.concatenate([b for _, b in parts], axis=1)
-    if not (np.isfinite(accrued) | np.isinf(frozen_at)).all():
-        raise DomainError(f"a block's accrued premium overflows: mass^(-gamma) passes the "
-                          f"float range at gamma = {gamma}, and its payoff would be nan")
-    return FrozenBlocks(run, mass, accrued, frozen_at, dust, partial)
+    mass, frozen_at, eta = np.concatenate([b for _, b in parts], axis=1)
+    return FrozenBlocks(run, mass, eta, frozen_at, dust, partial)
 
 
 def _children(model, params, parents, t, u_share, h):
@@ -295,22 +292,17 @@ def _children(model, params, parents, t, u_share, h):
 
     The children of parent j are columns 2j and 2j + 1, with shares
     (share, 1 - share) from the split law at u_share.  Each child repeats
-    its parent's row of the split time, the accrued premium advanced to it,
-    e^{-gt*t} and, on statistic lines, zeta advanced to it; then the shares
-    scale the mass and share^gamma scales zeta.
+    its parent's row of the split time, eta advanced to it and e^{-gt*t};
+    then the shares scale the mass and share^gamma scales eta.
     """
-    gamma, gt = params.gamma, params.gt
-    mass, born, acc, decay = parents[:4]
+    gt = params.gt
+    mass, _, eta, decay = parents
     share = levy.split_quantile(model, u_share)
     shares = np.column_stack([share, 1.0 - share]).ravel()
     e = np.exp(-gt * t)
-    rows = [mass, t, acc + mass ** -gamma * (decay - e) / gt, e]
-    if len(parents) > 4:
-        rows.append(pathsim.z_advance(parents[4], t - born, gt))
-    kids = np.repeat(rows, 2, axis=1)
+    kids = np.repeat([mass, t, eta + (decay - e) / gt, e], 2, axis=1)
     kids[0] *= shares
-    if len(parents) > 4:
-        kids[4] *= shares ** gamma
+    kids[2] *= shares ** params.gamma
     return kids, _block_words(h, _CHILDREN).T.ravel()
 
 
@@ -391,7 +383,7 @@ def ensemble_payoffs(
 
 # --- statistical identities -------------------------------------------------------
 
-# Cap on the accrued premium in the stopping-line identity's test functional.
+# Cap on accrued + c in the stopping-line identity's test functional.
 LINE_CAP = 1e6
 
 @dataclass(frozen=True)
@@ -438,20 +430,23 @@ def many_to_one_stopping_line(
 ) -> ManyToOneResult:
     """Block-average identity over the first-passage-of-mass stopping line.
 
-    The tested functional is f(accrued, l) = e^{-q l} * min(accrued, LINE_CAP)
-    (capped so it is bounded, as the identity requires).  lhs runs the full
-    cascade with the line mass <= a and engine keywords `engine`; rhs
-    follows a single size-biased lineage to the same passage.  Both stop at
-    the engine's `horizon`, so the two sides keep one stopping line.
+    The tested functional is f(accrued, l) = e^{-q l} * min(accrued + c, LINE_CAP),
+    capped so it is bounded, as the identity requires.  It reads accrued + c,
+    which the cascade knows to a few ulps, where accrued alone it knows only
+    to a few ulps of accrued + c.  lhs runs the full cascade with the line
+    mass <= a and engine keywords `engine`; rhs follows a single size-biased
+    lineage to the same passage.  Both stop at the engine's `horizon`, so the
+    two sides keep one stopping line.
     """
     if not 0.0 < a <= 1.0:
         raise InvalidModelError(f"mass threshold must be in (0, 1], got {a}")
     lhs_vals, = _run_sums(
         functools.partial(run_stopping_line, model, params, MassBelow(a), **engine),
         run_key(master_seed, "m21-line-frag", n_runs),
-        lambda b: b.mass * np.exp(-params.q * b.frozen_at) * np.minimum(b.accrued, LINE_CAP))
+        lambda b: (b.mass * np.exp(-params.q * b.frozen_at)
+                   * np.minimum(b.accrued(params) + params.c, LINE_CAP)))
     ell, acc = pathsim.simulate_tagged_mass_passage(
         model, params, a, n_runs, substream(master_seed, "m21-line-tag"),
         engine.get("horizon", math.inf))
-    rhs_vals = np.exp(-params.q * ell) * np.minimum(acc, LINE_CAP)
+    rhs_vals = np.exp(-params.q * ell) * np.minimum(acc + params.c, LINE_CAP)
     return ManyToOneResult(MomentEstimate.of(lhs_vals), MomentEstimate.of(rhs_vals))

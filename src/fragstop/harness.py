@@ -459,7 +459,7 @@ def cmd_simulate(cfg: RunConfig, line_spec: str, literal: bool = False) -> tuple
     csv_text = format_csv(
         "blocks",
         ["run", "mass", "accrued", "freeze_time", "payoff_contribution"],
-        [blocks.run, blocks.mass, blocks.accrued, blocks.frozen_at, result.contributions],
+        [blocks.run, blocks.mass, blocks.accrued(params), blocks.frozen_at, result.contributions],
     )
     summary = {
         "schema": SCHEMA, "command": "simulate", "config": cfg.echo(),

@@ -200,17 +200,18 @@ def kappa_root(model: DislocationModel, theta: float, lam: float) -> float:
     if lam < 0.0:
         raise DomainError(f"lam must be >= 0, got {lam}")
     lo, hi = 0.0, (lam + model.rate) / theta
-    f_hi = psi(model, theta, hi) - lam
-    if f_hi < -KAPPA_TOL * theta:
-        raise AssumptionError(
-            f"bisection bracket failed: psi({hi}) = {f_hi + lam} < lam = {lam}; "
-            "the model violates the standing drift assumptions"
-        )
     ulps = 1.0
     if isinstance(model, BinaryBeta):
         x = 2.0 * model.shape + 1.0 + hi
         ulps += 4.0 * x * (1.0 + math.log(x))
     psi_error = 16.0 * math.ulp(1.0) * (theta * hi + model.rate * ulps)
+    f_hi = psi(model, theta, hi) - lam
+    # psi(hi) >= lam exactly, so only rounding makes f_hi negative on a valid model.
+    if f_hi < -max(KAPPA_TOL * theta, psi_error):
+        raise AssumptionError(
+            f"bisection bracket failed: psi({hi}) = {f_hi + lam} < lam = {lam}; "
+            "the model violates the standing drift assumptions"
+        )
     return bisect(lambda u: lam - psi(model, theta, u), lo, hi,
                   lambda lo, hi: hi - lo > KAPPA_TOL,
                   h_lo=lam, h_hi=-f_hi, margin=2.0 * psi_error * hi / lam)

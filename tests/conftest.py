@@ -108,7 +108,7 @@ def materialised_run_sums(engine, keys, weights) -> np.ndarray:
             size = len(chunk) // 2
             continue
         order = np.argsort(blocks.run, kind="stable")
-        parts.append((blocks.run[order] + start, blocks.mass[order], blocks.accrued[order],
+        parts.append((blocks.run[order] + start, blocks.mass[order], blocks.premium[order],
                       blocks.frozen_at[order]))
         start += len(chunk)
     table = fragsim.FrozenBlocks(*(np.concatenate(x) for x in zip(*parts)), 0, 0)

@@ -17,7 +17,7 @@ from fragstop import fragsim, harness, levy, pathsim
 from fragstop.cli import main
 from fragstop.expfun import MomentEstimate
 from fragstop.fragsim import BlockCapError, FixedTime, FrozenBlocks, MassBelow, OptimalStatistic
-from fragstop.levy import BinaryBeta, BinaryPoint, BinaryUniform, DomainError, InvalidModelError
+from fragstop.levy import BinaryBeta, BinaryPoint, BinaryUniform, InvalidModelError
 from fragstop.streams import run_key
 
 from conftest import (materialised_run_sums, reference_run_key, scalar_first_passage,
@@ -31,11 +31,11 @@ def point_params(c=0.25):
     return model, levy.make_params(model, gamma=1.0, theta=1.0, q=1.0, c=c)
 
 
-def block_rows(res) -> list[tuple]:
+def block_rows(res, params) -> list[tuple]:
     """(run, mass, accrued, freeze_time, contribution) of each frozen block of an ensemble."""
     b = res.blocks
-    return list(zip(b.run.tolist(), b.mass.tolist(), b.accrued.tolist(), b.frozen_at.tolist(),
-                    res.contributions.tolist()))
+    return list(zip(b.run.tolist(), b.mass.tolist(), b.accrued(params).tolist(),
+                    b.frozen_at.tolist(), res.contributions.tolist()))
 
 
 class TestStep:
@@ -73,7 +73,8 @@ class TestStep:
 class TestStoppingLines:
     def test_fixed_time_zero(self, ref_model, ref_params):
         frozen = fragsim.run_stopping_line(ref_model, ref_params, FixedTime(0.0), [KEY])
-        assert (frozen.mass.tolist(), frozen.frozen_at.tolist(), frozen.accrued.tolist()) == (
+        assert (frozen.mass.tolist(), frozen.frozen_at.tolist(),
+                frozen.accrued(ref_params).tolist()) == (
             [1.0], [0.0], [0.0])
         assert frozen.contributions(ref_params).tolist() == [ref_params.c]
 
@@ -92,26 +93,34 @@ class TestStoppingLines:
         )
         assert frozen.dust_frozen == 0 and frozen.partial == 0
         stat = np.exp(ref_params.gt * frozen.frozen_at) * frozen.mass**ref_params.gamma * (
-            frozen.accrued + ref_params.c
+            frozen.accrued(ref_params) + ref_params.c
         )
         np.testing.assert_allclose(stat, b, rtol=1e-10)
 
-    def test_zeta_accrued_consistency(self, ref_params):
-        # Eight generations of splits through the engine's arithmetic (the
-        # masked engine's helpers, bit-equal to it by TestLeanEngine): zeta
-        # must equal e^{gt t} mass^gamma (accrued + c) on every block.
+    def test_zeta_accrued_consistency(self, ref_model, ref_params):
+        # Eight generations of splits through the engine's `_children` and
+        # the masked engine's helpers, on the same split times and shares:
+        # the engine's eta must equal mass^gamma (accrued + c), and
+        # e^{gt t} eta the masked engine's zeta, on every block.
         rng = np.random.default_rng(2)
+        gt = ref_params.gt
+        state = np.array([[1.0], [0.0], [ref_params.c], [1.0]])
         mass, born, acc, zeta = np.ones(1), np.zeros(1), np.zeros(1), np.full(1, ref_params.c)
         for _ in range(8):
             t = born + rng.exponential(size=mass.size)
-            share = 0.5 * (1.0 + rng.random(mass.size))
-            mass, born, acc, zeta = split_blocks(ref_params, mass, born, acc, zeta, t, share)
-        t = born + 0.7
-        recon = np.exp(ref_params.gt * t) * mass**ref_params.gamma * (
-            accrued_at(ref_params, mass, born, acc, t) + ref_params.c
-        )
+            u = rng.random(mass.size)
+            state, _ = fragsim._children(ref_model, ref_params, state, t, u,
+                                         np.zeros(mass.size, dtype=np.uint64))
+            mass, born, acc, zeta = split_blocks(ref_params, mass, born, acc, zeta, t,
+                                                 levy.split_quantile(ref_model, u))
+        assert np.array_equal(state[0], mass) and np.array_equal(state[1], born)
         assert mass.size == 256 and mass.sum() == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(pathsim.z_advance(zeta, t - born, ref_params.gt), recon,
+        t = born + 0.7
+        eta = state[2] + (state[3] - np.exp(-gt * t)) / gt
+        np.testing.assert_allclose(
+            eta, mass**ref_params.gamma * (accrued_at(ref_params, mass, born, acc, t) + ref_params.c),
+            rtol=1e-13)
+        np.testing.assert_allclose(np.exp(gt * t) * eta, pathsim.z_advance(zeta, t - born, gt),
                                    rtol=1e-11)
 
     def test_horizon_flags_partial(self, ref_model, ref_params):
@@ -155,13 +164,18 @@ class TestStoppingLines:
             masked_stopping_line(ref_model, ref_params, line, keys, block_cap=cap)
         assert str(masked.value) == message
 
-    def test_overflowing_premium_is_a_domain_error(self):
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_mass_power_reads_inf(self):
         # At gamma = 1000, mass^(-gamma) overflows on blocks lighter than about
-        # 0.49; such payoffs were inf * 0 = nan.
+        # 0.49.  The engine never forms it: payoffs stay finite, and only the
+        # derived accrued column reads inf, never nan, and warns of nothing.
         params = levy.make_params(BinaryUniform(1.0), gamma=1000.0, theta=1.0, q=1.0, c=0.25)
-        with pytest.raises(DomainError, match="accrued premium overflows"):
-            fragsim.run_stopping_line(BinaryUniform(1.0), params, MassBelow(0.05),
-                                      run_key(0, "test", 8))
+        frozen = fragsim.run_stopping_line(BinaryUniform(1.0), params, MassBelow(0.05),
+                                           run_key(0, "test", 8))
+        assert np.isfinite(frozen.frozen_at).all()
+        assert np.isfinite(frozen.contributions(params)).all()
+        accrued = frozen.accrued(params)
+        assert np.isinf(accrued).all() and (accrued > 0).all()
 
     def test_block_cap_counts_each_run(self, ref_model, ref_params):
         # A run that split k times made 2k + 1 blocks: a cap at the largest
@@ -178,9 +192,9 @@ class TestStoppingLines:
 def tagged_walk(model, params, line, rng) -> list[tuple[float, float]]:
     """(time, zeta) of one size-biased lineage at birth, every split and its freeze.
 
-    The lineage's blocks go through the engine's freeze times and split
-    arithmetic (the masked engine's helpers, bit-equal to the engine by
-    TestLeanEngine), on length-1 arrays.  Each block draws its holding time, then
+    The lineage's blocks go through the masked engine's freeze times and
+    split arithmetic (TestLeanEngine matches the engine to them), on
+    length-1 arrays.  Each block draws its holding time, then
     its split share, then the size-biased pick of the child to follow, all
     from `rng`: the draw order of the single-lineage premium process, jump
     by jump.
@@ -241,18 +255,22 @@ class TestPayoff:
         )
         acc_parent = -math.expm1(-u)  # integral of e^{-s} ds over [0, u)
         np.testing.assert_allclose(acc, acc_parent, rtol=1e-12)
-        frozen = FrozenBlocks(np.zeros(2, dtype=int), mass,
-                              accrued_at(params, mass, born, acc, t), np.full(2, t), 0, 0)
+        eta = mass**params.gamma * (accrued_at(params, mass, born, acc, t) + params.c)
+        frozen = FrozenBlocks(np.zeros(2, dtype=int), mass, eta, np.full(2, t), 0, 0)
         acc_child = acc_parent + 2.0 * (math.exp(-u) - math.exp(-t))
         expected = 2.0 * (acc_child + params.c) * 0.5**2 * math.exp(-t)
         assert frozen.contributions(params).sum() == pytest.approx(expected, rel=1e-12)
 
     def test_never_fired_block_pays_nothing(self, ref_params):
+        # Premium 0.5 * (0.1 + c) at mass 0.5 and gamma = 1: accrued 0.1.
+        eta = 0.5 * (0.1 + ref_params.c)
         frozen = FrozenBlocks(np.zeros(2, dtype=int), np.array([0.5, 0.5]),
-                              np.array([np.nan, 0.1]), np.array([np.inf, 1.0]), 0, 0)
+                              np.array([eta, eta]), np.array([np.inf, 1.0]), 0, 0)
         contrib = frozen.contributions(ref_params)
         assert contrib[0] == 0.0
         assert contrib[1] == pytest.approx((0.1 + ref_params.c) * 0.25 * math.exp(-1.0))
+        accrued = frozen.accrued(ref_params)
+        assert math.isnan(accrued[0]) and accrued[1] == pytest.approx(0.1)
 
 
 class TestEnsembles:
@@ -278,8 +296,8 @@ class TestEnsembles:
         # split times and shares give the same block, bit for bit.
         coarse = fragsim.ensemble_payoffs(ref_model, ref_params, MassBelow(0.5), 200, 15)
         fine = fragsim.ensemble_payoffs(ref_model, ref_params, MassBelow(0.1), 200, 15)
-        fine_rows = set(block_rows(fine))
-        shared = [row for row in block_rows(coarse) if row[1] <= 0.1]
+        fine_rows = set(block_rows(fine, ref_params))
+        shared = [row for row in block_rows(coarse, ref_params) if row[1] <= 0.1]
         assert len(shared) >= 50
         assert all(row in fine_rows for row in shared)
 
@@ -302,14 +320,14 @@ class TestEnsembles:
         res = fragsim.ensemble_payoffs(ref_model, ref_params,
                                        OptimalStatistic(ref_solved.b_star, literal=True),
                                        200, 8)
-        never = [row for row in block_rows(res) if row[3] == math.inf]
+        never = [row for row in block_rows(res, ref_params) if row[3] == math.inf]
         assert len(never) >= 10
         assert all(math.isnan(row[2]) and row[4] == 0.0 for row in never)
-        assert all(math.isfinite(row[2]) for row in block_rows(res) if row[3] < math.inf)
+        assert all(math.isfinite(row[2]) for row in block_rows(res, ref_params) if row[3] < math.inf)
 
     def test_block_rows_collected(self, ref_model, ref_params):
         res = fragsim.ensemble_payoffs(ref_model, ref_params, FixedTime(0.5), 10, 9)
-        rows = block_rows(res)
+        rows = block_rows(res, ref_params)
         assert rows
         run_ids = {row[0] for row in rows}
         assert run_ids == set(range(10))
@@ -349,16 +367,17 @@ class TestManyToOne:
         assert abs(short.lhs.value - short.rhs.value) <= 3.0 * short.combined_se
 
     def test_line_threshold_one_trivial(self, ref_model, ref_params):
+        # Every root freezes at birth with nothing accrued: both sides read c.
         res = fragsim.many_to_one_stopping_line(ref_model, ref_params, 1.0, 50, 11)
-        assert res.lhs.value == 0.0 and res.rhs.value == 0.0
+        assert res.lhs.value == res.rhs.value == ref_params.c
 
     def test_line_point_family_closed_form(self):
         # With deterministic halving splits and a in [1/2, 1), the line fires at
         # the first split on every branch; both sides reduce to one exponential
-        # time T with value E[e^{-qT}(1 - e^{-gt T})/gt].
+        # time T with value E[e^{-qT}((1 - e^{-gt T})/gt + c)].
         model, params = point_params()
         res = fragsim.many_to_one_stopping_line(model, params, 0.6, 6000, 12)
-        closed = 0.5 - 1.0 / 3.0
+        closed = 0.5 - 1.0 / 3.0 + 0.5 * params.c
         assert abs(res.lhs.value - closed) <= 3.0 * res.lhs.std_error
         assert abs(res.rhs.value - closed) <= 3.0 * res.rhs.std_error
         assert abs(res.lhs.value - res.rhs.value) <= 3.0 * res.combined_se
@@ -373,7 +392,7 @@ def materialised_lhs(model, params, kind: str, n_runs: int, seed: int) -> Moment
     if kind == "line":
         engine = functools.partial(fragsim.run_stopping_line, model, params, MassBelow(0.1))
         weights = lambda b: (b.mass * np.exp(-params.q * b.frozen_at)  # noqa: E731
-                             * np.minimum(b.accrued, fragsim.LINE_CAP))
+                             * np.minimum(b.accrued(params) + params.c, fragsim.LINE_CAP))
         keys = run_key(seed, "m21-line-frag", n_runs)
     else:
         power = 1.0 + {"identity": 1.0, "square": 2.0}[kind]
@@ -580,8 +599,9 @@ class TestInvariants:
 
 # --- reference: the masked engine the lean one replaced ---------------------------------
 # One array per block field, boolean masks applied per field, e^{-gt*born}
-# recomputed wherever it is needed and zeta advanced on every line.  The
-# engine must reproduce it bit for bit.
+# recomputed wherever it is needed, the accrued premium carried as a sum of
+# mass^(-gamma) integrals and zeta advanced on every line.  The engine must
+# reproduce its genealogy bit for bit, and its premium to within LEAN_ULPS.
 
 def accrued_at(params, mass, born, accrued, t):
     """Premium integral at times t >= born, the mass constant since birth."""
@@ -615,9 +635,29 @@ def split_blocks(params, mass, born, accrued, zeta, t, share):
             np.repeat(z, 2) * shares ** params.gamma)
 
 
+@dataclass(frozen=True)
+class MaskedBlocks:
+    """The masked engine's frozen blocks: accrued premium, nan where the line never fired."""
+
+    run: np.ndarray
+    mass: np.ndarray
+    accrued: np.ndarray
+    frozen_at: np.ndarray
+    dust_frozen: int
+    partial: int
+
+    def contributions(self, params) -> np.ndarray:
+        """(accrued + c) * mass^(1+gamma) * e^{-q*l}; 0 where the line never fired."""
+        fired = np.isfinite(self.frozen_at)
+        out = np.zeros(self.mass.size)
+        out[fired] = ((self.accrued[fired] + params.c) * self.mass[fired] ** (1.0 + params.gamma)
+                      * np.exp(-params.q * self.frozen_at[fired]))
+        return out
+
+
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def masked_stopping_line(model, params, line, keys, *, dust_floor=1e-12, horizon=math.inf,
-                         block_cap=1_000_000) -> FrozenBlocks:
+                         block_cap=1_000_000) -> MaskedBlocks:
     """`fragsim.run_stopping_line` as it was, one boolean mask per field and step."""
     if isinstance(line, FixedTime) and line.t > horizon:
         raise InvalidModelError(f"line time {line.t} exceeds the horizon {horizon}")
@@ -658,14 +698,49 @@ def masked_stopping_line(model, params, line, keys, *, dust_floor=1e-12, horizon
         )
         h = fragsim._block_words(h[split], np.arange(2, 4, dtype=np.uint64)[:, None]).T.ravel()
     run, mass, acc, t = (np.concatenate(x) for x in zip(*parts))
-    return FrozenBlocks(run, mass, acc, t, dust, partial)
+    return MaskedBlocks(run, mass, acc, t, dust, partial)
 
 
 def assert_same_blocks(new: FrozenBlocks, old: FrozenBlocks) -> None:
-    for field in ("run", "mass", "accrued", "frozen_at"):
+    for field in ("run", "mass", "premium", "frozen_at"):
         a, b = getattr(new, field), getattr(old, field)
         assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), field
     assert (new.dust_frozen, new.partial) == (old.dust_frozen, old.partial)
+
+
+# The engine carries eta = mass^gamma * (accrued + c) where the masked engine
+# carried accrued, so their premiums round differently.  Measured over
+# TestLeanEngine's cases, the largest gaps are 7 ulps of accrued + c, 55 ulps
+# of a contribution (literal lines, whose crossing time divides by a
+# difference) and 8 ulps of max(1, frozen_at) on statistic lines.
+LEAN_ULPS = 128
+LEAN_TOL = LEAN_ULPS * np.finfo(float).eps
+
+
+def assert_within_ulps(new, old, scale, what: str) -> None:
+    gap = np.abs(new - old)
+    assert np.all(gap <= LEAN_TOL * scale), (what, (gap / scale).max() / np.finfo(float).eps)
+
+
+def assert_matches_masked(new: FrozenBlocks, old: MaskedBlocks, params, line) -> None:
+    """The genealogy and line times bit for bit; the premium to within LEAN_ULPS."""
+    for field in ("run", "mass"):
+        a, b = getattr(new, field), getattr(old, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+    assert (new.dust_frozen, new.partial) == (old.dust_frozen, old.partial)
+    fired = np.isfinite(old.frozen_at)
+    assert np.array_equal(np.isfinite(new.frozen_at), fired)
+    if isinstance(line, OptimalStatistic):
+        assert_within_ulps(new.frozen_at[fired], old.frozen_at[fired],
+                           np.maximum(1.0, np.abs(old.frozen_at[fired])), "frozen_at")
+    else:
+        assert np.array_equal(new.frozen_at, old.frozen_at), "frozen_at"
+    accrued = new.accrued(params)
+    assert np.array_equal(np.isnan(accrued), np.isnan(old.accrued)), "accrued"
+    assert_within_ulps(accrued[fired], old.accrued[fired], old.accrued[fired] + params.c,
+                       "accrued")
+    old_contrib = old.contributions(params)
+    assert_within_ulps(new.contributions(params), old_contrib, old_contrib, "contribution")
 
 
 LEAN_MODELS = [BinaryUniform(1.0), BinaryPoint(1.0, 0.7), BinaryBeta(1.5, 0.5)]
@@ -686,7 +761,12 @@ LEAN_CASES = [pytest.param(line, options, id=f"{line_id}-{options_id}")
 
 
 class TestLeanEngine:
-    """The engine against the masked one it replaced: every bit of every block."""
+    """The engine against the masked one it replaced, block by block.
+
+    Runs, masses, dust and partial counts, and the freeze times of fixed and
+    mass lines are bit-equal; accrued premiums, contributions and the freeze
+    times of statistic lines agree to within LEAN_ULPS.
+    """
 
     @pytest.mark.parametrize("line,options", LEAN_CASES)
     @pytest.mark.parametrize("model", LEAN_MODELS, ids=["uniform", "point0.7", "beta0.5"])
@@ -694,8 +774,9 @@ class TestLeanEngine:
         # gamma * theta = 0.5, so Z and zeta never drift below -2 (the floor).
         params = levy.make_params(model, gamma=0.5, theta=1.0, q=1.0, c=0.25)
         keys = run_key(17, "lean", 200)
-        assert_same_blocks(fragsim.run_stopping_line(model, params, line, keys, **options),
-                           masked_stopping_line(model, params, line, keys, **options))
+        assert_matches_masked(fragsim.run_stopping_line(model, params, line, keys, **options),
+                              masked_stopping_line(model, params, line, keys, **options),
+                              params, line)
 
     @pytest.mark.parametrize("line", LEAN_LINES[:4], ids=LEAN_LINE_IDS[:4])
     def test_bit_equal_at_other_gamma(self, line):
@@ -703,8 +784,21 @@ class TestLeanEngine:
         for gamma in (1.0, 2.0):
             params = levy.make_params(BinaryUniform(2.0), gamma=gamma, theta=2.0, q=0.5, c=0.4)
             keys = run_key(18, "lean", 300)
-            assert_same_blocks(fragsim.run_stopping_line(BinaryUniform(2.0), params, line, keys),
-                               masked_stopping_line(BinaryUniform(2.0), params, line, keys))
+            assert_matches_masked(
+                fragsim.run_stopping_line(BinaryUniform(2.0), params, line, keys),
+                masked_stopping_line(BinaryUniform(2.0), params, line, keys), params, line)
+
+    @pytest.mark.parametrize("line", LEAN_LINES, ids=LEAN_LINE_IDS)
+    @pytest.mark.parametrize("model", LEAN_MODELS, ids=["uniform", "point0.7", "beta0.5"])
+    def test_premium_is_scaled_masked_accrued(self, model, line):
+        # eta = mass^gamma * (accrued + c) on every block the line fired on.
+        params = levy.make_params(model, gamma=0.5, theta=1.0, q=1.0, c=0.25)
+        keys = run_key(17, "lean", 200)
+        new = fragsim.run_stopping_line(model, params, line, keys)
+        old = masked_stopping_line(model, params, line, keys)
+        fired = np.isfinite(old.frozen_at)
+        eta = old.mass[fired] ** params.gamma * (old.accrued[fired] + params.c)
+        assert_within_ulps(new.premium[fired], eta, eta, "premium")
 
     def test_over_budget_in_step(self, ref_model, ref_params, monkeypatch):
         # Both engines give up on a multi-run chunk in the same generation.
@@ -714,8 +808,10 @@ class TestLeanEngine:
             with pytest.raises(fragsim._OverBudget):
                 engine(ref_model, ref_params, MassBelow(0.001), keys)
         one = run_key(19, "lean", 1)
-        assert_same_blocks(fragsim.run_stopping_line(ref_model, ref_params, MassBelow(0.001), one),
-                           masked_stopping_line(ref_model, ref_params, MassBelow(0.001), one))
+        assert_matches_masked(
+            fragsim.run_stopping_line(ref_model, ref_params, MassBelow(0.001), one),
+            masked_stopping_line(ref_model, ref_params, MassBelow(0.001), one),
+            ref_params, MassBelow(0.001))
 
 
 # --- reference: the per-block engine the batched one replaced -------------------------
@@ -887,34 +983,40 @@ class TestRunKeys:
 # sha256 of the `simulate` CSV plus its JSON summary on the README model,
 # recorded when run keys became the raw words of one substream per ensemble
 # (numpy 2.4, x86_64 Linux).  Any change to the draws or the arithmetic of
-# the cascade shows up here.
+# the cascade shows up here.  Every digest was re-recorded once when the
+# engine began to carry the premium eta = mass^gamma * (accrued + c) in
+# place of accrued and zeta: the run and mass columns and the dust and
+# partial counts kept their bits, as did fixed and mass lines' freeze times;
+# accrued, payoff contributions and statistic lines' freeze times moved by
+# rounding, at most 4.4e-15 relative.
 GOLDEN_SIMULATE = [
     pytest.param("optimal:0.78", False, {"runs": 200},
-                 "4ff9600afebb2291429fa9431713939b19df18ccd97a0b2bd6ebd5c86ad89a51",
+                 "836e593f873b0894707a688b69be61a7e0b6e5878cb885dab12c02c8975059a4",
                  id="optimal"),
     pytest.param("optimal:0.78", True, {"runs": 200},
-                 "5cb972a90a5935d72c4469339a4fa13552b23736b8fde0388df4e3b192728acd",
+                 "be245f5e466d8b19f5a4e10b22f21265967348bce46267623d28f975cb395fc2",
                  id="optimal-literal"),
     pytest.param("mass:0.01", False, {"runs": 20},
-                 "87c1a0e3f91d844e7bf62435f73ad5fb8d1c64fe8752eb2196e78a37840220e8",
+                 "64a98a3ad3ad9b596e37b46fff140c8a233eaecd5a8692e3071254497573d892",
                  id="mass"),
     pytest.param("fixed:2.0", False, {"runs": 60},
-                 "abfe28ec0b3c3410035195209b13b8d496ddcc5e566ab8f739b4b2058902a5d8",
+                 "d8e1fcef74675e4667932e0bdf2d2b8e77dd1044d5e6441a8835d8a27f98dcc1",
                  id="fixed"),
     pytest.param("mass:0.01", False, {"runs": 20, "text": README_CFG + "workers = 2\n"},
-                 "87c1a0e3f91d844e7bf62435f73ad5fb8d1c64fe8752eb2196e78a37840220e8",
+                 "64a98a3ad3ad9b596e37b46fff140c8a233eaecd5a8692e3071254497573d892",
                  id="mass-workers2"),
     # dust and horizon branches: 26 dust blocks, 106 partial
     pytest.param("mass:0.001", False, {"runs": 40, "dust_floor": 0.05, "horizon": 1.5},
-                 "0d38327f5a60fafc912533a82cd0acb1fffb5a948eb4795824d5d08211e810d0",
+                 "7cc20aec79cfa55ec65c4dddb92491a448d6fddb4346e9b957f90498dbf00a36",
                  id="dust-horizon"),
-    # Recorded with the masked engine, before the engine kept its state in
-    # one array: point splits, and beta splits (their inverse incomplete beta).
+    # Point splits, and beta splits (their inverse incomplete beta); first
+    # recorded with the masked engine, before the engine kept its state in
+    # one array.
     pytest.param("mass:0.01", False, {"runs": 20, "family": "point", "s0": 0.7},
-                 "b23443d7721e9849aafd2e24562297db682a5e5dcda645c22633d80c0bf4d2ac",
+                 "b68e32af01cb69cbcb268087466764bd6487452032cf3a3e726dc47242960bbc",
                  id="point-mass"),
     pytest.param("optimal:0.78", False, {"runs": 100, "family": "beta", "shape": 0.5},
-                 "648d137c53ee064a0b49ae0fbc06b84c7f19ee13e7523fcac15d3f4f85c828eb",
+                 "a749425f9ac1bf86f61e2b22fb0e9d1ea389ed67846d0f43d7facd6b1fc765c8",
                  id="beta-optimal", marks=pytest.mark.skipif(
                      importlib.util.find_spec("scipy") is None,
                      reason="the beta cascade needs scipy")),
@@ -959,14 +1061,19 @@ GOLDEN_SIMULATE = [
 # became the one-batch value of the batch table `verify` reads: only the
 # generator-residual entries moved, by rounding: at most 3.1e-12 absolute,
 # and 2.4e-10 relative except on the none family, whose exact residuals are 0.
+# Both verify digests were re-recorded once more when the cascade began to
+# carry eta = mass^gamma * (accrued + c), which gives accrued + c to a few
+# ulps but accrued alone only to a few ulps of accrued + c: the many-to-one
+# stopping-line functional became e^{-ql} min(accrued + c, LINE_CAP), and
+# only that check's four entries moved.
 GOLDEN_SIZES = {"samples": 3000, "runs": 300}
 SWEEP_C_GRID = [0.1, 0.25, 0.5, 1.0]
 GOLDEN_SOLVE = "b42e631f346ddfb520f9962e9cdc3e42144feaa79767f12f26e042389d50b49d"
 GOLDEN_SWEEP_C = "987fe4a6858e24349e29ff99f35f2710b7b980b3bc49d5e6a84221d6dead0cdb"
-GOLDEN_VERIFY = "c11c02d6153b2a3162e44a8469643335e86dee6e65ddcc98b24a6787ab800d43"
+GOLDEN_VERIFY = "8a8da24a8d6e1aa8a6f128e02b681e80350273eff306e0565ccd6e6b02f12ea3"
 # The same `verify` with point splits (s0 = 0.7), the second config of the
 # verify-ref benchmark.
-GOLDEN_VERIFY_POINT = "d42c70302493918064b78f63fafee76adc0777f2657fb0b0b7f45e6e96995515"
+GOLDEN_VERIFY_POINT = "2f2f9bbb8d6e79040a39cc61d9a19ce46440f70e94c3dc3ffe851bfcb84c17b6"
 
 # sha256 of the `solve` JSON per family at the same sizes: the README model,
 # then its family lines replaced.
@@ -1014,7 +1121,8 @@ class TestGoldenOutputs:
         assert sha256(harness.dumps_json(payload)) == GOLDEN_VERIFY_POINT
 
     def test_many_to_one_line_values(self):
+        # Re-recorded when the functional became e^{-ql} min(accrued + c, LINE_CAP).
         cfg = harness.parse_config_text(README_CFG)
         res = fragsim.many_to_one_stopping_line(cfg.model(), cfg.params(), 0.1, 500, 12345)
-        assert (res.lhs.value, res.lhs.std_error) == (0.0772817506905252, 0.0035716595527077004)
-        assert (res.rhs.value, res.rhs.std_error) == (0.07344157910764244, 0.007546318079055327)
+        assert (res.lhs.value, res.lhs.std_error) == (0.09022697327516124, 0.004012724938473201)
+        assert (res.rhs.value, res.rhs.std_error) == (0.08574149454004426, 0.008420660898815852)

@@ -771,7 +771,7 @@ class TestFormatCsv:
         res = fragsim.ensemble_payoffs(cfg.model(), cfg.params(),
                                        fragsim.OptimalStatistic(0.78, literal=True), 50, 4)
         b = res.blocks
-        columns = [b.run, b.mass, b.accrued, b.frozen_at, res.contributions]
+        columns = [b.run, b.mass, b.accrued(cfg.params()), b.frozen_at, res.contributions]
         assert np.isinf(b.frozen_at).any()
         assert harness.format_csv("blocks", self.HEADER, columns) == per_row_csv(
             "blocks", self.HEADER, list(zip(*(c.tolist() for c in columns))))
