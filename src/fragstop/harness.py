@@ -221,8 +221,19 @@ def cmd_solve(cfg: RunConfig) -> dict:
     return {"schema": SCHEMA, "command": "solve", "config": cfg.echo(), **asdict(result)}
 
 
-def _check(name: str, value: float, tolerance: float, *, target: float = 0.0,
-           one_sided: bool = False, **details) -> dict:
+# verify's acceptance level: a statistical check passes within this many standard errors.
+SE_LEVEL = 3.0
+
+
+def _check(name: str, value: float, floor: float = 0.0, *, std_error: float | None = None,
+           demand_margin: bool = False, target: float = 0.0, one_sided: bool = False,
+           **details) -> dict:
+    """One verify entry, passed when value - target is within its tolerance: floor, plus
+    SE_LEVEL standard errors if std_error is given, or -SE_LEVEL of them with demand_margin."""
+    tolerance = floor
+    if std_error is not None:
+        tolerance = -SE_LEVEL * std_error if demand_margin else SE_LEVEL * std_error + floor
+        details = {"std_error": std_error, **details}
     gap = value - target
     ok = gap <= tolerance if one_sided else abs(gap) <= tolerance
     return {
@@ -232,7 +243,7 @@ def _check(name: str, value: float, tolerance: float, *, target: float = 0.0,
 
 
 def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
-    """Run every statistical identity check; pass/fail at three standard errors.
+    """Run every statistical identity check; pass/fail at SE_LEVEL standard errors.
 
     corrupt_bstar is a test hook that scales the solved threshold before the
     threshold-dependent checks run (a negative control: a wrong threshold
@@ -277,11 +288,9 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
         substream(cfg.seed, "verify-laplace"), sample, horizon=cfg.fp_horizon,
     )
     for b_mult, lap in zip(b_mults, laps):
-        checks.append(_check(
-            f"laplace_transform_b={b_mult}c", lap.mc.value,
-            3.0 * lap.combined_se + floor, target=lap.analytic,
-            std_error=lap.combined_se, horizon_misses=lap.horizon_misses,
-        ))
+        checks.append(_check(f"laplace_transform_b={b_mult}c", lap.mc.value, floor,
+                             std_error=lap.combined_se, target=lap.analytic,
+                             horizon_misses=lap.horizon_misses))
 
     z = pathsim.simulate_Z_at_times(model, params, times, cfg.runs,
                                     substream(cfg.seed, "verify-mart"))
@@ -290,13 +299,11 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
     sup = stopsolve.supermartingale_check(curve, times, z)
     for tag, res, one_sided in (("martingale", mart, False), ("supermartingale_level", sup, True)):
         for t, est, se in zip(res.times, res.estimates, res.combined_se):
-            checks.append(_check(f"{tag}_t={t}", est.value, 3.0 * se + floor,
-                                 target=res.reference, one_sided=one_sided, std_error=se))
+            checks.append(_check(f"{tag}_t={t}", est.value, floor, std_error=se,
+                                 target=res.reference, one_sided=one_sided))
     for k, dec in enumerate(sup.decrements):
-        checks.append(_check(
-            f"supermartingale_decrement_{k}", -dec.value,
-            3.0 * dec.std_error + floor, one_sided=True, std_error=dec.std_error,
-        ))
+        checks.append(_check(f"supermartingale_decrement_{k}", -dec.value, floor,
+                             std_error=dec.std_error, one_sided=True))
 
     gaps = stopsolve.pasting_check(value)
     checks.append(_check("pasting_value_gap", gaps.value_gap, 1e-6 * b_star + floor))
@@ -304,22 +311,17 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
 
     for x, kind, star in ((0.5 * b_star, "tilde", False), (2.0 * b_star, "star", True)):
         res = stopsolve.generator_residual(model, value, x, star=star)
-        checks.append(_check(
-            f"generator_residual_{kind}", res.value,
-            3.0 * res.std_error + 1e-6 * (1.0 + x), one_sided=star,
-            std_error=res.std_error, x=x,
-        ))
+        checks.append(_check(f"generator_residual_{kind}", res.value, 1e-6 * (1.0 + x),
+                             std_error=res.std_error, one_sided=star, x=x))
 
     n_mom = 1 if value.p < 2.0 else 2
     for n in range(1, n_mom + 1):
         mc = expfun.estimate_moment(sample, 0.0, float(n))
-        checks.append(_check(
-            f"moment_oracle_n={n}", mc.value, 3.0 * mc.std_error + floor,
-            target=expfun.moment_recursion(model, params, n),
-            std_error=mc.std_error,
-        ))
+        checks.append(_check(f"moment_oracle_n={n}", mc.value, floor, std_error=mc.std_error,
+                             target=expfun.moment_recursion(model, params, n)))
 
-    # The dominance checks demand a 3-SE margin, so they get at least 10,000 paths.
+    # The dominance checks demand a margin of SE_LEVEL standard errors, so they get at least
+    # 10,000 paths.
     sweep = stopsolve.threshold_payoff_sweep(
         model, params, [0.8 * b_star, b_star, 1.25 * b_star], max(cfg.runs, 10_000),
         substream(cfg.seed, "verify-sweep"), horizon=cfg.fp_horizon,
@@ -328,11 +330,9 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
     pay = sweep.discounts * np.maximum(sweep.thresholds, params.c)
     for j, tag in ((0, "low"), (2, "high")):
         diff = expfun.MomentEstimate.of(pay[:, 1] - pay[:, j])
-        # pass requires the paired payoff margin to clear 3 standard errors
-        checks.append(_check(
-            f"threshold_dominance_{tag}", -diff.value, -3.0 * diff.std_error,
-            one_sided=True, std_error=diff.std_error, margin=diff.value,
-        ))
+        # pass requires the paired payoff margin to clear SE_LEVEL standard errors
+        checks.append(_check(f"threshold_dominance_{tag}", -diff.value, std_error=diff.std_error,
+                             demand_margin=True, one_sided=True, margin=diff.value))
 
     if not levy.is_degenerate(model):
         m21 = dict(zip(("many_to_one_fixed_identity", "many_to_one_fixed_square"),
@@ -342,8 +342,8 @@ def cmd_verify(cfg: RunConfig, corrupt_bstar: float = 1.0) -> tuple[dict, bool]:
             model, params, 0.1, cfg.runs, cfg.seed, block_cap=cfg.block_cap,
             dust_floor=cfg.dust_floor, horizon=cfg.horizon)
         for name, res in m21.items():
-            checks.append(_check(name, res.lhs.value, 3.0 * res.combined_se + floor,
-                                 target=res.rhs.value, std_error=res.combined_se))
+            checks.append(_check(name, res.lhs.value, floor, std_error=res.combined_se,
+                                 target=res.rhs.value))
 
     ok = all(c["pass"] for c in checks)
     payload = {

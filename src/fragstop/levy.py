@@ -170,8 +170,6 @@ def psi(model: DislocationModel, theta: float, u: float) -> float:
     Defined for u > p_lower; convex with psi(0) = 0, strictly increasing on
     [0, inf) whenever theta > phi_prime0.
     """
-    if is_degenerate(model):
-        return theta * u
     return theta * u - phi(model, u)
 
 
@@ -230,46 +228,31 @@ def bisect(h, lo: float, hi: float, wide, *, h_lo: float | None = None,
 
     First, modified regula falsi (Illinois) steps narrow the interval [a, b]
     on which the sign of h is unknown, h(a) > 0 >= h(b), until wide(a, b)
-    fails; only finite values narrow it.  Then the plain halving runs
-    again.  A midpoint below a - margin is below the root and one above
-    b + margin is not, by monotonicity; a midpoint between is evaluated.
-    So the result equals the plain halving's whenever h(y) > 0 implies
-    h(x) > 0 for every x < y - margin: the computed sign of h (nan counts
-    as <= 0) may be out of order only within a band of width margin.
-    margin = 0 suits an h that rounds monotonically.  Unless h_lo > 0 >= h_hi
-    at finite values, every midpoint is evaluated.
-    """
-    h_lo = h(lo) if h_lo is None else h_lo
-    h_hi = h(hi) if h_hi is None else h_hi
-    a, b = -math.inf, math.inf  # h(a) > 0 >= h(b)
-    if math.isfinite(h_lo) and math.isfinite(h_hi) and h_lo > 0.0 >= h_hi:
-        a, b = _illinois(h, lo, hi, h_lo, h_hi, wide, margin)
-    while wide(lo, hi):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if mid < a - margin or (mid <= b + margin and h(mid) > 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _illinois(h, a: float, b: float, h_a: float, h_b: float, wide,
-              margin: float) -> tuple[float, float]:
-    """[a, b] narrowed by Illinois steps from h(a) > 0 >= h(b), both finite.
-
-    Each step evaluates h where the chord through (a, h_a) and (b, h_b)
-    crosses zero and keeps the side where h changes sign.  An end kept
-    twice in a row has its value halved, which moves the next crossing
+    fails.  Each step evaluates h where the chord through (a, h_a) and
+    (b, h_b) crosses zero and keeps the side where h changes sign; an end
+    kept twice in a row has its value halved, which moves the next crossing
     toward it, so both ends close in on the root.  A crossing that rounds
     onto an end puts the root there; the step then evaluates h one margin,
     or one ulp, inside that end instead, and a second such step in a row
     ends the narrowing, as does a value that is not finite.
+
+    Then the plain halving runs again.  A midpoint below a - margin is below
+    the root and one above b + margin is not, by monotonicity; a midpoint
+    between is evaluated.  So the result equals the plain halving's
+    whenever h(y) > 0 implies h(x) > 0 for every x < y - margin: the
+    computed sign of h (nan counts as <= 0) may be out of order only within
+    a band of width margin.  margin = 0 suits an h that rounds
+    monotonically.  Unless h_lo > 0 >= h_hi at finite values, nothing is
+    narrowed and every midpoint is evaluated.
     """
+    h_a = h(lo) if h_lo is None else h_lo
+    h_b = h(hi) if h_hi is None else h_hi
+    a, b = lo, hi
+    if not (math.isfinite(h_a) and math.isfinite(h_b) and h_a > 0.0 >= h_b):
+        a, b = -math.inf, math.inf  # no sign known: the loop below never runs
     kept = None  # the end the last step kept
     pinned = False  # whether the last crossing rounded onto an end
-    while wide(a, b):
+    while b < math.inf and wide(a, b):
         x = b - h_b * (b - a) / (h_b - h_a)
         if a < x < b:
             pinned = False
@@ -293,7 +276,15 @@ def _illinois(h, a: float, b: float, h_a: float, h_b: float, wide,
             if kept == "a":
                 h_a *= 0.5
             kept = "a"
-    return a, b
+    while wide(lo, hi):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if mid < a - margin or (mid <= b + margin and h(mid) > 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 # --- split-law sampling -----------------------------------------------------

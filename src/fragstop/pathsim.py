@@ -18,7 +18,6 @@ given, so it is pure given that generator and the number of paths.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -146,17 +145,17 @@ def first_passage_payoff_sums(
     model: DislocationModel,
     params: ModelParams,
     thresholds,
-    lam: float,
     n: int,
     rng: np.random.Generator,
     horizon: float = 1e4,
 ) -> np.ndarray:
-    """Discount factors exp(-lam * tau_b) of n paths for every sorted threshold.
+    """Discount factors exp(-params.lam * tau_b) of n paths for every sorted threshold.
 
     The discount view of `simulate_Z_first_passage`: a threshold missed
     before the horizon gets 0.
     """
-    return np.exp(-lam * simulate_Z_first_passage(model, params, thresholds, n, rng, horizon))
+    tau = simulate_Z_first_passage(model, params, thresholds, n, rng, horizon)
+    return np.exp(-params.lam * tau)
 
 
 def simulate_Z_at_times(
@@ -202,16 +201,19 @@ def predicted_jumps_per_draw(model: DislocationModel, params: ModelParams,
     rel_tol times its integral, of mean M1 = moment_recursion(..., 1).  Under
     the tilt Y drifts down at psi'(kappa) between jumps at nu = rate -
     phi(kappa), so that takes about nu log(1/(rel_tol max(M1, 1))) /
-    (gamma psi'(kappa)) more.  psi = theta*u - rate (1 - split_power_mean) is
-    written out, and psi' is a central difference, so the prediction adds no
-    `levy.phi` calls to the sampler's own.
+    (gamma psi'(kappa)) more, with psi' a central difference of `levy.psi`.
     """
-    mean = functools.partial(levy.split_power_mean, model)
     kappa, h = params.kappa, 1e-5 * (1.0 + params.kappa)
-    slope = params.theta + model.rate * (mean(kappa + h) - mean(kappa - h)) / (2.0 * h)
-    m1 = 1.0 / (params.gt - model.rate * (mean(kappa - params.gamma) - mean(kappa)))
+    slope = (levy.psi(model, params.theta, kappa + h)
+             - levy.psi(model, params.theta, kappa - h)) / (2.0 * h)
+    m1 = moment_recursion(model, params, 1)
     log_ratio = max(-math.log(rel_tol * max(m1, 1.0)), 0.0)
-    return 1.0 + model.rate * mean(kappa) * log_ratio / (params.gamma * slope)
+    return 1.0 + _tilted_jump_rate(model, kappa) * log_ratio / (params.gamma * slope)
+
+
+def _tilted_jump_rate(model: DislocationModel, kappa: float) -> float:
+    """Jump rate of the lineage under the kappa tilt: rate - phi(kappa)."""
+    return model.rate - (levy.phi(model, kappa) if kappa > 0.0 else 0.0)
 
 
 def simulate_I_infty(
@@ -238,7 +240,7 @@ def simulate_I_infty(
     unfinished after MAX_STEPS steps.
     """
     gamma, theta, gt, kappa = params.gamma, params.theta, params.gt, params.kappa
-    jump_rate = model.rate - (levy.phi(model, kappa) if kappa > 0.0 else 0.0)
+    jump_rate = _tilted_jump_rate(model, kappa)
     m1 = moment_recursion(model, params, 1)
     if jump_rate == 0.0:
         # Pure drift: the truncation time solves the stopping rule exactly and

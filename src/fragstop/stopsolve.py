@@ -534,4 +534,4 @@ def threshold_payoff_sweep(
     """
     bs = np.asarray(sorted(thresholds), dtype=float)
     return ThresholdSweep(
-        bs, pathsim.first_passage_payoff_sums(model, params, bs, params.lam, n_paths, rng, horizon))
+        bs, pathsim.first_passage_payoff_sums(model, params, bs, n_paths, rng, horizon))

@@ -172,6 +172,23 @@ def fieldwise_I_infty(model, params, rng, n: int, rel_tol: float = 1e-6,
     return out
 
 
+def closed_form_jumps_per_draw(model, params, rel_tol: float) -> float:
+    """`pathsim.predicted_jumps_per_draw` with psi written out as theta*u - rate (1 - mean).
+
+    mean is `levy.split_power_mean`; the tilted jump rate is rate * mean(kappa),
+    M1 is 1 / (psi(kappa) - psi(kappa - gamma)) and psi'(kappa) a central
+    difference of mean.
+    """
+    def mean(p):
+        return levy.split_power_mean(model, p)
+
+    kappa, h = params.kappa, 1e-5 * (1.0 + params.kappa)
+    slope = params.theta + model.rate * (mean(kappa + h) - mean(kappa - h)) / (2.0 * h)
+    m1 = 1.0 / (params.gt - model.rate * (mean(kappa - params.gamma) - mean(kappa)))
+    log_ratio = max(-math.log(rel_tol * max(m1, 1.0)), 0.0)
+    return 1.0 + model.rate * mean(kappa) * log_ratio / (params.gamma * slope)
+
+
 # --- the lineage walks as they were ----------------------------------------------------
 # Each walk had its own loop before one kernel, `pathsim._walk`, served them
 # all.  The package must match these bit for bit, generator state included.

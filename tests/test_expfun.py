@@ -7,6 +7,8 @@ import pytest
 from fragstop import expfun, levy, pathsim, stopsolve
 from fragstop.levy import BinaryUniform, DomainError
 
+from conftest import closed_form_jumps_per_draw
+
 
 class TestEstimateMoment:
     def test_order_zero(self, ref_sample):
@@ -191,23 +193,33 @@ class TestJumpBudget:
     @pytest.mark.parametrize("q", [1.0, 1e-12])
     def test_prediction_matches_counted_jumps(self, model, q, monkeypatch):
         params = readme_params(model, 0.1, q)
-        calls = {"phi": 0, "jumps": 0}
-        phi, sample_jump = levy.phi, levy.sample_jump
-
-        def counted_phi(*args):
-            calls["phi"] += 1
-            return phi(*args)
+        jumps = 0
+        sample_jump = levy.sample_jump
 
         def counted_jumps(model, kappa, n, rng):
-            calls["jumps"] += n
+            nonlocal jumps
+            jumps += n
             return sample_jump(model, kappa, n, rng)
 
-        monkeypatch.setattr(levy, "phi", counted_phi)
         predicted = pathsim.predicted_jumps_per_draw(model, params, 1e-6)
-        assert calls["phi"] == 0
+        assert predicted == pytest.approx(closed_form_jumps_per_draw(model, params, 1e-6),
+                                          rel=1e-9)
         monkeypatch.setattr(levy, "sample_jump", counted_jumps)
         pathsim.simulate_I_infty(model, params, np.random.default_rng(5), 4096)
-        assert predicted == pytest.approx(calls["jumps"] / 4096, rel=0.02)
+        assert predicted == pytest.approx(jumps / 4096, rel=0.02)
+
+    @pytest.mark.parametrize("model", [BinaryUniform(1.0), levy.BinaryPoint(1.0, 0.7),
+                                       levy.BinaryBeta(1.0, 3.0), levy.BinaryBeta(1.0, 0.5),
+                                       BinaryUniform(0.0)],
+                             ids=["uniform", "point0.7", "beta3", "beta0.5", "none"])
+    def test_prediction_matches_the_closed_form(self, model):
+        # The prediction reads levy.psi and moment_recursion; the closed form
+        # writes psi out through split_power_mean.
+        for gamma in (1e-5, 1e-2, 1.0, 1e3):
+            for q in (1e-12, 1.0, 100.0):
+                params = readme_params(model, gamma, q)
+                assert pathsim.predicted_jumps_per_draw(model, params, 1e-6) == pytest.approx(
+                    closed_form_jumps_per_draw(model, params, 1e-6), rel=1e-9)
 
     def test_one_config_on_each_side_of_the_budget(self, monkeypatch):
         # The README model at q = 1e-12 and 20 samples, one simulated chunk of

@@ -496,6 +496,25 @@ class TestVerifyCommand:
         laplace = [c for c in payload["checks"] if c["name"].startswith("laplace")]
         assert [c["horizon_misses"] for c in laplace] == [0, 0]
 
+    @pytest.mark.parametrize("family", ["family = uniform\n", "family = point\ns0 = 0.7\n"],
+                             ids=["uniform", "point0.7"])
+    def test_tolerances_are_se_level_standard_errors(self, family):
+        cfg = harness.with_overrides(parse_config_text(family + README_KEYS),
+                                     samples=2000, runs=200)
+        payload, _ = harness.cmd_verify(cfg)
+        no_se = []
+        for check in payload["checks"]:
+            name, se = check["name"], check.get("std_error")
+            if se is None:
+                no_se.append(name)
+            elif name.startswith("threshold_dominance_"):
+                assert check["tolerance"] == -harness.SE_LEVEL * se, name
+            else:
+                floor = 1e-6 * (1.0 + check["x"]) if name.startswith("generator_") else 1e-9
+                assert check["tolerance"] == harness.SE_LEVEL * se + floor, name
+        assert sorted(no_se) == ["pasting_slope_gap", "pasting_value_gap"]
+        assert sum(c["name"].startswith("threshold_dominance_") for c in payload["checks"]) == 2
+
     def test_horizon_misses_reported(self, tmp_path, capsys):
         # Lineages still below the level when the first-passage horizon
         # passes are counted in the Laplace entries.

@@ -171,6 +171,11 @@ class TestPsiKappa:
         for u in (0.0, 0.5, 3.0):
             assert levy.psi(model, 1.7, u) == pytest.approx(1.7 * u, abs=1e-14)
 
+    def test_degenerate_psi_is_the_drift_bit_for_bit(self):
+        model, theta = BinaryUniform(0.0), 1.7
+        for u in (-1.5, 0.0, 0.5, 2.0, 1e6):
+            assert levy.psi(model, theta, u).hex() == (theta * u).hex()
+
     def test_uniform_value(self):
         assert levy.psi(BinaryUniform(1.0), 1.0, 1.0) == pytest.approx(2.0 / 3.0, abs=1e-12)
 

@@ -94,7 +94,7 @@ class TestFirstPassage:
         levels, lam = [0.5, 1.0], ref_params.lam
         tau = pathsim.simulate_Z_first_passage(ref_model, ref_params, levels, 2000,
                                                substream(13, "miss"), horizon=0.05)
-        disc = pathsim.first_passage_payoff_sums(ref_model, ref_params, levels, lam, 2000,
+        disc = pathsim.first_passage_payoff_sums(ref_model, ref_params, levels, 2000,
                                                  substream(13, "miss"), horizon=0.05)
         missed = np.isinf(tau)
         assert missed[:, 0].sum() > 0 and missed[:, 1].sum() > missed[:, 0].sum()
@@ -390,7 +390,7 @@ class TestBatchedAgainstScalar:
     def test_first_passage_discount(self, model):
         params = self._params(model)
         levels = [1.5 * params.c, 2.0 * params.c]
-        disc = pathsim.first_passage_payoff_sums(model, params, levels, params.lam, self.N,
+        disc = pathsim.first_passage_payoff_sums(model, params, levels, self.N,
                                                  substream(51, "batched-fp"))
         rng = substream(51, "scalar-fp")
         for k, b in enumerate(levels):

@@ -8,7 +8,8 @@ point-split twin (s0 = 0.7) for each of --seeds consecutive seeds, once
 as is and once with the threshold scaled by 1.5 (`--corrupt-bstar 1.5`).
 For each config it prints the share of seeds on which verify fails, the
 share on which each check fails, and the share on which the corrupted
-threshold is caught.  Every check accepts at three standard errors, so a
+threshold is caught.  Every statistical check accepts at harness.SE_LEVEL
+standard errors, which each config's header line states, so a
 well-calibrated verify fails a correct program on a few percent of seeds.
 
 Run from the root of a checkout; the program is imported from ./src.  Not
@@ -62,7 +63,8 @@ def main(argv=None) -> int:
             n_caught += bool(failed_checks(cfg, CORRUPT))
         n = len(seeds)
         print(f"{name}: seeds {seeds.start}..{seeds.stop - 1}, samples {args.samples}, "
-              f"runs {args.runs} ({time.perf_counter() - t0:.0f} s)")
+              f"runs {args.runs}, SE_LEVEL {harness.SE_LEVEL:g} "
+              f"({time.perf_counter() - t0:.0f} s)")
         print(f"  verify fails on      {n_failed / n:7.1%} of seeds ({n_failed} of {n})")
         print(f"  corrupt x{CORRUPT} caught on {n_caught / n:7.1%} of seeds ({n_caught} of {n})")
         for check, count in per_check.most_common():
